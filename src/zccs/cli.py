@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: generate (build a code set and optionally write it), verify
-(check a stored set and exit nonzero on violations), enumerate (list vertex
-deletions that leave a path), export (code-set file to CSV), and report
-(verify plus a full JSON report).
+(check a stored set, optionally write a full JSON report, and exit nonzero
+on violations), enumerate (list vertex deletions that leave a path), and
+export (code-set file to CSV).
 
 Exit codes: 0 success, 1 verification found violations, 2 bad parameters or
 inadmissible construction inputs, 3 unreadable or malformed files.
@@ -17,15 +17,13 @@ import sys
 from . import __version__
 from .constructions import (
     GBF,
+    ChainParams,
     Lemma1Params,
     Lemma2Params,
     Term,
-    Theorem1Params,
-    Theorem2Params,
+    chained_zccs,
     lemma1_ccc,
     lemma2_ccc,
-    theorem1_zccs,
-    theorem2_zccs,
     theorem3_zccs,
 )
 from .correlation import is_optimal, verify_zccs
@@ -111,34 +109,26 @@ def _build_code_set(args: argparse.Namespace):
             deleted=deleted,
             beta1=args.beta1,
         )
-        if args.construction == "lemma1":
-            return lemma1_ccc(base, args.bit_order)
-        if args.construction == "thm3":
-            return theorem3_zccs(base, args.bit_order)
-        _require(args, ["l", "R"], args.construction)
-        return theorem1_zccs(
-            Theorem1Params(base=base, l=args.l, r=args.R, s_r=s_r), args.bit_order
+    else:
+        _require(args, ["m2"], args.construction)
+        half = args.q // 2 if args.q >= 2 else 1
+        linear = _parse_ints(args.d_vec) if args.d_vec else ()
+        edges = _parse_edges(args.quadratic, half)
+        terms = list(_quadratic_gbf(args.m2, max(args.q, 2), edges).terms)
+        terms += [Term(coeff, (z(i),)) for i, coeff in enumerate(linear)]
+        terms.append(Term(args.d))
+        base = Lemma2Params(
+            q=args.q,
+            m2=args.m2,
+            f=GBF(args.m2, max(args.q, 2), tuple(terms)),
+            deleted=deleted,
+            beta1=args.beta1,
         )
-
-    _require(args, ["m2"], args.construction)
-    half = args.q // 2 if args.q >= 2 else 1
-    linear = _parse_ints(args.d_vec) if args.d_vec else ()
-    terms = list(_quadratic_gbf(args.m2, max(args.q, 2), _parse_edges(args.quadratic, half)).terms)
-    terms += [Term(coeff, (z(i),)) for i, coeff in enumerate(linear)]
-    terms.append(Term(args.d))
-    base = Lemma2Params(
-        q=args.q,
-        m2=args.m2,
-        f=GBF(args.m2, max(args.q, 2), tuple(terms)),
-        deleted=deleted,
-        beta1=args.beta1,
-    )
-    if args.construction == "lemma2":
-        return lemma2_ccc(base, args.bit_order)
+    seed_generators = {"lemma1": lemma1_ccc, "lemma2": lemma2_ccc, "thm3": theorem3_zccs}
+    if args.construction in seed_generators:
+        return seed_generators[args.construction](base, args.bit_order)
     _require(args, ["l", "R"], args.construction)
-    return theorem2_zccs(
-        Theorem2Params(base=base, l=args.l, r=args.R, s_r=s_r), args.bit_order
-    )
+    return chained_zccs(ChainParams(base=base, l=args.l, r=args.R, s_r=s_r), args.bit_order)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -177,16 +167,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.report:
         save_report(report, args.report)
         print(f"wrote {args.report}")
-    return 0 if report.zccs_ok else 1
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    code_set = load_code_set(args.file)
-    report = verify_zccs(code_set, z=args.z, workers=args.workers)
-    _print_verification(report)
-    if args.out:
-        save_report(report, args.out)
-        print(f"wrote {args.out}")
     return 0 if report.zccs_ok else 1
 
 
@@ -248,13 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--workers", type=int, default=1, help="thread count for pair profiles")
     ver.add_argument("--report", help="also write a JSON report here")
     ver.set_defaults(func=cmd_verify)
-
-    rep = sub.add_parser("report", help="verify and emit a full JSON report")
-    rep.add_argument("file")
-    rep.add_argument("--z", type=int, help="zone to check (default: declared)")
-    rep.add_argument("--workers", type=int, default=1, help="thread count for pair profiles")
-    rep.add_argument("--out", help="write the JSON report here")
-    rep.set_defaults(func=cmd_report)
 
     enm = sub.add_parser("enumerate", help="list vertex deletions that leave a path")
     enm.add_argument("--quadratic", default="", help="graph edges, same syntax as generate")

@@ -28,8 +28,8 @@ import numpy as np
 
 from .gbf import (
     GBF,
-    PhaseSequence,
     Term,
+    bit_matrix,
     index_to_bits,
     resolve_bit_order,
     substitute_complement,
@@ -40,39 +40,57 @@ from .gbf import (
 from .graphs import PathCertificate, graph_of_quadratic, validate_deletion_path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeSet:
-    """set_size codes, each holding code_size sequences of equal length.
+    """A code set as one read-only integer array of phases in Z_q.
 
-    zcz is the declared zero-correlation zone width: the claim under test,
-    not a measured quantity.  For complete complementary codes it equals the
-    sequence length.  provenance, when present, is a JSON-ready description
-    sufficient to regenerate the set from scratch.
+    phases[ci, ri] is row ri of code ci, so the array's shape is
+    (set_size, code_size, length).  zcz is the declared zero-correlation
+    zone width: the claim under test, not a measured quantity.  For complete
+    complementary codes it equals the sequence length.  provenance, when
+    present, is a JSON-ready description sufficient to regenerate the set
+    from scratch.
     """
 
     q: int
-    set_size: int
-    code_size: int
-    length: int
     zcz: int
-    codes: tuple[tuple[PhaseSequence, ...], ...]
+    phases: np.ndarray
     provenance: dict[str, Any] | None = None
 
     def __post_init__(self) -> None:
-        if min(self.set_size, self.code_size, self.length) < 1:
-            raise ValueError("set size, code size, and length must all be positive")
-        if not 1 <= self.zcz <= self.length:
-            raise ValueError(f"declared zone {self.zcz} out of range [1, {self.length}]")
-        if len(self.codes) != self.set_size:
-            raise ValueError(f"expected {self.set_size} codes, got {len(self.codes)}")
-        for ci, code in enumerate(self.codes):
-            if len(code) != self.code_size:
-                raise ValueError(f"code {ci} has {len(code)} sequences, expected {self.code_size}")
-            for seq in code:
-                if seq.q != self.q:
-                    raise ValueError(f"code {ci} mixes moduli: {seq.q} vs {self.q}")
-                if len(seq) != self.length:
-                    raise ValueError(f"code {ci} has a length-{len(seq)} sequence, expected {self.length}")
+        arr = np.asarray(self.phases)
+        if arr.ndim != 3 or arr.size == 0 or arr.dtype.kind not in "iu":
+            raise ValueError(
+                f"phases must be a nonempty 3-D integer array, got shape {arr.shape} "
+                f"of {arr.dtype}"
+            )
+        if arr.min() < 0 or arr.max() >= self.q:
+            raise ValueError(f"phases must lie in [0, {self.q}), got [{arr.min()}, {arr.max()}]")
+        if not 1 <= self.zcz <= arr.shape[2]:
+            raise ValueError(f"declared zone {self.zcz} out of range [1, {arr.shape[2]}]")
+        arr = arr.astype(np.int64)
+        arr.setflags(write=False)
+        object.__setattr__(self, "phases", arr)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CodeSet):
+            return NotImplemented
+        return (
+            (self.q, self.zcz, self.provenance) == (other.q, other.zcz, other.provenance)
+            and np.array_equal(self.phases, other.phases)
+        )
+
+    @property
+    def set_size(self) -> int:
+        return self.phases.shape[0]
+
+    @property
+    def code_size(self) -> int:
+        return self.phases.shape[1]
+
+    @property
+    def length(self) -> int:
+        return self.phases.shape[2]
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
@@ -188,33 +206,6 @@ def _check_block_choice(l: int, r: int, s_r) -> tuple[tuple[int, ...], ...] | No
 
 
 @dataclass(frozen=True)
-class Theorem1Params:
-    """Binary block-chained extension of the seed construction.
-
-    Each code chains R copies of a seed sequence, block r sign-flipped by
-    the parity <c, bits(r)>; the label c runs over s_r.  s_r=None defers to
-    the default choice, the first R length-l vectors in ascending integer
-    order under the active bit convention.  Beware: the zone property needs
-    sum over blocks of (-1)^{<c xor c', bits(r)>} to vanish for every pair
-    of distinct labels.  The default satisfies this whenever R is a power
-    of two; an arbitrary choice may not, and verification will say so.
-    """
-
-    base: Lemma1Params
-    l: int
-    r: int
-    s_r: tuple[tuple[int, ...], ...] | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s_r", _check_block_choice(self.l, self.r, self.s_r))
-
-    def resolved_s_r(self, order: str | None = None) -> tuple[tuple[int, ...], ...]:
-        if self.s_r is not None:
-            return self.s_r
-        return tuple(index_to_bits(v, self.l, order) for v in range(self.r))
-
-
-@dataclass(frozen=True)
 class Lemma2Params:
     """Inputs for the q-ary seed construction.
 
@@ -261,24 +252,41 @@ class Lemma2Params:
 
 
 @dataclass(frozen=True)
-class Theorem2Params:
-    """q-ary block-chained extension; block multipliers are still just signs.
+class ChainParams:
+    """Block-chained extension of either seed construction.
 
-    The same caveat as the binary variant applies to explicit s_r choices.
+    Each code chains R copies of a seed code, block r multiplied by the sign
+    (-1)^<c, bits(r)>; the label c runs over s_r.  A binary base
+    (Lemma1Params) gives the thm1 family, a q-ary base (Lemma2Params) the
+    thm2 family, where the sign is a phase shift by q/2.  s_r=None defers to
+    the default choice, the first R length-l vectors in ascending integer
+    order under the active bit convention.  Beware: the zone property needs
+    sum over blocks of (-1)^{<c xor c', bits(r)>} to vanish for every pair
+    of distinct labels.  The default satisfies this whenever R is a power
+    of two; an arbitrary choice may not, and verification will say so.
     """
 
-    base: Lemma2Params
+    base: Lemma1Params | Lemma2Params
     l: int
     r: int
     s_r: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.base, (Lemma1Params, Lemma2Params)):
+            raise TypeError(
+                f"base must be Lemma1Params or Lemma2Params, got {type(self.base).__name__}"
+            )
         object.__setattr__(self, "s_r", _check_block_choice(self.l, self.r, self.s_r))
 
     def resolved_s_r(self, order: str | None = None) -> tuple[tuple[int, ...], ...]:
         if self.s_r is not None:
             return self.s_r
         return tuple(index_to_bits(v, self.l, order) for v in range(self.r))
+
+
+# The paper states the binary and q-ary chains as two theorems; both names
+# stay for callers written against them.
+Theorem1Params = Theorem2Params = ChainParams
 
 
 # ---------------------------------------------------------------------------
@@ -357,74 +365,87 @@ def build_h_an(params: Lemma2Params, a_vec, n: int, bit_order: str | None = None
 
 
 # ---------------------------------------------------------------------------
-# assembly helpers
+# assembly
 
 # Row order within every code: a-vectors in lexicographic order, last
 # coordinate fastest.  This is a fixed convention independent of bit order.
 
 
-def _a_vectors(width: int):
-    return tuple(itertools.product((0, 1), repeat=width))
+def _row_tables(base: Lemma1Params | Lemma2Params, order: str):
+    """Phase tables of every row function and its partner, from one seed table.
+
+    Returns (q, half, rows, partners), the tables of shape (2^k, 2^(k+1), L0):
+    code n, row a.  Row (n, a) adds half * (a_i + n_i) z_{p_i} over the
+    deleted vertices p_i and half * a_last z_end to the seed.  Its partner
+    complements every variable of the seed and of the deleted-vertex
+    offsets, which maps index r to 2^m - 1 - r under both bit orders, and
+    adds half * (1 - a_last) z_end.  The binary family (q = 2, half = 1)
+    keeps the length-gamma prefix of rows and suffix of partners and puts
+    its offsets on pair_end; the q-ary family keeps full tables and uses
+    beta1.
+    """
+    if isinstance(base, Lemma1Params):
+        q, seed_fn, end, cut = 2, build_g(base), base.pair_end, base.gamma
+    else:
+        q, seed_fn, end, cut = base.q, base.f, base.beta1, 1 << base.m2
+    half = q // 2
+    seed = truth_table(seed_fn, order)
+    bits = bit_matrix(seed_fn.m, order)
+    k = base.k
+    labels = np.array(list(itertools.product((0, 1), repeat=k + 1)), dtype=np.int64)[None]
+    deleted = labels[..., :k] + bit_matrix(k, order)[:, None, :]
+    with_deleted = seed + half * (deleted @ bits[:, list(base.deleted)].T)
+    tail = labels[..., k:] * bits[:, end]
+    rows = (with_deleted + half * tail) % q
+    partners = (with_deleted[..., ::-1] + half * (bits[:, end] - tail)) % q
+    return q, half, rows[..., :cut], partners[..., seed.size - cut:]
 
 
-def _phase_seq(q: int, table: np.ndarray) -> PhaseSequence:
-    return PhaseSequence(q, tuple(int(v) for v in table))
+def _chained_code_set(
+    base: Lemma1Params | Lemma2Params,
+    order: str,
+    signs,
+    zone_blocks: int,
+    construction: str,
+    chain_doc: dict | None = None,
+) -> CodeSet:
+    """Chain every row table over blocks and wrap the result as a CodeSet.
+
+    signs[c][b] in {0, 1} flips block b of every code with label c by the
+    phase q/2.  The front half holds the row tables chained once per label,
+    code n-major then label; the back half holds the partner tables chained
+    the same way and conjugated.  The declared zone is zone_blocks seed
+    lengths.  chain_doc adds block parameters to the provenance record.
+    """
+    q, half, rows, partners = _row_tables(base, order)
+    offsets = half * np.asarray(signs, dtype=np.int64)[None, :, None, :, None]
+
+    def chain(tables: np.ndarray) -> np.ndarray:
+        _, n_rows, cut = tables.shape
+        blocks = tables[:, None, :, None, :] + offsets
+        return blocks.reshape(-1, n_rows, offsets.shape[3] * cut)
+
+    phases = np.concatenate([chain(rows) % q, -chain(partners) % q])
+    parameters = {**_base_doc(base), **(chain_doc or {})}
+    return CodeSet(
+        q=q,
+        zcz=zone_blocks * rows.shape[2],
+        phases=phases,
+        provenance={"construction": construction, "bit_order": order, "parameters": parameters},
+    )
 
 
-def _lemma1_tables(params: Lemma1Params, order: str):
-    """Truth-table prefixes of g^{a,n} and suffixes of s^{a,n}, per (n, a)."""
-    g = build_g(params)
-    gamma = params.gamma
-    full = 1 << params.m1
-    prefixes, suffixes = [], []
-    for n in range(1 << params.k):
-        pn, sn = [], []
-        for a_vec in _a_vectors(params.k + 1):
-            pn.append(truth_table(build_g_an(g, params, a_vec, n, order), order)[:gamma])
-            sn.append(truth_table(build_s_an(g, params, a_vec, n, order), order)[full - gamma:])
-        prefixes.append(pn)
-        suffixes.append(sn)
-    return prefixes, suffixes
-
-
-def _lemma2_tables(params: Lemma2Params, order: str):
-    """Full truth tables of f^{a,n} and h^{a,n}, per (n, a)."""
-    f_tabs, h_tabs = [], []
-    for n in range(1 << params.k):
-        fn, hn = [], []
-        for a_vec in _a_vectors(params.k + 1):
-            fn.append(truth_table(build_f_an(params, a_vec, n, order), order))
-            hn.append(truth_table(build_h_an(params, a_vec, n, order), order))
-        f_tabs.append(fn)
-        h_tabs.append(hn)
-    return f_tabs, h_tabs
-
-
-def _block_parities(s_r, r: int, l: int, order: str) -> dict[tuple[int, ...], list[int]]:
-    out = {}
-    for c in s_r:
-        bits = [index_to_bits(rr, l, order) for rr in range(r)]
-        out[c] = [sum(ci * bi for ci, bi in zip(c, rb)) % 2 for rb in bits]
-    return out
-
-
-def _provenance(construction: str, order: str, parameters: dict) -> dict:
-    return {"construction": construction, "bit_order": order, "parameters": parameters}
-
-
-def _lemma1_doc(p: Lemma1Params) -> dict:
-    return {
-        "m1": p.m1,
-        "quadratic": [[i, j, w] for i, j, w in graph_of_quadratic(p.quadratic).edges],
-        "d_vec": [int(v) for v in p.d_vec],
-        "d": int(p.d),
-        "deleted": [int(v) for v in p.deleted],
-        "beta1": int(p.beta1),
-        "pair_end": int(p.pair_end),
-    }
-
-
-def _lemma2_doc(p: Lemma2Params) -> dict:
+def _base_doc(p: Lemma1Params | Lemma2Params) -> dict:
+    if isinstance(p, Lemma1Params):
+        return {
+            "m1": p.m1,
+            "quadratic": [[i, j, w] for i, j, w in graph_of_quadratic(p.quadratic).edges],
+            "d_vec": [int(v) for v in p.d_vec],
+            "d": int(p.d),
+            "deleted": [int(v) for v in p.deleted],
+            "beta1": int(p.beta1),
+            "pair_end": int(p.pair_end),
+        }
     return {
         "q": p.q,
         "m2": p.m2,
@@ -440,14 +461,6 @@ def _lemma2_doc(p: Lemma2Params) -> dict:
     }
 
 
-def _block_doc(base_doc: dict, l: int, r: int, s_r) -> dict:
-    doc = dict(base_doc)
-    doc["l"] = int(l)
-    doc["R"] = int(r)
-    doc["s_r"] = [[int(b) for b in c] for c in s_r]
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # generators
 
@@ -459,63 +472,13 @@ def lemma1_ccc(params: Lemma1Params, bit_order: str | None = None) -> CodeSet:
     conjugated suffix family for the same n range.
     """
     order = resolve_bit_order(bit_order)
-    prefixes, suffixes = _lemma1_tables(params, order)
-    codes = []
-    for n in range(1 << params.k):
-        codes.append(tuple(_phase_seq(2, t) for t in prefixes[n]))
-    for n in range(1 << params.k):
-        codes.append(tuple(_phase_seq(2, (-t) % 2) for t in suffixes[n]))
-    m = 1 << (params.k + 1)
-    return CodeSet(
-        q=2,
-        set_size=m,
-        code_size=m,
-        length=params.gamma,
-        zcz=params.gamma,
-        codes=tuple(codes),
-        provenance=_provenance("lemma1", order, _lemma1_doc(params)),
-    )
+    return _chained_code_set(params, order, [[0]], 1, "lemma1")
 
 
-def theorem1_zccs(params: Theorem1Params, bit_order: str | None = None) -> CodeSet:
-    """Binary (R 2^(k+1), 2^(k+1), R gamma, gamma) zero-zone set.
-
-    Code order: all block-chained prefix codes (n-major, then s_r order),
-    followed by the conjugated suffix codes in the same order.
-    """
+def lemma2_ccc(params: Lemma2Params, bit_order: str | None = None) -> CodeSet:
+    """q-ary complete complementary code of 2^(k+1) codes, length 2^m2."""
     order = resolve_bit_order(bit_order)
-    base = params.base
-    s_r = params.resolved_s_r(order)
-    prefixes, suffixes = _lemma1_tables(base, order)
-    parities = _block_parities(s_r, params.r, params.l, order)
-    gamma = base.gamma
-
-    front, back = [], []
-    for n in range(1 << base.k):
-        for c in s_r:
-            ps = parities[c]
-            front.append(
-                tuple(
-                    _phase_seq(2, np.concatenate([(t + ps[rr]) % 2 for rr in range(params.r)]))
-                    for t in prefixes[n]
-                )
-            )
-            back.append(
-                tuple(
-                    _phase_seq(2, (-np.concatenate([(t + ps[rr]) % 2 for rr in range(params.r)])) % 2)
-                    for t in suffixes[n]
-                )
-            )
-    n_rows = 1 << (base.k + 1)
-    return CodeSet(
-        q=2,
-        set_size=params.r * n_rows,
-        code_size=n_rows,
-        length=params.r * gamma,
-        zcz=gamma,
-        codes=tuple(front + back),
-        provenance=_provenance("thm1", order, _block_doc(_lemma1_doc(base), params.l, params.r, s_r)),
-    )
+    return _chained_code_set(params, order, [[0]], 1, "lemma2")
 
 
 def theorem3_zccs(params: Lemma1Params, bit_order: str | None = None) -> CodeSet:
@@ -525,85 +488,23 @@ def theorem3_zccs(params: Lemma1Params, bit_order: str | None = None) -> CodeSet
     the conjugate of that pattern over a seed suffix.
     """
     order = resolve_bit_order(bit_order)
-    prefixes, suffixes = _lemma1_tables(params, order)
-    codes = []
-    for n in range(1 << params.k):
-        codes.append(
-            tuple(_phase_seq(2, np.concatenate([t, t, (t + 1) % 2])) for t in prefixes[n])
-        )
-    for n in range(1 << params.k):
-        codes.append(
-            tuple(
-                _phase_seq(2, (-np.concatenate([t, t, (t + 1) % 2])) % 2) for t in suffixes[n]
-            )
-        )
-    m = 1 << (params.k + 1)
-    return CodeSet(
-        q=2,
-        set_size=m,
-        code_size=m,
-        length=3 * params.gamma,
-        zcz=2 * params.gamma,
-        codes=tuple(codes),
-        provenance=_provenance("thm3", order, _lemma1_doc(params)),
-    )
+    return _chained_code_set(params, order, [[0, 0, 1]], 2, "thm3")
 
 
-def lemma2_ccc(params: Lemma2Params, bit_order: str | None = None) -> CodeSet:
-    """q-ary complete complementary code of 2^(k+1) codes, length 2^m2."""
+def chained_zccs(params: ChainParams, bit_order: str | None = None) -> CodeSet:
+    """Block-chained (R 2^(k+1), 2^(k+1), R L0, L0) zero-zone set.
+
+    L0 is the seed length: gamma for a binary base (construction thm1),
+    2^m2 for a q-ary base (thm2).  Code order: all block-chained front codes
+    (n-major, then s_r order), followed by the conjugated partner codes in
+    the same order.
+    """
     order = resolve_bit_order(bit_order)
-    f_tabs, h_tabs = _lemma2_tables(params, order)
-    q = params.q
-    codes = []
-    for n in range(1 << params.k):
-        codes.append(tuple(_phase_seq(q, t) for t in f_tabs[n]))
-    for n in range(1 << params.k):
-        codes.append(tuple(_phase_seq(q, (-t) % q) for t in h_tabs[n]))
-    m = 1 << (params.k + 1)
-    return CodeSet(
-        q=q,
-        set_size=m,
-        code_size=m,
-        length=1 << params.m2,
-        zcz=1 << params.m2,
-        codes=tuple(codes),
-        provenance=_provenance("lemma2", order, _lemma2_doc(params)),
-    )
-
-
-def theorem2_zccs(params: Theorem2Params, bit_order: str | None = None) -> CodeSet:
-    """q-ary (R 2^(k+1), 2^(k+1), R 2^m2, 2^m2) zero-zone set."""
-    order = resolve_bit_order(bit_order)
-    base = params.base
-    q = base.q
-    half = q // 2
     s_r = params.resolved_s_r(order)
-    f_tabs, h_tabs = _lemma2_tables(base, order)
-    parities = _block_parities(s_r, params.r, params.l, order)
+    signs = np.array(s_r, dtype=np.int64) @ bit_matrix(params.l, order)[: params.r].T % 2
+    doc = {"l": int(params.l), "R": int(params.r), "s_r": [[int(b) for b in c] for c in s_r]}
+    construction = "thm1" if isinstance(params.base, Lemma1Params) else "thm2"
+    return _chained_code_set(params.base, order, signs, 1, construction, doc)
 
-    front, back = [], []
-    for n in range(1 << base.k):
-        for c in s_r:
-            ps = parities[c]
-            front.append(
-                tuple(
-                    _phase_seq(q, np.concatenate([(t + half * ps[rr]) % q for rr in range(params.r)]))
-                    for t in f_tabs[n]
-                )
-            )
-            back.append(
-                tuple(
-                    _phase_seq(q, (-np.concatenate([(t + half * ps[rr]) % q for rr in range(params.r)])) % q)
-                    for t in h_tabs[n]
-                )
-            )
-    n_rows = 1 << (base.k + 1)
-    return CodeSet(
-        q=q,
-        set_size=params.r * n_rows,
-        code_size=n_rows,
-        length=params.r << base.m2,
-        zcz=1 << base.m2,
-        codes=tuple(front + back),
-        provenance=_provenance("thm2", order, _block_doc(_lemma2_doc(base), params.l, params.r, s_r)),
-    )
+
+theorem1_zccs = theorem2_zccs = chained_zccs

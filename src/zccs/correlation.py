@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constructions import CodeSet
-from .gbf import PhaseSequence
+from .gbf import PhaseSequence, unit_values
 
 EXACT_MODULI = (1, 2, 4)
 
@@ -119,19 +119,18 @@ def _use_exact(q: int, method: str) -> bool:
     raise ValueError(f"method must be auto, exact, or float, got {method!r}")
 
 
-def _gauss_components(seq: PhaseSequence) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_components(q: int, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integer real and imaginary parts; only defined for moduli 1, 2, 4."""
-    p = np.asarray(seq.phases, dtype=np.int64)
-    if seq.q == 1:
-        return np.ones_like(p), np.zeros_like(p)
-    if seq.q == 2:
-        return 1 - 2 * p, np.zeros_like(p)
-    if seq.q == 4:
+    if q == 1:
+        return np.ones_like(phases), np.zeros_like(phases)
+    if q == 2:
+        return 1 - 2 * phases, np.zeros_like(phases)
+    if q == 4:
         return (
-            np.array([1, 0, -1, 0], dtype=np.int64)[p],
-            np.array([0, 1, 0, -1], dtype=np.int64)[p],
+            np.array([1, 0, -1, 0], dtype=np.int64)[phases],
+            np.array([0, 1, 0, -1], dtype=np.int64)[phases],
         )
-    raise ValueError(f"no Gaussian-integer form for q={seq.q}")
+    raise ValueError(f"no Gaussian-integer form for q={q}")
 
 
 def _check_same_shape(u: PhaseSequence, v: PhaseSequence) -> None:
@@ -156,8 +155,8 @@ def accs(u: PhaseSequence, v: PhaseSequence, tau: int, method: str = "auto") -> 
         flipped = accs(v, u, -tau, method)
         return CorrelationValue(flipped.real, -flipped.imag)
     if exact:
-        ur, ui = _gauss_components(u)
-        vr, vi = _gauss_components(v)
+        ur, ui = _gauss_components(u.q, np.asarray(u.phases, dtype=np.int64))
+        vr, vi = _gauss_components(v.q, np.asarray(v.phases, dtype=np.int64))
         head = slice(tau, length)
         tail = slice(0, length - tau)
         re = int(ur[head] @ vr[tail]) + int(ui[head] @ vi[tail])
@@ -175,31 +174,33 @@ def set_accs(code_u, code_v, tau: int, method: str = "auto") -> CorrelationValue
     return CorrelationValue(sum(p.real for p in parts), sum(p.imag for p in parts))
 
 
-def _pair_profile(code_u, code_v, exact: bool) -> np.ndarray:
-    """(2L-1, 2) real/imag profile of the code-pair correlation sum.
+def _pair_profile(i: int, j: int, parts: tuple[np.ndarray, ...]) -> np.ndarray:
+    """(2L-1, 2) real/imag profile of the correlation sum of codes i and j.
 
+    parts holds whole-set arrays of shape (M, N, L): the integer real and
+    imaginary Gaussian components for exact arithmetic (the imaginary one
+    omitted when the set is real), or the complex values otherwise.
     np.correlate already conjugates its second argument; its full output
     indexes shifts in descending order, hence the final reversal.
     """
-    length = len(code_u[0])
-    if exact:
-        re = np.zeros(2 * length - 1, dtype=np.int64)
-        im = np.zeros(2 * length - 1, dtype=np.int64)
-        real_only = code_u[0].q <= 2
-        for su, sv in zip(code_u, code_v):
-            ur, ui = _gauss_components(su)
-            vr, vi = _gauss_components(sv)
+    if parts[0].dtype == np.complex128:
+        vals = parts[0]
+        acc = sum(np.correlate(u, v, "full") for u, v in zip(vals[i], vals[j]))
+        rev = acc[::-1]
+        return np.stack([rev.real.copy(), rev.imag.copy()], axis=1)
+    re = np.zeros(2 * parts[0].shape[2] - 1, dtype=np.int64)
+    im = np.zeros_like(re)
+    if len(parts) == 1:
+        for ur, vr in zip(parts[0][i], parts[0][j]):
             re += np.correlate(ur, vr, "full")
-            if not real_only:
-                re += np.correlate(ui, vi, "full")
-                im += np.correlate(ui, vr, "full")
-                im -= np.correlate(ur, vi, "full")
-        return np.stack([re[::-1], im[::-1]], axis=1)
-    acc = np.zeros(2 * length - 1, dtype=np.complex128)
-    for su, sv in zip(code_u, code_v):
-        acc += np.correlate(su.values(), sv.values(), "full")
-    rev = acc[::-1]
-    return np.stack([rev.real.copy(), rev.imag.copy()], axis=1)
+    else:
+        real, imag = parts
+        for ur, ui, vr, vi in zip(real[i], imag[i], real[j], imag[j]):
+            re += np.correlate(ur, vr, "full")
+            re += np.correlate(ui, vi, "full")
+            im += np.correlate(ui, vr, "full")
+            im -= np.correlate(ur, vi, "full")
+    return np.stack([re[::-1], im[::-1]], axis=1)
 
 
 def verify_zccs(
@@ -222,18 +223,18 @@ def verify_zccs(
     exact = _use_exact(code_set.q, method)
     tolerance = 0.0 if exact else FLOAT_TOLERANCE_SCALE * code_size * length
 
+    if not exact:
+        parts = (unit_values(code_set.q, code_set.phases),)
+    elif code_set.q <= 2:
+        parts = _gauss_components(code_set.q, code_set.phases)[:1]
+    else:
+        parts = _gauss_components(code_set.q, code_set.phases)
     pairs = [(i, j) for i in range(set_size) for j in range(i, set_size)]
-    profiles: dict[tuple[int, int], np.ndarray] = {}
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                lambda ij: (ij, _pair_profile(code_set.codes[ij[0]], code_set.codes[ij[1]], exact)),
-                pairs,
-            )
-            profiles = dict(results)
+            profiles = dict(zip(pairs, pool.map(lambda ij: _pair_profile(*ij, parts), pairs)))
     else:
-        for i, j in pairs:
-            profiles[(i, j)] = _pair_profile(code_set.codes[i], code_set.codes[j], exact)
+        profiles = {(i, j): _pair_profile(i, j, parts) for i, j in pairs}
 
     center = length - 1
     expected_peak = code_size * length

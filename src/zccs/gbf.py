@@ -23,28 +23,16 @@ import numpy as np
 
 BIT_ORDERS = ("lsb", "msb")
 
-_default_bit_order = "lsb"
-
-
-def set_default_bit_order(order: str) -> None:
-    """Set the process-wide index-to-point convention."""
-    global _default_bit_order
-    _default_bit_order = _checked_bit_order(order)
-
-
-def get_default_bit_order() -> str:
-    return _default_bit_order
-
-
-def _checked_bit_order(order: str) -> str:
-    if order not in BIT_ORDERS:
-        raise ValueError(f"bit order must be one of {BIT_ORDERS}, got {order!r}")
-    return order
+DEFAULT_BIT_ORDER = "lsb"
 
 
 def resolve_bit_order(order: str | None) -> str:
-    """Explicit order if given, else the process default."""
-    return _default_bit_order if order is None else _checked_bit_order(order)
+    """Explicit order if given, else DEFAULT_BIT_ORDER."""
+    if order is None:
+        return DEFAULT_BIT_ORDER
+    if order not in BIT_ORDERS:
+        raise ValueError(f"bit order must be one of {BIT_ORDERS}, got {order!r}")
+    return order
 
 
 @dataclass(frozen=True, order=True)
@@ -206,7 +194,7 @@ def bits_to_index(bits: tuple[int, ...], order: str | None = None) -> int:
 
 
 @lru_cache(maxsize=None)
-def _bit_matrix(m: int, order: str) -> np.ndarray:
+def bit_matrix(m: int, order: str) -> np.ndarray:
     """(2^m, m) matrix whose row r is index_to_bits(r, m, order)."""
     r = np.arange(1 << m, dtype=np.int64)
     if order == "lsb":
@@ -224,7 +212,7 @@ def truth_table(f: GBF, order: str | None = None) -> np.ndarray:
     Returns an int64 array t with t[r] = f(index_to_bits(r, m, order)).
     """
     order = resolve_bit_order(order)
-    bits = _bit_matrix(f.m, order)
+    bits = bit_matrix(f.m, order)
     acc = np.zeros(1 << f.m, dtype=np.int64)
     for t in f.terms:
         prod = np.full(1 << f.m, t.coefficient, dtype=np.int64)
@@ -233,6 +221,21 @@ def truth_table(f: GBF, order: str | None = None) -> np.ndarray:
             prod *= (1 - col) if lit.complemented else col
         acc += prod
     return acc % f.q
+
+
+def unit_values(q: int, phases: np.ndarray) -> np.ndarray:
+    """Complex values omega_q^{phase} of an integer phase array, same shape.
+
+    For q in {1, 2, 4} the values are Gaussian integers and are produced
+    exactly rather than through exp().
+    """
+    if q == 1:
+        return np.ones(phases.shape, dtype=np.complex128)
+    if q == 2:
+        return (1 - 2 * phases).astype(np.complex128)
+    if q == 4:
+        return np.array([1 + 0j, 0 + 1j, -1 + 0j, 0 - 1j])[phases]
+    return np.exp(2j * np.pi * phases / q)
 
 
 @dataclass(frozen=True)
@@ -255,20 +258,8 @@ class PhaseSequence:
         return len(self.phases)
 
     def values(self) -> np.ndarray:
-        """Complex unit-circle values omega_q^{phase}.
-
-        For q in {1, 2, 4} the values are Gaussian integers and are produced
-        exactly rather than through exp().
-        """
-        p = np.asarray(self.phases, dtype=np.int64)
-        if self.q == 1:
-            return np.ones(len(p), dtype=np.complex128)
-        if self.q == 2:
-            return (1 - 2 * p).astype(np.complex128)
-        if self.q == 4:
-            table = np.array([1 + 0j, 0 + 1j, -1 + 0j, 0 - 1j])
-            return table[p]
-        return np.exp(2j * np.pi * p / self.q)
+        """Complex unit-circle values omega_q^{phase}; see unit_values."""
+        return unit_values(self.q, np.asarray(self.phases, dtype=np.int64))
 
     def conjugate(self) -> "PhaseSequence":
         return PhaseSequence(self.q, tuple((-p) % self.q for p in self.phases))

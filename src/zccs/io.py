@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .constructions import CodeSet
 from .correlation import CorrelationReport
-from .gbf import PhaseSequence
 
 FORMAT_VERSION = 1
 
@@ -35,7 +36,7 @@ def code_set_to_document(code_set: CodeSet) -> dict:
         "bit_order": prov.get("bit_order"),
         "parameters": prov.get("parameters"),
     }
-    codes = [[list(seq.phases) for seq in code] for code in code_set.codes]
+    codes = code_set.phases.tolist()
     return {"format_version": FORMAT_VERSION, "metadata": metadata, "codes": codes}
 
 
@@ -56,21 +57,14 @@ def code_set_from_document(doc) -> CodeSet:
     codes_doc = doc.get("codes")
     if not isinstance(codes_doc, list):
         raise CodeSetFormatError("missing codes array")
-    codes = []
     for ci, code in enumerate(codes_doc):
         if not isinstance(code, list):
             raise CodeSetFormatError(f"code {ci} must be an array of sequences")
-        rows = []
         for ri, row in enumerate(code):
             if not isinstance(row, list) or not all(
                 isinstance(p, int) and not isinstance(p, bool) for p in row
             ):
                 raise CodeSetFormatError(f"code {ci} row {ri} must be an array of integers")
-            try:
-                rows.append(PhaseSequence(dims["q"], tuple(row)))
-            except ValueError as exc:
-                raise CodeSetFormatError(f"code {ci} row {ri}: {exc}") from exc
-        codes.append(tuple(rows))
     provenance = None
     if meta.get("construction") is not None:
         provenance = {
@@ -78,16 +72,27 @@ def code_set_from_document(doc) -> CodeSet:
             "bit_order": meta.get("bit_order"),
             "parameters": meta.get("parameters"),
         }
+    return _checked_code_set(codes_doc, dims, provenance)
+
+
+def _checked_code_set(data, dims: dict, provenance: dict | None) -> CodeSet:
+    """CodeSet from nested lists of ints whose shape must match dims M, N, L.
+
+    Only the data decide the array's size: metadata are compared against it,
+    never used to allocate.
+    """
     try:
-        return CodeSet(
-            q=dims["q"],
-            set_size=dims["M"],
-            code_size=dims["N"],
-            length=dims["L"],
-            zcz=dims["Z"],
-            codes=tuple(codes),
-            provenance=provenance,
-        )
+        phases = np.array(data, dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise CodeSetFormatError("codes must be equal-length rows of 64-bit integers") from exc
+    if phases.ndim != 3:
+        raise CodeSetFormatError(f"codes must nest three levels deep, got shape {phases.shape}")
+    wanted = (dims["M"], dims["N"], dims["L"])
+    for what, want, got in zip(("codes", "rows per code", "phases per row"), wanted, phases.shape):
+        if want != got:
+            raise CodeSetFormatError(f"expected {want} {what}, got {got}")
+    try:
+        return CodeSet(q=dims["q"], zcz=dims["Z"], phases=phases, provenance=provenance)
     except ValueError as exc:
         raise CodeSetFormatError(str(exc)) from exc
 
@@ -174,12 +179,9 @@ def export_csv(code_set: CodeSet, path) -> None:
     if prov.get("construction"):
         lines.append(f"# construction={prov['construction']}")
         lines.append(f"# bit_order={prov['bit_order']}")
-    for code in code_set.codes:
-        for seq in code:
-            if code_set.q == 2:
-                lines.append(",".join(str(1 - 2 * p) for p in seq.phases))
-            else:
-                lines.append(",".join(str(p) for p in seq.phases))
+    values = 1 - 2 * code_set.phases if code_set.q == 2 else code_set.phases
+    for row in values.reshape(-1, code_set.length).tolist():
+        lines.append(",".join(map(str, row)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -207,25 +209,13 @@ def import_csv(path) -> CodeSet:
         values = meta.get("values", "signs" if q == 2 else "phases")
     except (KeyError, ValueError) as exc:
         raise CodeSetFormatError(f"incomplete or invalid header: {exc}") from exc
+    if min(m, n, length) < 1:
+        raise CodeSetFormatError(f"M, N and L must be positive, got {m}, {n}, {length}")
     if len(rows) != m * n:
         raise CodeSetFormatError(f"expected {m * n} data rows, found {len(rows)}")
-    phases_rows = []
-    for idx, row in enumerate(rows):
-        if len(row) != length:
-            raise CodeSetFormatError(f"data row {idx} has {len(row)} entries, expected {length}")
-        if values == "signs":
-            if any(v not in (1, -1) for v in row):
-                raise CodeSetFormatError(f"data row {idx} has entries other than +-1")
-            phases_rows.append([(1 - v) // 2 for v in row])
-        else:
-            phases_rows.append(row)
-    try:
-        codes = tuple(
-            tuple(PhaseSequence(q, tuple(phases_rows[ci * n + ri])) for ri in range(n))
-            for ci in range(m)
-        )
-        return CodeSet(
-            q=q, set_size=m, code_size=n, length=length, zcz=zone, codes=codes, provenance=None
-        )
-    except ValueError as exc:
-        raise CodeSetFormatError(str(exc)) from exc
+    if values == "signs":
+        if any(v not in (1, -1) for row in rows for v in row):
+            raise CodeSetFormatError("sign data has entries other than +-1")
+        rows = [[(1 - v) // 2 for v in row] for row in rows]
+    codes = [rows[ci * n : (ci + 1) * n] for ci in range(m)]
+    return _checked_code_set(codes, {"q": q, "M": m, "N": n, "L": length, "Z": zone}, None)

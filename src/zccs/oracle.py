@@ -2,17 +2,19 @@
 
 Everything here is deliberately naive and self-contained: bits come from
 shifts, row functions are evaluated pointwise in nested arithmetic form,
-and codes are assembled with plain loops.  No truth-table vectorization, no
-symbolic term algebra, no assembly code shared with the generators.  Exact
-agreement between this path and the fast one is a strong check on both.
+and codes are assembled as nested lists with plain loops, wrapped into a
+CodeSet only at the end.  No truth-table vectorization, no symbolic term
+algebra, no assembly code shared with the generators.  Exact agreement
+between this path and the fast one is a strong check on both.
 """
 
 from __future__ import annotations
 
 import copy
 
+import numpy as np
+
 from .constructions import CodeSet
-from .gbf import PhaseSequence
 
 
 def _bits(value: int, width: int, order: str) -> list[int]:
@@ -84,66 +86,7 @@ def _binary_row_tables(doc: dict, order: str):
             sn.append([_s_phase(doc, a, nb, full - gamma + t, order) for t in range(gamma)])
         prefixes.append(pn)
         suffixes.append(sn)
-    return gamma, k, prefixes, suffixes
-
-
-def _regen_lemma1(doc: dict, order: str):
-    gamma, k, prefixes, suffixes = _binary_row_tables(doc, order)
-    codes = []
-    for pn in prefixes:
-        codes.append(tuple(PhaseSequence(2, tuple(row)) for row in pn))
-    for sn in suffixes:
-        codes.append(tuple(PhaseSequence(2, tuple((-p) % 2 for p in row)) for row in sn))
-    m = 1 << (k + 1)
-    return 2, m, m, gamma, gamma, tuple(codes)
-
-
-def _parity(c: list[int], block: int, l: int, order: str) -> int:
-    rb = _bits(block, l, order)
-    return sum(ci * bi for ci, bi in zip(c, rb)) % 2
-
-
-def _regen_thm1(doc: dict, order: str):
-    gamma, k, prefixes, suffixes = _binary_row_tables(doc, order)
-    l, blocks = doc["l"], doc["R"]
-    front, back = [], []
-    for n in range(1 << k):
-        for c in doc["s_r"]:
-            pars = [_parity(c, rr, l, order) for rr in range(blocks)]
-            rows_f, rows_b = [], []
-            for row in range(1 << (k + 1)):
-                chained = []
-                for par in pars:
-                    chained.extend((p + par) % 2 for p in prefixes[n][row])
-                rows_f.append(PhaseSequence(2, tuple(chained)))
-                chained = []
-                for par in pars:
-                    chained.extend((-(p + par)) % 2 for p in suffixes[n][row])
-                rows_b.append(PhaseSequence(2, tuple(chained)))
-            front.append(tuple(rows_f))
-            back.append(tuple(rows_b))
-    n_rows = 1 << (k + 1)
-    return 2, blocks * n_rows, n_rows, blocks * gamma, gamma, tuple(front + back)
-
-
-def _regen_thm3(doc: dict, order: str):
-    gamma, k, prefixes, suffixes = _binary_row_tables(doc, order)
-    codes = []
-    for pn in prefixes:
-        rows = []
-        for row in pn:
-            flipped = [(p + 1) % 2 for p in row]
-            rows.append(PhaseSequence(2, tuple(row + row + flipped)))
-        codes.append(tuple(rows))
-    for sn in suffixes:
-        rows = []
-        for row in sn:
-            conj = [(-p) % 2 for p in row]
-            conj_flipped = [(-(p + 1)) % 2 for p in row]
-            rows.append(PhaseSequence(2, tuple(conj + conj + conj_flipped)))
-        codes.append(tuple(rows))
-    m = 1 << (k + 1)
-    return 2, m, m, 3 * gamma, 2 * gamma, tuple(codes)
+    return gamma, prefixes, suffixes
 
 
 # ---------------------------------------------------------------------------
@@ -193,53 +136,29 @@ def _qary_row_tables(doc: dict, order: str):
             hn.append([_h_phase(doc, a, nb, t, order) for t in range(length)])
         f_tabs.append(fn)
         h_tabs.append(hn)
-    return length, k, f_tabs, h_tabs
+    return length, f_tabs, h_tabs
 
 
-def _regen_lemma2(doc: dict, order: str):
-    q = doc["q"]
-    length, k, f_tabs, h_tabs = _qary_row_tables(doc, order)
-    codes = []
-    for fn in f_tabs:
-        codes.append(tuple(PhaseSequence(q, tuple(row)) for row in fn))
-    for hn in h_tabs:
-        codes.append(tuple(PhaseSequence(q, tuple((-p) % q for p in row)) for row in hn))
-    m = 1 << (k + 1)
-    return q, m, m, length, length, tuple(codes)
+# ---------------------------------------------------------------------------
+# assembly
 
 
-def _regen_thm2(doc: dict, order: str):
-    q = doc["q"]
-    length, k, f_tabs, h_tabs = _qary_row_tables(doc, order)
-    l, blocks = doc["l"], doc["R"]
+def _parity(c: list[int], block: int, l: int, order: str) -> int:
+    rb = _bits(block, l, order)
+    return sum(ci * bi for ci, bi in zip(c, rb)) % 2
+
+
+def _chain(q: int, fronts, backs, flips: list[list[int]]) -> list:
+    """Codes as nested lists: for each n and each flip pattern, the front
+    rows repeated once per block, block b shifted by q/2 when flips[b] is
+    1; then the conjugates of the same patterns over the back rows."""
     half = q // 2
     front, back = [], []
-    for n in range(1 << k):
-        for c in doc["s_r"]:
-            pars = [_parity(c, rr, l, order) for rr in range(blocks)]
-            rows_f, rows_b = [], []
-            for row in range(1 << (k + 1)):
-                chained = []
-                for par in pars:
-                    chained.extend((p + half * par) % q for p in f_tabs[n][row])
-                rows_f.append(PhaseSequence(q, tuple(chained)))
-                chained = []
-                for par in pars:
-                    chained.extend((-(p + half * par)) % q for p in h_tabs[n][row])
-                rows_b.append(PhaseSequence(q, tuple(chained)))
-            front.append(tuple(rows_f))
-            back.append(tuple(rows_b))
-    n_rows = 1 << (k + 1)
-    return q, blocks * n_rows, n_rows, blocks * length, length, tuple(front + back)
-
-
-_BUILDERS = {
-    "lemma1": _regen_lemma1,
-    "thm1": _regen_thm1,
-    "thm3": _regen_thm3,
-    "lemma2": _regen_lemma2,
-    "thm2": _regen_thm2,
-}
+    for n in range(len(fronts)):
+        for pattern in flips:
+            front.append([[(p + half * f) % q for f in pattern for p in row] for row in fronts[n]])
+            back.append([[(-(p + half * f)) % q for f in pattern for p in row] for row in backs[n]])
+    return front + back
 
 
 def oracle_regenerate(code_set: CodeSet) -> CodeSet:
@@ -258,31 +177,30 @@ def oracle_regenerate(code_set: CodeSet) -> CodeSet:
         doc = prov["parameters"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"provenance record is incomplete: {exc}") from exc
-    builder = _BUILDERS.get(construction)
-    if builder is None:
+    if construction not in ("lemma1", "thm1", "thm3", "lemma2", "thm2"):
         raise ValueError(f"unknown construction {construction!r}")
     if order not in ("lsb", "msb"):
         raise ValueError(f"unknown bit order {order!r}")
-    q, set_size, code_size, length, zcz, codes = builder(doc, order)
-    return CodeSet(
-        q=q,
-        set_size=set_size,
-        code_size=code_size,
-        length=length,
-        zcz=zcz,
-        codes=codes,
-        provenance=copy.deepcopy(prov),
-    )
+    if construction in ("lemma2", "thm2"):
+        q = doc["q"]
+        seed_length, fronts, backs = _qary_row_tables(doc, order)
+    else:
+        q = 2
+        seed_length, fronts, backs = _binary_row_tables(doc, order)
+    zone = seed_length
+    if construction in ("thm1", "thm2"):
+        flips = [[_parity(c, rr, doc["l"], order) for rr in range(doc["R"])] for c in doc["s_r"]]
+    elif construction == "thm3":
+        flips = [[0, 0, 1]]
+        zone = 2 * seed_length
+    else:
+        flips = [[0]]
+    codes = _chain(q, fronts, backs, flips)
+    return CodeSet(q=q, zcz=zone, phases=codes, provenance=copy.deepcopy(prov))
 
 
 def phase_mismatches(first: CodeSet, second: CodeSet) -> list[tuple[int, int, int]]:
     """(code, row, position) triples where two same-shaped sets disagree."""
     if first.dims != second.dims or first.q != second.q:
         raise ValueError(f"shape mismatch: {first.q}-ary {first.dims} vs {second.q}-ary {second.dims}")
-    out = []
-    for ci, (ca, cb) in enumerate(zip(first.codes, second.codes)):
-        for ri, (sa, sb) in enumerate(zip(ca, cb)):
-            for pi, (pa, pb) in enumerate(zip(sa.phases, sb.phases)):
-                if pa != pb:
-                    out.append((ci, ri, pi))
-    return out
+    return [tuple(int(v) for v in idx) for idx in np.argwhere(first.phases != second.phases)]

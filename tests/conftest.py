@@ -48,21 +48,16 @@ def all_graphs(nvars):
         yield tuple(p for idx, p in enumerate(pairs) if mask >> idx & 1)
 
 
+def code_rows(code_set, ci):
+    """Code ci of a set as a tuple of PhaseSequence rows."""
+    return tuple(PhaseSequence(code_set.q, tuple(row)) for row in code_set.phases[ci].tolist())
+
+
 def mutate_one_phase(code_set, ci, ri, pos, delta=1):
     """Copy of code_set with one phase bumped by delta mod q; no provenance."""
-    q = code_set.q
-    codes = [list(code) for code in code_set.codes]
-    phases = list(codes[ci][ri].phases)
-    phases[pos] = (phases[pos] + delta) % q
-    codes[ci][ri] = PhaseSequence(q, tuple(phases))
-    return CodeSet(
-        q,
-        code_set.set_size,
-        code_set.code_size,
-        code_set.length,
-        code_set.zcz,
-        tuple(tuple(c) for c in codes),
-    )
+    phases = code_set.phases.copy()
+    phases[ci, ri, pos] = (phases[ci, ri, pos] + delta) % code_set.q
+    return CodeSet(code_set.q, code_set.zcz, phases)
 
 
 EXAMPLE_EDGES = ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from zccs import (
+    DEFAULT_BIT_ORDER,
     CorrelationValue,
     Lemma1Params,
     Lemma2Params,
@@ -24,7 +25,6 @@ from zccs import (
     Violation,
     accs,
     enumerate_admissible_deletions,
-    get_default_bit_order,
     graph_of_quadratic,
     lemma1_ccc,
     oracle_regenerate,
@@ -155,8 +155,8 @@ def test_criterion_4_qary_chained_sweep_hits_size_bound(thm2_sweep):
         want = (r * rows, rows, r << m2, 1 << m2)
         if code_set.dims != want:
             failures.append(f"{label}: dims {code_set.dims}, wanted {want}")
-        elif len(code_set.codes) != r * rows:
-            failures.append(f"{label}: measured set size {len(code_set.codes)}")
+        elif len(code_set.phases) != r * rows:
+            failures.append(f"{label}: measured set size {len(code_set.phases)}")
         elif not (report.exact and report.zccs_ok and report.optimal):
             failures.append(
                 f"{label}: ok={report.zccs_ok} optimal={report.optimal} exact={report.exact}"
@@ -169,7 +169,7 @@ def test_criterion_4_qary_chained_sweep_hits_size_bound(thm2_sweep):
 
 def test_criterion_5_bit_order_adjudication(example_base):
     # the shipped default is the convention under which criteria 1-4 pass
-    assert get_default_bit_order() == "lsb"
+    assert DEFAULT_BIT_ORDER == "lsb"
     assert verify_zccs(lemma1_ccc(example_base, bit_order="lsb")).zccs_ok
 
     # the other convention fails the same constructions; pin one small and

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from zccs import import_csv, load_code_set
@@ -154,7 +155,7 @@ class TestReport:
         run(capsys, "generate", "lemma2", "--m2", "2", "--q", "4", "--quadratic", "0-1",
             "--out", str(set_path))
         out = tmp_path / "report.json"
-        code, stdout, _ = run(capsys, "report", str(set_path), "--out", str(out))
+        code, stdout, _ = run(capsys, "verify", str(set_path), "--report", str(out))
         assert code == 0
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["summary"]["optimal"] is True
@@ -205,7 +206,7 @@ class TestExport:
         code, stdout, _ = run(capsys, "export", str(set_path), "--out", str(csv_path))
         assert code == 0
         assert csv_path.read_text(encoding="utf-8").startswith("# q=2\n")
-        assert import_csv(csv_path).codes == load_code_set(set_path).codes
+        assert np.array_equal(import_csv(csv_path).phases, load_code_set(set_path).phases)
 
 
 class TestParser:

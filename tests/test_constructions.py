@@ -11,7 +11,6 @@ from zccs import (
     Lemma1Params,
     Lemma2Params,
     NotAPathError,
-    PhaseSequence,
     Term,
     Theorem1Params,
     Theorem2Params,
@@ -221,7 +220,7 @@ class TestBinaryGenerators:
         cs = lemma1_ccc(p)
         assert cs.dims == (4, 4, 80, 80)
         assert cs.q == 2
-        assert all(len(code) == 4 for code in cs.codes)
+        assert cs.phases.shape == (4, 4, 80)
 
     def test_determinism(self):
         p = Lemma1Params(6, quadratic_gbf(2, [(0, 1)]), (1, 0))
@@ -233,16 +232,36 @@ class TestBinaryGenerators:
         p = Lemma1Params(6, quadratic_gbf(2, [(0, 1)]), (0, 1), beta1=1)
         cs = lemma1_ccc(p)
         g = build_g(p)
-        assert cs.codes[0][0] == psi_prefix(g, p.gamma)
+        assert tuple(cs.phases[0, 0].tolist()) == psi_prefix(g, p.gamma).phases
 
     def test_row_order_is_lexicographic_in_labels(self):
-        p = Lemma1Params(7, quadratic_gbf(3, [(0, 1)]), (0, 0, 0), deleted=(2,))
-        cs = lemma1_ccc(p)
-        g = build_g(p)
-        labels = list(itertools.product((0, 1), repeat=2))
-        for row, a_vec in enumerate(labels):
-            want = truth_table(build_g_an(g, p, a_vec, 0), "lsb")[: p.gamma]
-            assert cs.codes[0][row].phases == tuple(int(v) for v in want)
+        # every code of both seed families against the symbolic row
+        # functions: front code n, row a is g^{a,n} (prefix) or f^{a,n};
+        # back code n, row a is the conjugate of s^{a,n} (suffix) or h^{a,n}
+        path = quadratic_gbf(3, [(0, 1), (1, 2)])
+        for (k, deleted), q, order in itertools.product(
+            enumerate(((), (0,), (0, 1))), (4, 6), ("lsb", "msb")
+        ):
+            binary = Lemma1Params(7, path, (1, 0, 1), d=1, deleted=deleted)
+            g, gamma = build_g(binary), binary.gamma
+            half = q // 2
+            f = GBF(3, q, (Term(half, (z(0), z(1))), Term(half, (z(1), z(2))),
+                           Term(q - 1, (z(0),)), Term(1, (z(2),)), Term(1)))
+            qary = Lemma2Params(q, 3, f, deleted=deleted)
+            families = [
+                (lemma1_ccc(binary, order), 2,
+                 lambda a, n: truth_table(build_g_an(g, binary, a, n, order), order)[:gamma],
+                 lambda a, n: truth_table(build_s_an(g, binary, a, n, order), order)[-gamma:]),
+                (lemma2_ccc(qary, order), q,
+                 lambda a, n: truth_table(build_f_an(qary, a, n, order), order),
+                 lambda a, n: truth_table(build_h_an(qary, a, n, order), order)),
+            ]
+            for cs, modulus, row_fn, partner_fn in families:
+                for row, a_vec in enumerate(itertools.product((0, 1), repeat=k + 1)):
+                    for n in range(1 << k):
+                        back = cs.phases[(1 << k) + n, row]
+                        assert np.array_equal(cs.phases[n, row], row_fn(a_vec, n))
+                        assert np.array_equal(back, -partner_fn(a_vec, n) % modulus)
 
     def test_all_zero_block_label_repeats_the_seed_code(self):
         base = Lemma1Params(6, quadratic_gbf(2, [(0, 1)]), (1, 1))
@@ -251,9 +270,9 @@ class TestBinaryGenerators:
         gamma = base.gamma
         # front code 0 carries label (0,): both blocks are unflipped copies
         for row in range(2):
-            phases = chained.codes[0][row].phases
-            assert phases[:gamma] == ccc.codes[0][row].phases
-            assert phases[gamma:] == ccc.codes[0][row].phases
+            phases = chained.phases[0, row]
+            assert np.array_equal(phases[:gamma], ccc.phases[0, row])
+            assert np.array_equal(phases[gamma:], ccc.phases[0, row])
 
     def test_chained_dimensions_and_order(self):
         base = Lemma1Params(6, quadratic_gbf(2, [(0, 1)]), (0, 0), deleted=())
@@ -268,16 +287,9 @@ class TestBinaryGenerators:
         p = Lemma1Params(5, GBF(1, 2, ()), (1,))
         cs = theorem3_zccs(p)
         assert cs.dims == (2, 2, 60, 40)
-        gamma = p.gamma
-        for code in cs.codes:
-            for seq in code:
-                first, second, third = (
-                    seq.phases[:gamma],
-                    seq.phases[gamma : 2 * gamma],
-                    seq.phases[2 * gamma :],
-                )
-                assert second == first
-                assert third == tuple((v + 1) % 2 for v in first)
+        first, second, third = np.split(cs.phases, 3, axis=2)
+        assert np.array_equal(second, first)
+        assert np.array_equal(third, (first + 1) % 2)
 
     def test_bad_block_labels_break_verification_at_zero_shift(self):
         # labels differing only where every block parity agrees leave the
@@ -342,9 +354,9 @@ class TestQaryParamsAndGenerators:
         plain = lemma2_ccc(base)
         length = 4
         # label (1,): second block is negated, phase shift by q/2
-        flipped = cs.codes[1][0].phases
-        assert flipped[:length] == plain.codes[0][0].phases
-        assert flipped[length:] == tuple((p + 2) % 4 for p in plain.codes[0][0].phases)
+        flipped = cs.phases[1, 0]
+        assert np.array_equal(flipped[:length], plain.phases[0, 0])
+        assert np.array_equal(flipped[length:], (plain.phases[0, 0] + 2) % 4)
 
     def test_provenance_round_trip_fields(self):
         f = GBF(2, 4, (Term(2, (z(0), z(1))), Term(3, (z(0),))))
@@ -356,22 +368,43 @@ class TestQaryParamsAndGenerators:
 
 class TestCodeSetValidation:
     def test_dimension_mismatches_rejected(self):
-        seq = PhaseSequence(2, (0, 1))
         with pytest.raises(ValueError):
-            CodeSet(2, 2, 1, 2, 2, ((seq,),))  # one code, claims two
+            CodeSet(2, 2, np.array([[0, 1]]))  # two levels, not three
         with pytest.raises(ValueError):
-            CodeSet(2, 1, 2, 2, 2, ((seq,),))  # one row, claims two
+            CodeSet(2, 1, np.zeros((1, 0, 2), dtype=np.int64))  # empty
         with pytest.raises(ValueError):
-            CodeSet(2, 1, 1, 3, 3, ((seq,),))  # wrong length
+            CodeSet(2, 1, np.array([[[0.0, 1.0]]]))  # not integers
         with pytest.raises(ValueError):
-            CodeSet(2, 1, 1, 2, 5, ((seq,),))  # zone beyond length
+            CodeSet(2, 1, np.array([[[False, True]]]))  # bools are not phases
         with pytest.raises(ValueError):
-            CodeSet(4, 1, 1, 2, 2, ((seq,),))  # modulus mismatch
+            CodeSet(2, 5, np.array([[[0, 1]]]))  # zone beyond length
+        with pytest.raises(ValueError):
+            CodeSet(2, 1, np.array([[[0, 2]]]))  # phase out of range
+        with pytest.raises(ValueError):
+            CodeSet(4, 1, np.array([[[-1, 2]]]))  # negative phase
 
     def test_dims_property(self):
-        seq = PhaseSequence(2, (0, 1))
-        cs = CodeSet(2, 1, 1, 2, 1, ((seq,),))
-        assert cs.dims == (1, 1, 2, 1)
+        cs = CodeSet(2, 1, [[[0, 1]], [[1, 1]]])
+        assert cs.dims == (2, 1, 2, 1)
+        assert (cs.set_size, cs.code_size, cs.length) == (2, 1, 2)
+
+    def test_phases_are_a_read_only_copy(self):
+        source = np.array([[[0, 1]]])
+        cs = CodeSet(2, 1, source)
+        source[0, 0, 0] = 1
+        assert cs.phases[0, 0, 0] == 0
+        assert cs.phases.dtype == np.int64
+        with pytest.raises(ValueError):
+            cs.phases[0, 0, 0] = 1
+
+    def test_equality_compares_every_field(self):
+        cs = CodeSet(2, 1, [[[0, 1]]], provenance={"construction": "x"})
+        assert cs == CodeSet(2, 1, [[[0, 1]]], provenance={"construction": "x"})
+        assert cs != CodeSet(2, 1, [[[1, 1]]], provenance={"construction": "x"})
+        assert cs != CodeSet(4, 1, [[[0, 1]]], provenance={"construction": "x"})
+        assert cs != CodeSet(2, 2, [[[0, 1]]], provenance={"construction": "x"})
+        assert cs != CodeSet(2, 1, [[[0, 1]]])
+        assert cs != CodeSet(2, 1, [[[0, 1], [0, 1]]], provenance={"construction": "x"})
 
 
 class TestBitOrderPropagation:

@@ -20,7 +20,7 @@ from zccs import (
 )
 from zccs.correlation import FLOAT_TOLERANCE_SCALE
 
-from conftest import brute_accs, brute_set_accs, mutate_one_phase
+from conftest import brute_accs, brute_set_accs, code_rows, mutate_one_phase
 
 
 def random_seq(rng, q, length):
@@ -118,20 +118,20 @@ class TestAccs:
 
 class TestSetAccs:
     def test_is_sum_of_rows(self, small_ccc):
-        c0, c1 = small_ccc.codes[0], small_ccc.codes[1]
+        c0, c1 = code_rows(small_ccc, 0), code_rows(small_ccc, 1)
         for tau in range(-4, 5):
             want = sum(accs(u, v, tau).as_complex() for u, v in zip(c0, c1))
             assert set_accs(c0, c1, tau).as_complex() == want
 
     def test_size_mismatch(self, small_ccc):
         with pytest.raises(ValueError):
-            set_accs(small_ccc.codes[0], small_ccc.codes[0][:1], 0)
+            set_accs(code_rows(small_ccc, 0), code_rows(small_ccc, 0)[:1], 0)
 
     def test_matches_brute_force(self, quaternary_ccc):
-        codes = quaternary_ccc.codes
+        c0, c2 = code_rows(quaternary_ccc, 0), code_rows(quaternary_ccc, 2)
         for tau in (-7, -3, -1, 0, 1, 2, 5):
-            got = set_accs(codes[0], codes[2], tau).as_complex()
-            assert got == pytest.approx(brute_set_accs(codes[0], codes[2], tau), abs=1e-9)
+            got = set_accs(c0, c2, tau).as_complex()
+            assert got == pytest.approx(brute_set_accs(c0, c2, tau), abs=1e-9)
 
 
 class TestIsOptimal:
@@ -165,7 +165,7 @@ class TestVerify:
         for (i, j) in ((0, 0), (0, 1), (1, 3), (2, 2)):
             for tau in range(-length + 1, length):
                 got = report.profile_value(i, j, tau).as_complex()
-                want = brute_set_accs(quaternary_ccc.codes[i], quaternary_ccc.codes[j], tau)
+                want = brute_set_accs(code_rows(quaternary_ccc, i), code_rows(quaternary_ccc, j), tau)
                 assert got == pytest.approx(want, abs=1e-9)
         assert report.profile_value(0, 1, length) == CorrelationValue(0, 0)
         assert report.profile_value(0, 1, -length - 5) == CorrelationValue(0, 0)
@@ -229,8 +229,7 @@ class TestVerify:
 
 class TestFloatOnlyModuli:
     def test_octary_sequence_fails_beyond_trivial_zone(self):
-        seq = PhaseSequence(8, (0, 1, 2, 3))
-        cs = CodeSet(8, 1, 1, 4, 1, ((seq,),))
+        cs = CodeSet(8, 1, np.array([[[0, 1, 2, 3]]]))
         trivial = verify_zccs(cs)
         assert not trivial.exact
         assert trivial.zccs_ok  # zone 1 only demands the peak

@@ -7,19 +7,18 @@ import pytest
 
 from zccs import (
     BIT_ORDERS,
+    DEFAULT_BIT_ORDER,
     GBF,
     Literal,
     PhaseSequence,
     Term,
     bits_to_index,
     eval_gbf,
-    get_default_bit_order,
     index_to_bits,
     psi,
     psi_prefix,
     psi_suffix,
     resolve_bit_order,
-    set_default_bit_order,
     substitute_complement,
     truth_table,
     z,
@@ -117,20 +116,12 @@ class TestEvaluation:
 
 class TestBitOrders:
     def test_default_is_lsb(self):
-        assert get_default_bit_order() == "lsb"
-
-    def test_set_and_restore_default(self):
-        set_default_bit_order("msb")
-        try:
-            assert get_default_bit_order() == "msb"
-            assert resolve_bit_order(None) == "msb"
-        finally:
-            set_default_bit_order("lsb")
+        assert DEFAULT_BIT_ORDER == "lsb"
         assert resolve_bit_order(None) == "lsb"
 
     def test_unknown_order_rejected(self):
         with pytest.raises(ValueError):
-            set_default_bit_order("middle")
+            resolve_bit_order("middle")
         with pytest.raises(ValueError):
             index_to_bits(0, 2, "middle")
 

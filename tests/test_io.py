@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from zccs import (
@@ -25,6 +26,7 @@ from zccs import (
     verify_zccs,
     z,
 )
+from zccs.cli import main
 
 from conftest import quadratic_gbf
 
@@ -54,7 +56,7 @@ class TestDocuments:
             "q", "M", "N", "L", "Z", "construction", "bit_order", "parameters",
         ]
         assert doc["metadata"]["construction"] == "lemma1"
-        assert doc["codes"][0][0] == list(binary_set.codes[0][0].phases)
+        assert doc["codes"][0][0] == binary_set.phases[0, 0].tolist()
 
     def test_json_safe(self, quaternary_set):
         text = json.dumps(code_set_to_document(quaternary_set))
@@ -160,7 +162,7 @@ class TestCsv:
         assert len(data) == binary_set.set_size * binary_set.code_size
         first = [int(v) for v in data[0].split(",")]
         assert set(first) <= {1, -1}
-        assert first == [1 - 2 * p for p in binary_set.codes[0][0].phases]
+        assert first == [1 - 2 * p for p in binary_set.phases[0, 0].tolist()]
 
     def test_qary_export_uses_phases(self, tmp_path, quaternary_set):
         path = tmp_path / "set.csv"
@@ -168,7 +170,7 @@ class TestCsv:
         data = [
             ln for ln in path.read_text(encoding="utf-8").splitlines() if not ln.startswith("#")
         ]
-        assert [int(v) for v in data[0].split(",")] == list(quaternary_set.codes[0][0].phases)
+        assert [int(v) for v in data[0].split(",")] == quaternary_set.phases[0, 0].tolist()
 
     @pytest.mark.parametrize("which", ["binary", "quaternary"])
     def test_import_inverts_export(self, tmp_path, binary_set, quaternary_set, which):
@@ -177,7 +179,7 @@ class TestCsv:
         export_csv(cs, path)
         back = import_csv(path)
         assert back.provenance is None
-        assert back.codes == cs.codes
+        assert np.array_equal(back.phases, cs.phases)
         assert back.dims == cs.dims
 
     def test_import_validates(self, tmp_path, binary_set):
@@ -204,3 +206,88 @@ class TestCsv:
         headless.write_text("1,-1\n-1,1\n", encoding="utf-8")
         with pytest.raises(CodeSetFormatError, match="header"):
             import_csv(headless)
+
+
+def _json_entry(value):
+    def edit(doc):
+        doc["codes"][0][0][1] = value
+    return edit
+
+
+def _json_meta(key, value):
+    def edit(doc):
+        doc["metadata"][key] = value
+    return edit
+
+
+JSON_FUZZ = {
+    "ragged rows": lambda doc: doc["codes"][0][1].pop(),
+    "code with too few rows": lambda doc: doc["codes"][1].pop(),
+    "bool among ints": _json_entry(True),
+    "float": _json_entry(1.0),
+    "string": _json_entry("1"),
+    "phase equal to q": _json_entry(4),
+    "negative phase": _json_entry(-1),
+    "phase beyond int64": _json_entry(2**70),
+    "M disagrees": _json_meta("M", 3),
+    "N disagrees": _json_meta("N", 1),
+    "L disagrees": _json_meta("L", 5),
+    "M of 10**12": _json_meta("M", 10**12),
+}
+
+
+def _csv_entry(value):
+    def edit(lines):
+        lines[-1] = value + lines[-1][lines[-1].index(","):]
+    return edit
+
+
+def _csv_meta(key, value):
+    def edit(lines):
+        lines[:] = [f"# {key}={value}" if ln.startswith(f"# {key}=") else ln for ln in lines]
+    return edit
+
+
+def _csv_ragged(lines):
+    lines[-1] = lines[-1].rsplit(",", 1)[0]
+
+
+CSV_FUZZ = {
+    "ragged rows": _csv_ragged,
+    "code with too few rows": lambda lines: lines.pop(),
+    "bool among ints": _csv_entry("True"),
+    "float": _csv_entry("1.0"),
+    "string": _csv_entry("x"),
+    "phase equal to q": _csv_entry("4"),
+    "negative phase": _csv_entry("-1"),
+    "M disagrees": _csv_meta("M", 3),
+    "N disagrees": _csv_meta("N", 1),
+    "L disagrees": _csv_meta("L", 5),
+    "M of 10**12": _csv_meta("M", 10**12),
+}
+
+
+class TestLoaderFuzz:
+    """Malformed array data must end in CodeSetFormatError (exit 3 through
+    the CLI), whatever sizes the metadata claim."""
+
+    @pytest.mark.parametrize("edit", JSON_FUZZ.values(), ids=JSON_FUZZ.keys())
+    def test_json(self, tmp_path, capsys, quaternary_set, edit):
+        doc = code_set_to_document(quaternary_set)
+        edit(doc)
+        with pytest.raises(CodeSetFormatError):
+            code_set_from_document(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", str(path)]) == 3
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", CSV_FUZZ.values(), ids=CSV_FUZZ.keys())
+    def test_csv(self, tmp_path, quaternary_set, edit):
+        path = tmp_path / "set.csv"
+        export_csv(quaternary_set, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CodeSetFormatError):
+            import_csv(path)

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from zccs import (
@@ -64,7 +65,7 @@ def builders():
 def test_regeneration_is_bit_exact(label, build, order):
     original = build(order)
     regen = oracle_regenerate(original)
-    assert regen.codes == original.codes
+    assert np.array_equal(regen.phases, original.phases)
     assert regen == original
     assert phase_mismatches(original, regen) == []
 
