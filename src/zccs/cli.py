@@ -162,7 +162,7 @@ def _print_verification(report) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     code_set = load_code_set(args.file)
-    report = verify_zccs(code_set, z=args.z, workers=args.workers)
+    report = verify_zccs(code_set, z=args.z)
     _print_verification(report)
     if args.report:
         save_report(report, args.report)
@@ -225,7 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="verify a stored code set")
     ver.add_argument("file")
     ver.add_argument("--z", type=int, help="zone to check (default: declared)")
-    ver.add_argument("--workers", type=int, default=1, help="thread count for pair profiles")
     ver.add_argument("--report", help="also write a JSON report here")
     ver.set_defaults(func=cmd_verify)
 

@@ -6,17 +6,36 @@ is sum_t u[t + tau] * conj(v[t]) over the overlapping window, zero once
 Verification checks every code pair of a set at every shift and reports
 where the zero-correlation claim breaks.
 
-Arithmetic is exact for moduli 1, 2, and 4: values are Gaussian integers,
-so each correlation splits into integer component correlations and a zero
-test is literal equality.  Other moduli go through complex128 with an
-absolute tolerance of 1e-6 * N * L, far above accumulated rounding error
-for any set this package produces and far below the smallest value a true
-violation can take.
+verify_zccs computes every pair profile with one batched FFT engine.  It
+transforms the set's whole (M, N, L) value array once, zero-padded to the
+power of two n >= 2L - 1 at which circular correlation equals aperiodic
+correlation.  Then, code i at a time, it sums the cross-spectra against
+every code j >= i over the rows and inverse-transforms them in one call.
+Real value arrays (exact q <= 2) use rfft/irfft, complex ones fft/ifft.
+accs and set_accs compute one shift by direct dot products and share no
+code with the engine, so the two check each other.
+
+Arithmetic is exact for moduli 1, 2 and 4, whose values are Gaussian
+integers; q = 4 enters the transform as its integer components
+re + 1j * im.  The engine rounds each code's block of profiles to
+integers and certifies the rounding: an a-priori round-off bound
+(_rounding_bound) and the largest observed distance to an integer must
+both stay below 1/4.  A block that fails either check is recomputed
+in integers by np.correlate.  A zero test is then literal equality.
+
+Other moduli are checked in complex128 with an absolute tolerance of
+1e-6 * N * L, and their reports say exact=False.  The tolerance sits far
+above the round-off, but it does not sit below every nonzero sum: for
+phi(q) > 2 a nonzero sum of q-th roots of unity can be arbitrarily small.
+One q = 8 pair of rows with N = 1 and L = 3363 (u holding 1393 zeros, 985
+fives and 985 threes, v all zeros) has the cross sum 1393 - 985 * sqrt(2),
+about -3.6e-4, at shift 0.  Its tolerance is 3.4e-3, so verify_zccs passes
+that set although the sum violates the zone.  Exact checking for every
+modulus is the ROADMAP.md item "Exact verification for every modulus".
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -66,11 +85,13 @@ class Violation(NamedTuple):
 class CorrelationReport:
     """Everything verify_zccs measured about one code set.
 
-    profiles maps each pair (i, j), i <= j, to a (2L-1, 2) array of real and
-    imaginary parts; row t holds the sum at shift tau = t - (L - 1).
-    measured_zcz is the widest zone the data actually supports: the smallest
-    |tau| at which any pair turns nonzero (L when none does), or 0 when some
-    peak misses.  zccs_ok refers to the zone that was checked, z_checked.
+    profiles is one (M(M+1)/2, 2L-1, 2) array, with one row per code pair
+    (i, j), i <= j, in the order of np.triu_indices(M).  It holds integers
+    when exact (int32 unless N * L needs int64), float64 otherwise.  profiles[p, t] holds the real and imaginary parts
+    of the pair's sum at shift tau = t - (L - 1).  measured_zcz is the
+    widest zone the data actually supports: the smallest |tau| at which any
+    pair turns nonzero (L when none does), or 0 when some peak misses.
+    zccs_ok refers to the zone that was checked, z_checked.
     """
 
     set_size: int
@@ -86,16 +107,16 @@ class CorrelationReport:
     violations: tuple[Violation, ...]
     zccs_ok: bool
     optimal: bool
-    profiles: dict[tuple[int, int], np.ndarray]
+    profiles: np.ndarray
 
     def profile_value(self, i: int, j: int, tau: int) -> CorrelationValue:
         """Correlation sum between codes i and j at shift tau (i <= j)."""
+        if not 0 <= i <= j < self.set_size:
+            raise ValueError(f"need 0 <= i <= j < {self.set_size}, got i={i}, j={j}")
         if abs(tau) >= self.length:
             return CorrelationValue(0, 0) if self.exact else CorrelationValue(0.0, 0.0)
-        row = self.profiles[(i, j)][tau + self.length - 1]
-        if self.exact:
-            return CorrelationValue(int(row[0]), int(row[1]))
-        return CorrelationValue(float(row[0]), float(row[1]))
+        pair = i * self.set_size - i * (i - 1) // 2 + j - i
+        return CorrelationValue(*self.profiles[pair, tau + self.length - 1].tolist())
 
 
 def is_optimal(set_size: int, code_size: int, length: int, zone: int) -> bool:
@@ -174,47 +195,133 @@ def set_accs(code_u, code_v, tau: int, method: str = "auto") -> CorrelationValue
     return CorrelationValue(sum(p.real for p in parts), sum(p.imag for p in parts))
 
 
-def _pair_profile(i: int, j: int, parts: tuple[np.ndarray, ...]) -> np.ndarray:
-    """(2L-1, 2) real/imag profile of the correlation sum of codes i and j.
+def _fft_length(length: int) -> int:
+    """Smallest power of two n >= 2L - 1.
 
-    parts holds whole-set arrays of shape (M, N, L): the integer real and
-    imaginary Gaussian components for exact arithmetic (the imaginary one
-    omitted when the set is real), or the complex values otherwise.
-    np.correlate already conjugates its second argument; its full output
-    indexes shifts in descending order, hence the final reversal.
+    At that length circular correlation equals aperiodic correlation for
+    every |tau| < L: shift tau sits at index tau mod n.
     """
-    if parts[0].dtype == np.complex128:
-        vals = parts[0]
-        acc = sum(np.correlate(u, v, "full") for u, v in zip(vals[i], vals[j]))
-        rev = acc[::-1]
-        return np.stack([rev.real.copy(), rev.imag.copy()], axis=1)
-    re = np.zeros(2 * parts[0].shape[2] - 1, dtype=np.int64)
-    im = np.zeros_like(re)
-    if len(parts) == 1:
-        for ur, vr in zip(parts[0][i], parts[0][j]):
-            re += np.correlate(ur, vr, "full")
-    else:
-        real, imag = parts
+    return 1 << (2 * length - 2).bit_length()
+
+
+def _rounding_bound(code_size: int, length: int) -> float:
+    """A-priori bound on |FFT value - exact sum| for any entry of a profile.
+
+    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Theorem 24.2: a length-n radix-2 FFT has normwise relative error at
+    most log2(n) * eta / (1 - log2(n) * eta), where eta <= 4 eps for
+    accurately computed twiddle factors.  Rows have unit-modulus entries,
+    so ||x||_2 = sqrt(L) and every spectrum entry is at most ||x||_1 = L.
+    Carried through the two forward transforms, the product, the sum over
+    N rows and the inverse transform, this bounds every entry by
+    eps * N * L^(3/2) * (12 log2(n) + N + 2).  The real-input transforms
+    are not plain radix-2; the factor 16 in place of 12 is a margin for
+    them, not a proof, and the observed-residual check does not rest on it.
+    """
+    n = _fft_length(length)
+    eps = float(np.finfo(np.float64).eps)
+    return 16 * eps * (np.log2(n) + code_size) * code_size * length**1.5
+
+
+def _round_certified(block: np.ndarray, bound: float, direct) -> np.ndarray:
+    """A float FFT block rounded to integers, or direct() when not certified.
+
+    Rounding is certified when the a-priori bound and the largest observed
+    distance to an integer are both below 1/4.  direct computes the same
+    block in integer arithmetic.  block is overwritten.
+    """
+    rounded = np.rint(block)
+    residual = np.abs(np.subtract(block, rounded, out=block), out=block)
+    if bound < 0.25 and residual.max(initial=0.0) < 0.25:
+        return rounded
+    return direct()
+
+
+def _direct_block(i: int, real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """(M - i, 2L - 1, 2) integer profiles of the pairs (i, j >= i).
+
+    real and imag are the (M, N, L) Gaussian components of the set.
+    np.correlate(a, v, "full") lists sum_t a[t + tau] * v[t] for tau from
+    -(L - 1) to L - 1 in ascending order, which is the profile's order.
+    """
+    set_size, _, length = real.shape
+    block = np.zeros((set_size - i, 2 * length - 1, 2), dtype=np.int64)
+    for j in range(i, set_size):
         for ur, ui, vr, vi in zip(real[i], imag[i], real[j], imag[j]):
-            re += np.correlate(ur, vr, "full")
-            re += np.correlate(ui, vi, "full")
-            im += np.correlate(ui, vr, "full")
-            im -= np.correlate(ur, vi, "full")
-    return np.stack([re[::-1], im[::-1]], axis=1)
+            block[j - i, :, 0] += np.correlate(ur, vr, "full") + np.correlate(ui, vi, "full")
+            block[j - i, :, 1] += np.correlate(ui, vr, "full") - np.correlate(ur, vi, "full")
+    return block
+
+
+def _exact_dtype(code_size: int, length: int) -> type:
+    """Narrowest of int32 and int64 that holds every sum; |sum| <= N * L."""
+    return np.int32 if code_size * length <= np.iinfo(np.int32).max else np.int64
+
+
+def _profiles(code_set: CodeSet, exact: bool) -> np.ndarray:
+    """Every pair profile of the set; see CorrelationReport.profiles."""
+    q, phases = code_set.q, code_set.phases
+    set_size, code_size, length = phases.shape
+    if not exact:
+        values = unit_values(q, phases)
+    elif q <= 2:
+        values = _gauss_components(q, phases)[0].astype(np.float64)
+    else:
+        real, imag = _gauss_components(q, phases)
+        values = real + 1j * imag
+        del real, imag
+    n = _fft_length(length)
+    if np.iscomplexobj(values):
+        forward, inverse = np.fft.fft, np.fft.ifft
+    else:
+        forward, inverse = np.fft.rfft, np.fft.irfft
+    spectra = forward(values, n)
+    del values
+    # Kept conjugated, so each code's einsum conjugates a copy of its own
+    # (N, n) rows only, never the whole set.
+    np.conjugate(spectra, out=spectra)
+
+    profiles = np.empty(
+        (set_size * (set_size + 1) // 2, 2 * length - 1, 2),
+        dtype=_exact_dtype(code_size, length) if exact else np.float64,
+    )
+    start = 0
+    for i in range(set_size):
+        stop = start + set_size - i
+        sums = inverse(np.einsum("nf,jnf->jf", spectra[i].conj(), spectra[i:]), n)
+        block = np.empty(profiles[start:stop].shape) if exact else profiles[start:stop]
+        # shift tau sits at index tau mod n of the circular correlation
+        block[:, : length - 1, 0] = sums[:, n - length + 1 :].real
+        block[:, length - 1 :, 0] = sums[:, :length].real
+        block[:, : length - 1, 1] = sums[:, n - length + 1 :].imag
+        block[:, length - 1 :, 1] = sums[:, :length].imag
+        del sums
+        if exact:
+            profiles[start:stop] = _round_certified(
+                block,
+                _rounding_bound(code_size, length),
+                lambda: _direct_block(i, *_gauss_components(q, phases)),
+            )
+        start = stop
+    return profiles
+
+
+def _nonzero(values: np.ndarray, tolerance: float) -> np.ndarray:
+    """Whether the real or the imaginary part (last axis) exceeds the tolerance."""
+    outside = (values > tolerance) | (values < -tolerance)
+    return outside[..., 0] | outside[..., 1]
 
 
 def verify_zccs(
     code_set: CodeSet,
     z: int | None = None,
     method: str = "auto",
-    workers: int = 1,
 ) -> CorrelationReport:
     """Check the zero-correlation-zone claim of a code set exhaustively.
 
     z defaults to the declared zone.  Every unordered code pair is profiled
     over all shifts; violations list the in-zone failures, measured_zcz the
-    zone the data would actually support.  workers > 1 profiles pairs in a
-    thread pool; results are identical to the serial path.
+    zone the data would actually support.
     """
     set_size, code_size, length, declared = code_set.dims
     zone = declared if z is None else int(z)
@@ -222,54 +329,29 @@ def verify_zccs(
         raise ValueError(f"zone {zone} out of range [1, {length}]")
     exact = _use_exact(code_set.q, method)
     tolerance = 0.0 if exact else FLOAT_TOLERANCE_SCALE * code_size * length
-
-    if not exact:
-        parts = (unit_values(code_set.q, code_set.phases),)
-    elif code_set.q <= 2:
-        parts = _gauss_components(code_set.q, code_set.phases)[:1]
-    else:
-        parts = _gauss_components(code_set.q, code_set.phases)
-    pairs = [(i, j) for i in range(set_size) for j in range(i, set_size)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            profiles = dict(zip(pairs, pool.map(lambda ij: _pair_profile(*ij, parts), pairs)))
-    else:
-        profiles = {(i, j): _pair_profile(i, j, parts) for i, j in pairs}
+    profiles = _profiles(code_set, exact)
 
     center = length - 1
     expected_peak = code_size * length
+    first, second = np.triu_indices(set_size)
+    diag = np.flatnonzero(first == second)
+    peaks = profiles[diag, center]
+    # A peak counts as nonzero where it misses N * L, so shift 0 of a
+    # diagonal pair is a violation exactly when its peak is off.
+    nonzero = _nonzero(profiles, tolerance)
+    nonzero[diag, center] = _nonzero(peaks - np.array([expected_peak, 0]), tolerance)
+    taus = np.arange(1 - length, length)
+    measured = int(np.abs(taus[nonzero.any(axis=0)]).min(initial=length))
 
-    def value_at(prof: np.ndarray, idx: int) -> CorrelationValue:
-        if exact:
-            return CorrelationValue(int(prof[idx, 0]), int(prof[idx, 1]))
-        return CorrelationValue(float(prof[idx, 0]), float(prof[idx, 1]))
-
-    peaks = []
-    peaks_ok = True
-    violations: list[Violation] = []
-    for i in range(set_size):
-        val = value_at(profiles[(i, i)], center)
-        peaks.append(val)
-        if not CorrelationValue(val.real - expected_peak, val.imag).is_zero(tolerance):
-            peaks_ok = False
-            violations.append(Violation(i, i, 0, val))
-
-    clean_until = length
-    for (i, j), prof in profiles.items():
-        if exact:
-            nonzero = (prof[:, 0] != 0) | (prof[:, 1] != 0)
-        else:
-            nonzero = (np.abs(prof[:, 0]) > tolerance) | (np.abs(prof[:, 1]) > tolerance)
-        for idx in np.nonzero(nonzero)[0]:
-            tau = int(idx) - center
-            if i == j and tau == 0:
-                continue
-            clean_until = min(clean_until, abs(tau))
-            if abs(tau) < zone:
-                violations.append(Violation(i, j, tau, value_at(prof, int(idx))))
-
-    violations.sort(key=lambda v: (v.i, v.j, abs(v.tau), v.tau))
-    measured = 0 if not peaks_ok else clean_until
+    pair, col = np.nonzero(nonzero[:, center - zone + 1 : center + zone])
+    tau = col - (zone - 1)
+    order = np.lexsort((tau, np.abs(tau), pair))
+    pair, tau = pair[order], tau[order]
+    values = profiles[pair, tau + center].tolist()
+    violations = tuple(
+        Violation(int(first[p]), int(second[p]), t, CorrelationValue(*v))
+        for p, t, v in zip(pair.tolist(), tau.tolist(), values)
+    )
     ok = not violations
     return CorrelationReport(
         set_size=set_size,
@@ -280,15 +362,15 @@ def verify_zccs(
         exact=exact,
         tolerance=tolerance,
         expected_peak=expected_peak,
-        peaks=tuple(peaks),
+        peaks=tuple(CorrelationValue(*v) for v in peaks.tolist()),
         measured_zcz=measured,
-        violations=tuple(violations),
+        violations=violations,
         zccs_ok=ok,
         optimal=ok and is_optimal(set_size, code_size, length, zone),
         profiles=profiles,
     )
 
 
-def measure_zcz(code_set: CodeSet, method: str = "auto", workers: int = 1) -> int:
+def measure_zcz(code_set: CodeSet, method: str = "auto") -> int:
     """Widest zone the set actually supports; 0 when a peak is off."""
-    return verify_zccs(code_set, z=1, method=method, workers=workers).measured_zcz
+    return verify_zccs(code_set, z=1, method=method).measured_zcz

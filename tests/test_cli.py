@@ -135,11 +135,6 @@ class TestVerify:
         assert code == 3
         assert "not valid JSON" in stderr
 
-    def test_workers_flag(self, capsys, stored_set):
-        code, stdout, _ = run(capsys, "verify", str(stored_set), "--workers", "4")
-        assert code == 0
-        assert "PASS" in stdout
-
     def test_side_report(self, capsys, stored_set, tmp_path):
         report_path = tmp_path / "report.json"
         code, stdout, _ = run(

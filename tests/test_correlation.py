@@ -1,12 +1,16 @@
 """Correlation engine against a from-the-definition reference."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from zccs import (
+    ChainParams,
     CodeSet,
     CorrelationValue,
     GBF,
+    Lemma1Params,
     Lemma2Params,
     PhaseSequence,
     Term,
@@ -15,16 +19,28 @@ from zccs import (
     lemma2_ccc,
     measure_zcz,
     set_accs,
+    theorem1_zccs,
     verify_zccs,
     z,
 )
-from zccs.correlation import FLOAT_TOLERANCE_SCALE
+from zccs.correlation import (
+    FLOAT_TOLERANCE_SCALE,
+    _direct_block,
+    _gauss_components,
+    _round_certified,
+    _rounding_bound,
+)
 
 from conftest import brute_accs, brute_set_accs, code_rows, mutate_one_phase
 
 
 def random_seq(rng, q, length):
     return PhaseSequence(q, tuple(int(v) for v in rng.integers(0, q, size=length)))
+
+
+def random_set(rng, q, set_size, code_size, length):
+    """Uniformly random phases: no complementarity, so most sums are nonzero."""
+    return CodeSet(q, 1, rng.integers(0, q, size=(set_size, code_size, length)))
 
 
 @pytest.fixture(scope="module")
@@ -212,15 +228,19 @@ class TestVerify:
         ]
         assert floated.measured_zcz == exact.measured_zcz
 
-    def test_workers_match_serial(self, quaternary_ccc):
-        serial = verify_zccs(quaternary_ccc)
-        threaded = verify_zccs(quaternary_ccc, workers=3)
-        assert threaded.zccs_ok == serial.zccs_ok
-        assert threaded.violations == serial.violations
-        assert threaded.peaks == serial.peaks
-        assert threaded.measured_zcz == serial.measured_zcz
-        for key, prof in serial.profiles.items():
-            assert np.array_equal(threaded.profiles[key], prof)
+    def test_violation_tau_sign(self):
+        # u = (+1, +1), v = (+1, -1): sum_t u[t + tau] v[t] is +1 at tau = 1
+        # and -1 at tau = -1.
+        report = verify_zccs(CodeSet(2, 2, np.array([[[0, 0]], [[0, 1]]])))
+        cross = [(v.tau, v.value) for v in report.violations if (v.i, v.j) == (0, 1)]
+        assert cross == [(-1, CorrelationValue(-1, 0)), (1, CorrelationValue(1, 0))]
+
+    def test_profile_value_pair_order(self, small_ccc):
+        report = verify_zccs(small_ccc)
+        with pytest.raises(ValueError):
+            report.profile_value(1, 0, 0)
+        with pytest.raises(ValueError):
+            report.profile_value(0, 2, 0)
 
     def test_measure_zcz(self, small_ccc):
         assert measure_zcz(small_ccc) == small_ccc.length
@@ -239,3 +259,97 @@ class TestFloatOnlyModuli:
         assert wider.violations[0].tau in (-1, 1)
         # linear phase ramp: shift-1 sum has magnitude 3
         assert wider.violations[0].value.magnitude() == pytest.approx(3.0, abs=1e-9)
+
+
+class TestEngineDifferential:
+    """The FFT engine against accs/set_accs and the brute force, shift by shift.
+
+    Random sets are not complementary, so their off-peak sums are nonzero
+    and a profile read at -tau instead of tau, or conjugated, shows.
+    """
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 6, 8])
+    def test_random_sets(self, q):
+        rng = np.random.default_rng(300 + q)
+        exact = q in (1, 2, 4)
+        for set_size, code_size, length in itertools.product((1, 3), (1, 2, 3), (1, 2, 7, 64)):
+            cs = random_set(rng, q, set_size, code_size, length)
+            report = verify_zccs(cs)
+            assert report.exact == exact
+            assert np.issubdtype(report.profiles.dtype, np.integer) == exact
+            for i, j in itertools.combinations_with_replacement(range(set_size), 2):
+                rows_i, rows_j = code_rows(cs, i), code_rows(cs, j)
+                for tau in range(1 - length, length):
+                    got = report.profile_value(i, j, tau)
+                    direct = set_accs(rows_i, rows_j, tau)
+                    brute = brute_set_accs(rows_i, rows_j, tau)
+                    if exact:
+                        assert got == direct
+                        assert isinstance(got.real, int) and isinstance(got.imag, int)
+                    else:
+                        assert got.as_complex() == pytest.approx(direct.as_complex(), abs=1e-9)
+                    assert got.as_complex() == pytest.approx(brute, abs=1e-9)
+
+
+class TestRoundingCertificate:
+    @pytest.fixture()
+    def exact_block(self):
+        cs = random_set(np.random.default_rng(17), 4, 3, 2, 7)
+        return _direct_block(0, *_gauss_components(4, cs.phases))
+
+    def test_direct_block_matches_set_accs(self):
+        cs = random_set(np.random.default_rng(18), 4, 3, 2, 7)
+        for i in range(3):
+            block = _direct_block(i, *_gauss_components(4, cs.phases))
+            assert block.shape == (3 - i, 13, 2)
+            for j, tau in itertools.product(range(i, 3), range(-6, 7)):
+                want = set_accs(code_rows(cs, i), code_rows(cs, j), tau)
+                assert tuple(block[j - i, tau + 6]) == want
+
+    def test_engine_matches_direct_block(self):
+        cs = random_set(np.random.default_rng(19), 4, 3, 2, 7)
+        profiles = verify_zccs(cs).profiles
+        real, imag = _gauss_components(4, cs.phases)
+        assert np.array_equal(profiles[:3], _direct_block(0, real, imag))
+        assert np.array_equal(profiles[3:5], _direct_block(1, real, imag))
+        assert np.array_equal(profiles[5:], _direct_block(2, real, imag))
+
+    def test_clean_block_is_rounded(self, exact_block):
+        calls = []
+        noisy = exact_block + 1e-9
+        got = _round_certified(noisy, 1e-6, lambda: calls.append(1))
+        assert calls == []
+        assert np.array_equal(got, exact_block)
+
+    def test_perturbed_entry_falls_back(self, exact_block):
+        calls = []
+
+        def direct():
+            calls.append(1)
+            return exact_block
+
+        perturbed = exact_block.astype(np.float64)
+        perturbed[1, 4, 0] += 0.3
+        got = _round_certified(perturbed, 1e-6, direct)
+        assert calls == [1]
+        assert got is exact_block
+
+    def test_failed_bound_falls_back(self, exact_block):
+        calls = []
+        _round_certified(exact_block.astype(np.float64), 0.25, lambda: calls.append(1))
+        assert calls == [1]
+
+    def test_bound_holds_for_long_set(self):
+        assert _rounding_bound(4, 10240) < 0.25
+
+
+def test_thm1_32_4_10240_1280():
+    """The largest thm1 set the paper's chaining gives on a 7-vertex path."""
+    quad = GBF(7, 2, tuple(Term(1, (z(i), z(i + 1))) for i in range(6)))
+    base = Lemma1Params(11, quad, (1,) * 7, deleted=(0,))
+    code_set = theorem1_zccs(ChainParams(base, l=3, r=8))
+    assert code_set.dims == (32, 4, 10240, 1280)
+    report = verify_zccs(code_set)
+    assert report.exact
+    assert report.zccs_ok and report.optimal
+    assert report.measured_zcz == 1280
