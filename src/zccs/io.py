@@ -61,9 +61,8 @@ def code_set_from_document(doc) -> CodeSet:
         if not isinstance(code, list):
             raise CodeSetFormatError(f"code {ci} must be an array of sequences")
         for ri, row in enumerate(code):
-            if not isinstance(row, list) or not all(
-                isinstance(p, int) and not isinstance(p, bool) for p in row
-            ):
+            # exact types: bool is a subclass of int but its own type
+            if type(row) is not list or set(map(type, row)) - {int}:
                 raise CodeSetFormatError(f"code {ci} row {ri} must be an array of integers")
     provenance = None
     if meta.get("construction") is not None:

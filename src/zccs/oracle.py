@@ -6,6 +6,25 @@ and codes are assembled as nested lists with plain loops, wrapped into a
 CodeSet only at the end.  No truth-table vectorization, no symbolic term
 algebra, no assembly code shared with the generators.  Exact agreement
 between this path and the fast one is a strong check on both.
+
+Within one call the oracle does each distinct piece of pointwise work once.
+Every row function is the seed function plus linear terms on the deleted
+vertices and on the pair end (beta1 for the q-ary family), so
+
+- the seed is evaluated once per point, at the point for the front tables
+  (g, f) and at its complement for the back tables (s, h), instead of once
+  per (n, row) and point;
+- the linear coefficients (q/2)(a[pos] + n[pos]) matter only mod q, so for
+  even q the 2^(2k+1) (n, row) pairs share 2^(k+1) distinct row functions.
+  Each function's tables are evaluated point by point once and shared by
+  every row with that function.
+
+These caches live in local variables and are rebuilt from the provenance on
+every call; nothing is kept between calls.  The oracle therefore stays an
+independent check: it evaluates the seed in nested arithmetic form at every
+point and adds the linear terms point by point, where the generators add
+label-matrix offsets to one vectorized truth table and reverse it for the
+partners.
 """
 
 from __future__ import annotations
@@ -15,6 +34,10 @@ import copy
 import numpy as np
 
 from .constructions import CodeSet
+
+_BINARY_FIELDS = ("m1", "quadratic", "d_vec", "d", "deleted", "beta1", "pair_end")
+_QARY_FIELDS = ("q", "m2", "f_terms", "deleted", "beta1")
+_CHAIN_FIELDS = ("l", "R", "s_r")
 
 
 def _bits(value: int, width: int, order: str) -> list[int]:
@@ -27,6 +50,74 @@ def _row_label(index: int, width: int) -> list[int]:
     # Row labels enumerate with the leftmost coordinate slowest.  This is a
     # fixed ordering convention, not tied to the index bit convention.
     return [(index >> (width - 1 - pos)) & 1 for pos in range(width)]
+
+
+# ---------------------------------------------------------------------------
+# row functions, both families
+
+
+def _front_phase(q: int, seed: int, point: list[int], deleted, coeffs, end_vertex: int, end: int) -> int:
+    """g (binary) or f (q-ary) at one point: the seed's value there plus
+    the row's linear terms on the deleted vertices and the pair end."""
+    total = seed
+    for c, vertex in zip(coeffs, deleted):
+        total += c * point[vertex]
+    total += (q // 2) * end * point[end_vertex]
+    return total % q
+
+
+def _back_phase(q: int, seed_c: int, point: list[int], deleted, coeffs, end_vertex: int, end: int) -> int:
+    """s (binary) or h (q-ary) at one point: the seed's value at the
+    complemented point plus the row's complemented linear terms."""
+    total = seed_c
+    for c, vertex in zip(coeffs, deleted):
+        total += c * (1 - point[vertex])
+    total += (q // 2) * (1 - end) * point[end_vertex]
+    return total % q
+
+
+def _row_tables(doc: dict, order: str, q: int, m: int, seed_eval, end_vertex: int, front_at, back_at):
+    """Front tables over the indices front_at and back tables over back_at,
+    nested [n][row].
+
+    Row (n, a) adds (q/2)(a[pos] + n[pos]) times deleted vertex pos, and a
+    pair-end term picked by a[-1].  Those coefficients mod q and a[-1] key
+    the memo of (front, back) table pairs, so rows with the same function
+    share one pair of lists.
+    """
+    half = q // 2
+    deleted = doc["deleted"]
+    k = len(deleted)
+    front_points = [_bits(t, m, order) for t in front_at]
+    back_points = [_bits(t, m, order) for t in back_at]
+    front_seed = [seed_eval(doc, p) for p in front_points]
+    back_seed = [seed_eval(doc, [1 - b for b in p]) for p in back_points]
+    memo = {}
+    fronts, backs = [], []
+    for n in range(1 << k):
+        nb = _bits(n, k, order)
+        fn, bn = [], []
+        for row in range(1 << (k + 1)):
+            a = _row_label(row, k + 1)
+            key = (tuple(half * (a[pos] + nb[pos]) % q for pos in range(k)), a[-1])
+            if key not in memo:
+                coeffs, end = key
+                memo[key] = (
+                    [
+                        _front_phase(q, s, p, deleted, coeffs, end_vertex, end)
+                        for s, p in zip(front_seed, front_points)
+                    ],
+                    [
+                        _back_phase(q, s, p, deleted, coeffs, end_vertex, end)
+                        for s, p in zip(back_seed, back_points)
+                    ],
+                )
+            front, back = memo[key]
+            fn.append(front)
+            bn.append(back)
+        fronts.append(fn)
+        backs.append(bn)
+    return fronts, backs
 
 
 # ---------------------------------------------------------------------------
@@ -52,41 +143,15 @@ def _seed_eval(doc: dict, point: list[int]) -> int:
     return total + alpha + beta
 
 
-def _g_phase(doc: dict, a: list[int], nb: list[int], index: int, order: str) -> int:
-    point = _bits(index, doc["m1"], order)
-    total = _seed_eval(doc, point)
-    for pos, vertex in enumerate(doc["deleted"]):
-        total += (a[pos] + nb[pos]) * point[vertex]
-    total += a[-1] * point[doc["pair_end"]]
-    return total % 2
-
-
-def _s_phase(doc: dict, a: list[int], nb: list[int], index: int, order: str) -> int:
-    point = _bits(index, doc["m1"], order)
-    total = _seed_eval(doc, [1 - b for b in point])
-    for pos, vertex in enumerate(doc["deleted"]):
-        total += (a[pos] + nb[pos]) * (1 - point[vertex])
-    total += (1 - a[-1]) * point[doc["pair_end"]]
-    return total % 2
-
-
 def _binary_row_tables(doc: dict, order: str):
     """Per (n, row): the prefix phases of g and suffix phases of s."""
     m1 = doc["m1"]
     gamma = (1 << (m1 - 1)) + (1 << (m1 - 3))
     full = 1 << m1
-    k = len(doc["deleted"])
-    prefixes, suffixes = [], []
-    for n in range(1 << k):
-        nb = _bits(n, k, order)
-        pn, sn = [], []
-        for row in range(1 << (k + 1)):
-            a = _row_label(row, k + 1)
-            pn.append([_g_phase(doc, a, nb, t, order) for t in range(gamma)])
-            sn.append([_s_phase(doc, a, nb, full - gamma + t, order) for t in range(gamma)])
-        prefixes.append(pn)
-        suffixes.append(sn)
-    return gamma, prefixes, suffixes
+    fronts, backs = _row_tables(
+        doc, order, 2, m1, _seed_eval, doc["pair_end"], range(gamma), range(full - gamma, full)
+    )
+    return gamma, fronts, backs
 
 
 # ---------------------------------------------------------------------------
@@ -103,40 +168,12 @@ def _terms_eval(doc: dict, point: list[int]) -> int:
     return total
 
 
-def _f_phase(doc: dict, a: list[int], nb: list[int], index: int, order: str) -> int:
-    q = doc["q"]
-    point = _bits(index, doc["m2"], order)
-    total = _terms_eval(doc, point)
-    for pos, vertex in enumerate(doc["deleted"]):
-        total += (q // 2) * (a[pos] + nb[pos]) * point[vertex]
-    total += (q // 2) * a[-1] * point[doc["beta1"]]
-    return total % q
-
-
-def _h_phase(doc: dict, a: list[int], nb: list[int], index: int, order: str) -> int:
-    q = doc["q"]
-    point = _bits(index, doc["m2"], order)
-    total = _terms_eval(doc, [1 - b for b in point])
-    for pos, vertex in enumerate(doc["deleted"]):
-        total += (q // 2) * (a[pos] + nb[pos]) * (1 - point[vertex])
-    total += (q // 2) * (1 - a[-1]) * point[doc["beta1"]]
-    return total % q
-
-
 def _qary_row_tables(doc: dict, order: str):
+    """Per (n, row): the phases of f and of its partner h."""
     length = 1 << doc["m2"]
-    k = len(doc["deleted"])
-    f_tabs, h_tabs = [], []
-    for n in range(1 << k):
-        nb = _bits(n, k, order)
-        fn, hn = [], []
-        for row in range(1 << (k + 1)):
-            a = _row_label(row, k + 1)
-            fn.append([_f_phase(doc, a, nb, t, order) for t in range(length)])
-            hn.append([_h_phase(doc, a, nb, t, order) for t in range(length)])
-        f_tabs.append(fn)
-        h_tabs.append(hn)
-    return length, f_tabs, h_tabs
+    points = range(length)
+    fronts, backs = _row_tables(doc, order, doc["q"], doc["m2"], _terms_eval, doc["beta1"], points, points)
+    return length, fronts, backs
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +203,8 @@ def oracle_regenerate(code_set: CodeSet) -> CodeSet:
 
     The result carries a copy of the provenance, so a faithful generator
     satisfies oracle_regenerate(cs) == cs.  Raises ValueError when the set
-    has no provenance or names an unknown construction.
+    has no provenance, names an unknown construction or bit order, or its
+    parameters are not an object holding every field the construction needs.
     """
     prov = code_set.provenance
     if not prov:
@@ -181,7 +219,16 @@ def oracle_regenerate(code_set: CodeSet) -> CodeSet:
         raise ValueError(f"unknown construction {construction!r}")
     if order not in ("lsb", "msb"):
         raise ValueError(f"unknown bit order {order!r}")
-    if construction in ("lemma2", "thm2"):
+    qary = construction in ("lemma2", "thm2")
+    fields = (_QARY_FIELDS if qary else _BINARY_FIELDS) + (
+        _CHAIN_FIELDS if construction in ("thm1", "thm2") else ()
+    )
+    if not isinstance(doc, dict):
+        raise ValueError(f"provenance record is incomplete: parameters must be an object, got {doc!r}")
+    missing = [name for name in fields if name not in doc]
+    if missing:
+        raise ValueError(f"provenance record is incomplete: parameters lack {', '.join(missing)}")
+    if qary:
         q = doc["q"]
         seed_length, fronts, backs = _qary_row_tables(doc, order)
     else:

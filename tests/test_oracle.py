@@ -1,5 +1,6 @@
 """The oracle must rebuild every generated set from provenance alone."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -21,6 +22,7 @@ from zccs import (
     theorem3_zccs,
     z,
 )
+from zccs import oracle
 
 from conftest import mutate_one_phase, quadratic_gbf
 
@@ -117,6 +119,14 @@ class TestProvenanceValidation:
         with pytest.raises(ValueError, match="incomplete"):
             oracle_regenerate(bad)
 
+    @pytest.mark.parametrize("parameters", [{}, {"m1": 5}, None, [1]], ids=repr)
+    def test_malformed_parameters(self, parameters):
+        cs = lemma1_ccc(Lemma1Params(5, GBF(1, 2, ()), (0,)))
+        prov = dict(cs.provenance, parameters=parameters)
+        bad = dataclasses.replace(cs, provenance=prov)
+        with pytest.raises(ValueError, match="provenance record is incomplete"):
+            oracle_regenerate(bad)
+
     def test_unknown_bit_order(self):
         cs = lemma1_ccc(Lemma1Params(5, GBF(1, 2, ()), (0,)))
         prov = dict(cs.provenance)
@@ -124,3 +134,77 @@ class TestProvenanceValidation:
         bad = dataclasses.replace(cs, provenance=prov)
         with pytest.raises(ValueError, match="bit order"):
             oracle_regenerate(bad)
+
+
+def qary_k2(q=6, linear=5):
+    """A q-ary base on four variables with two deleted vertices (k = 2)."""
+    half = q // 2
+    f = GBF(
+        4,
+        q,
+        (
+            Term(half, (z(0), z(1))),
+            Term(half, (z(1), z(2))),
+            Term(half, (z(2), z(3))),
+            Term(linear, (z(0),)),
+            Term(1, (z(3),)),
+            Term(2),
+        ),
+    )
+    return Lemma2Params(q, 4, f, deleted=(0, 3))
+
+
+def binary_k2(d_vec=(1, 0, 1, 1)):
+    """A binary base on m1 = 8 whose 4-cycle leaves a path after deleting two vertices."""
+    return Lemma1Params(
+        8, quadratic_gbf(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), d_vec, d=1, deleted=(0, 1)
+    )
+
+
+class TestNoStateBetweenCalls:
+    """Whatever the oracle caches is rebuilt from each call's provenance."""
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            (lemma1_ccc(binary_k2((1, 0, 1, 1))), lemma1_ccc(binary_k2((0, 1, 1, 0)))),
+            (lemma2_ccc(qary_k2(linear=5)), lemma2_ccc(qary_k2(linear=4))),
+        ],
+        ids=["lemma1-d_vec", "lemma2-linear-coefficient"],
+    )
+    def test_interleaved_sets_regenerate_to_themselves(self, first, second):
+        assert phase_mismatches(first, second) != []
+        for cs in (first, second, first, second):
+            assert oracle_regenerate(cs) == cs
+
+    def test_seed_is_taken_from_each_call(self):
+        cs = lemma1_ccc(binary_k2())
+        assert oracle_regenerate(cs) == cs
+        prov = copy.deepcopy(cs.provenance)
+        prov["parameters"]["d"] ^= 1
+        regen = oracle_regenerate(dataclasses.replace(cs, provenance=prov))
+        mismatches = phase_mismatches(cs, regen)
+        assert {ci for ci, _, _ in mismatches} == set(range(cs.set_size))
+        assert len(mismatches) == cs.phases.size
+
+
+@pytest.mark.parametrize("order", ["lsb", "msb"])
+@pytest.mark.parametrize(
+    "build,tables",
+    [
+        (lambda order: lemma1_ccc(binary_k2(), bit_order=order), oracle._binary_row_tables),
+        (lambda order: lemma2_ccc(qary_k2(q=6), bit_order=order), oracle._qary_row_tables),
+    ],
+    ids=["lemma1", "lemma2-q6"],
+)
+def test_one_table_per_row_function(build, tables, order):
+    """k = 2: 2^(2k+1) (n, row) pairs share 2^(k+1) distinct row functions."""
+    cs = build(order)
+    assert oracle_regenerate(cs) == cs
+    _, fronts, backs = tables(cs.provenance["parameters"], order)
+    k = 2
+    for per_n in (fronts, backs):
+        per_row = [table for rows in per_n for table in rows]
+        assert len(per_row) == 2 ** (2 * k + 1)
+        assert len({id(table) for table in per_row}) == 2 ** (k + 1)
+        assert len({tuple(table) for table in per_row}) == 2 ** (k + 1)
