@@ -39,6 +39,10 @@ from .gbf import (
 )
 from .graphs import PathCertificate, graph_of_quadratic, validate_deletion_path
 
+# The largest M * N * L a generator builds, 12.8 times the 1.3M phases of
+# the (32, 4, 10240) thm1 set; one int64 copy of such a set takes 134 MB.
+MAX_PHASES = 1 << 24
+
 
 @dataclass(frozen=True, eq=False)
 class CodeSet:
@@ -190,8 +194,8 @@ def _check_block_choice(l: int, r: int, s_r) -> tuple[tuple[int, ...], ...] | No
         raise ValueError(f"need l >= 1, got {l}")
     if r < 2 or r % 2 != 0:
         raise ValueError(f"block count R must be even and at least 2, got {r}")
-    if r > (1 << l):
-        raise ValueError(f"block count R={r} exceeds 2^l={1 << l}")
+    if (r - 1) >> l:
+        raise ValueError(f"block count R={r} exceeds 2^l for l={l}")
     if s_r is None:
         return None
     chosen = tuple(_check_binary_entries(c, "s_r") for c in s_r)
@@ -401,6 +405,15 @@ def _row_tables(base: Lemma1Params | Lemma2Params, order: str):
     return q, half, rows[..., :cut], partners[..., seed.size - cut:]
 
 
+def _check_size(base: Lemma1Params | Lemma2Params, codes: int, blocks: int) -> None:
+    """Reject a set of codes * 2^(k+1) codes of 2^(k+1) rows, each blocks seed
+    lengths long, whose M * N * L exceeds MAX_PHASES; nothing is built yet."""
+    seed_length = base.gamma if isinstance(base, Lemma1Params) else 1 << base.m2
+    count = codes * 4 ** (base.k + 1) * blocks * seed_length
+    if count > MAX_PHASES:
+        raise ValueError(f"set of M * N * L = {count} phases exceeds the limit {MAX_PHASES}")
+
+
 def _chained_code_set(
     base: Lemma1Params | Lemma2Params,
     order: str,
@@ -417,6 +430,7 @@ def _chained_code_set(
     the same way and conjugated.  The declared zone is zone_blocks seed
     lengths.  chain_doc adds block parameters to the provenance record.
     """
+    _check_size(base, len(signs), len(signs[0]))
     q, half, rows, partners = _row_tables(base, order)
     offsets = half * np.asarray(signs, dtype=np.int64)[None, :, None, :, None]
 
@@ -471,14 +485,12 @@ def lemma1_ccc(params: Lemma1Params, bit_order: str | None = None) -> CodeSet:
     Codes are ordered: the prefix family for n = 0..2^k-1, then the
     conjugated suffix family for the same n range.
     """
-    order = resolve_bit_order(bit_order)
-    return _chained_code_set(params, order, [[0]], 1, "lemma1")
+    return _chained_code_set(params, resolve_bit_order(bit_order), [[0]], 1, "lemma1")
 
 
 def lemma2_ccc(params: Lemma2Params, bit_order: str | None = None) -> CodeSet:
     """q-ary complete complementary code of 2^(k+1) codes, length 2^m2."""
-    order = resolve_bit_order(bit_order)
-    return _chained_code_set(params, order, [[0]], 1, "lemma2")
+    return _chained_code_set(params, resolve_bit_order(bit_order), [[0]], 1, "lemma2")
 
 
 def theorem3_zccs(params: Lemma1Params, bit_order: str | None = None) -> CodeSet:
@@ -487,8 +499,7 @@ def theorem3_zccs(params: Lemma1Params, bit_order: str | None = None) -> CodeSet
     Each row is the three-block pattern (P, P, -P) over a seed prefix, or
     the conjugate of that pattern over a seed suffix.
     """
-    order = resolve_bit_order(bit_order)
-    return _chained_code_set(params, order, [[0, 0, 1]], 2, "thm3")
+    return _chained_code_set(params, resolve_bit_order(bit_order), [[0, 0, 1]], 2, "thm3")
 
 
 def chained_zccs(params: ChainParams, bit_order: str | None = None) -> CodeSet:
@@ -500,8 +511,12 @@ def chained_zccs(params: ChainParams, bit_order: str | None = None) -> CodeSet:
     the same order.
     """
     order = resolve_bit_order(bit_order)
+    _check_size(params.base, params.r, params.r)
+    if params.r * params.l > MAX_PHASES:
+        raise ValueError(f"R * l = {params.r * params.l} label bits exceed the limit {MAX_PHASES}")
     s_r = params.resolved_s_r(order)
-    signs = np.array(s_r, dtype=np.int64) @ bit_matrix(params.l, order)[: params.r].T % 2
+    blocks = np.array([index_to_bits(b, params.l, order) for b in range(params.r)], dtype=np.int64)
+    signs = np.array(s_r, dtype=np.int64) @ blocks.T % 2
     doc = {"l": int(params.l), "R": int(params.r), "s_r": [[int(b) for b in c] for c in s_r]}
     construction = "thm1" if isinstance(params.base, Lemma1Params) else "thm2"
     return _chained_code_set(params.base, order, signs, 1, construction, doc)

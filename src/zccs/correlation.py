@@ -6,18 +6,22 @@ is sum_t u[t + tau] * conj(v[t]) over the overlapping window, zero once
 Verification checks every code pair of a set at every shift and reports
 where the zero-correlation claim breaks.
 
+A sequence is a 1-D integer array of phases in Z_q, a code its (N, L)
+rows, and a set the CodeSet's (M, N, L) array.  gbf.unit_values is the one
+table from phases to values, and the modulus alone fixes the arithmetic:
+exact for q in EXACT_MODULI, complex128 with a tolerance otherwise.
+
 verify_zccs computes every pair profile with one batched FFT engine.  It
 transforms the set's whole (M, N, L) value array once, zero-padded to the
 power of two n >= 2L - 1 at which circular correlation equals aperiodic
 correlation.  Then, code i at a time, it sums the cross-spectra against
 every code j >= i over the rows and inverse-transforms them in one call.
-Real value arrays (exact q <= 2) use rfft/irfft, complex ones fft/ifft.
+Real value arrays (q <= 2) use rfft/irfft, complex ones fft/ifft.
 accs and set_accs compute one shift by direct dot products and share no
-code with the engine, so the two check each other.
+code with the engine but unit_values, so the two check each other.
 
-Arithmetic is exact for moduli 1, 2 and 4, whose values are Gaussian
-integers; q = 4 enters the transform as its integer components
-re + 1j * im.  The engine rounds each code's block of profiles to
+Arithmetic is exact for moduli 1, 2 and 4, whose values are the Gaussian
+integers +-1 and +-i.  The engine rounds each code's block of profiles to
 integers and certifies the rounding: an a-priori round-off bound
 (_rounding_bound) and the largest observed distance to an integer must
 both stay below 1/4.  A block that fails either check is recomputed
@@ -42,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constructions import CodeSet
-from .gbf import PhaseSequence, unit_values
+from .gbf import unit_values
 
 EXACT_MODULI = (1, 2, 4)
 
@@ -87,10 +91,11 @@ class CorrelationReport:
 
     profiles is one (M(M+1)/2, 2L-1, 2) array, with one row per code pair
     (i, j), i <= j, in the order of np.triu_indices(M).  It holds integers
-    when exact (int32 unless N * L needs int64), float64 otherwise.  profiles[p, t] holds the real and imaginary parts
-    of the pair's sum at shift tau = t - (L - 1).  measured_zcz is the
-    widest zone the data actually supports: the smallest |tau| at which any
-    pair turns nonzero (L when none does), or 0 when some peak misses.
+    when exact (int32 unless N * L needs int64), float64 otherwise.
+    profiles[p, t] holds the real and imaginary parts of the pair's sum at
+    shift tau = t - (L - 1).  measured_zcz is the widest zone the data
+    actually supports: the smallest |tau| at which any pair turns nonzero
+    (L when none does), or 0 when some peak misses.
     zccs_ok refers to the zone that was checked, z_checked.
     """
 
@@ -128,70 +133,47 @@ def is_optimal(set_size: int, code_size: int, length: int, zone: int) -> bool:
     return set_size == code_size * (length // zone)
 
 
-def _use_exact(q: int, method: str) -> bool:
-    if method == "auto":
-        return q in EXACT_MODULI
-    if method == "exact":
-        if q not in EXACT_MODULI:
-            raise ValueError(f"exact arithmetic supports moduli {EXACT_MODULI}, not q={q}")
-        return True
-    if method == "float":
-        return False
-    raise ValueError(f"method must be auto, exact, or float, got {method!r}")
+def _phase_row(q: int, row) -> np.ndarray:
+    """row as a 1-D int64 array of phases in [0, q); ValueError otherwise."""
+    arr = np.asarray(row)
+    if arr.ndim != 1 or arr.size == 0 or arr.dtype.kind not in "iu":
+        raise ValueError(f"need a nonempty 1-D integer phase array, got {arr.shape} {arr.dtype}")
+    if arr.min() < 0 or arr.max() >= q:
+        raise ValueError(f"phases must lie in [0, {q}), got [{arr.min()}, {arr.max()}]")
+    return arr.astype(np.int64)
 
 
-def _gauss_components(q: int, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integer real and imaginary parts; only defined for moduli 1, 2, 4."""
-    if q == 1:
-        return np.ones_like(phases), np.zeros_like(phases)
-    if q == 2:
-        return 1 - 2 * phases, np.zeros_like(phases)
-    if q == 4:
-        return (
-            np.array([1, 0, -1, 0], dtype=np.int64)[phases],
-            np.array([0, 1, 0, -1], dtype=np.int64)[phases],
-        )
-    raise ValueError(f"no Gaussian-integer form for q={q}")
-
-
-def _check_same_shape(u: PhaseSequence, v: PhaseSequence) -> None:
-    if u.q != v.q:
-        raise ValueError(f"sequences use different moduli: {u.q} vs {v.q}")
-    if len(u) != len(v):
-        raise ValueError(f"sequences differ in length: {len(u)} vs {len(v)}")
-
-
-def accs(u: PhaseSequence, v: PhaseSequence, tau: int, method: str = "auto") -> CorrelationValue:
-    """Aperiodic cross-correlation of two sequences at one shift.
+def accs(q: int, u, v, tau: int) -> CorrelationValue:
+    """Aperiodic cross-correlation of two phase rows over Z_q at one shift.
 
     Computed by direct dot product, deliberately not sharing code with the
-    batched profile path so the two can check each other.
+    batched profile path so the two can check each other.  The parts are
+    ints for q in EXACT_MODULI, floats otherwise.
     """
-    _check_same_shape(u, v)
+    u, v = _phase_row(q, u), _phase_row(q, v)
     length = len(u)
-    exact = _use_exact(u.q, method)
+    if len(v) != length:
+        raise ValueError(f"sequences differ in length: {length} vs {len(v)}")
+    exact = q in EXACT_MODULI
     if abs(tau) >= length:
         return CorrelationValue(0, 0) if exact else CorrelationValue(0.0, 0.0)
     if tau < 0:
-        flipped = accs(v, u, -tau, method)
+        flipped = accs(q, v, u, -tau)
         return CorrelationValue(flipped.real, -flipped.imag)
+    u_values, v_values = unit_values(q, u)[tau:], unit_values(q, v)[: length - tau]
     if exact:
-        ur, ui = _gauss_components(u.q, np.asarray(u.phases, dtype=np.int64))
-        vr, vi = _gauss_components(v.q, np.asarray(v.phases, dtype=np.int64))
-        head = slice(tau, length)
-        tail = slice(0, length - tau)
-        re = int(ur[head] @ vr[tail]) + int(ui[head] @ vi[tail])
-        im = int(ui[head] @ vr[tail]) - int(ur[head] @ vi[tail])
-        return CorrelationValue(re, im)
-    total = np.vdot(v.values()[: length - tau], u.values()[tau:])
+        ur, ui = u_values.real.astype(np.int64), u_values.imag.astype(np.int64)
+        vr, vi = v_values.real.astype(np.int64), v_values.imag.astype(np.int64)
+        return CorrelationValue(int(ur @ vr) + int(ui @ vi), int(ui @ vr) - int(ur @ vi))
+    total = np.vdot(v_values, u_values)
     return CorrelationValue(float(total.real), float(total.imag))
 
 
-def set_accs(code_u, code_v, tau: int, method: str = "auto") -> CorrelationValue:
-    """Correlation sum between two codes: row-wise accs, added up."""
+def set_accs(q: int, code_u, code_v, tau: int) -> CorrelationValue:
+    """Correlation sum between two codes, (N, L) phase rows: row-wise accs, added up."""
     if len(code_u) != len(code_v):
         raise ValueError(f"codes differ in size: {len(code_u)} vs {len(code_v)}")
-    parts = [accs(su, sv, tau, method) for su, sv in zip(code_u, code_v)]
+    parts = [accs(q, su, sv, tau) for su, sv in zip(code_u, code_v)]
     return CorrelationValue(sum(p.real for p in parts), sum(p.imag for p in parts))
 
 
@@ -237,13 +219,15 @@ def _round_certified(block: np.ndarray, bound: float, direct) -> np.ndarray:
     return direct()
 
 
-def _direct_block(i: int, real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+def _direct_block(i: int, values: np.ndarray) -> np.ndarray:
     """(M - i, 2L - 1, 2) integer profiles of the pairs (i, j >= i).
 
-    real and imag are the (M, N, L) Gaussian components of the set.
-    np.correlate(a, v, "full") lists sum_t a[t + tau] * v[t] for tau from
-    -(L - 1) to L - 1 in ascending order, which is the profile's order.
+    values is the set's exact (M, N, L) value array; its real and imaginary
+    parts are integers.  np.correlate(a, v, "full") lists
+    sum_t a[t + tau] * v[t] for tau from -(L - 1) to L - 1 in ascending
+    order, which is the profile's order.
     """
+    real, imag = values.real.astype(np.int64), values.imag.astype(np.int64)
     set_size, _, length = real.shape
     block = np.zeros((set_size - i, 2 * length - 1, 2), dtype=np.int64)
     for j in range(i, set_size):
@@ -262,14 +246,7 @@ def _profiles(code_set: CodeSet, exact: bool) -> np.ndarray:
     """Every pair profile of the set; see CorrelationReport.profiles."""
     q, phases = code_set.q, code_set.phases
     set_size, code_size, length = phases.shape
-    if not exact:
-        values = unit_values(q, phases)
-    elif q <= 2:
-        values = _gauss_components(q, phases)[0].astype(np.float64)
-    else:
-        real, imag = _gauss_components(q, phases)
-        values = real + 1j * imag
-        del real, imag
+    values = unit_values(q, phases)
     n = _fft_length(length)
     if np.iscomplexobj(values):
         forward, inverse = np.fft.fft, np.fft.ifft
@@ -300,7 +277,7 @@ def _profiles(code_set: CodeSet, exact: bool) -> np.ndarray:
             profiles[start:stop] = _round_certified(
                 block,
                 _rounding_bound(code_size, length),
-                lambda: _direct_block(i, *_gauss_components(q, phases)),
+                lambda: _direct_block(i, unit_values(q, phases)),
             )
         start = stop
     return profiles
@@ -312,11 +289,7 @@ def _nonzero(values: np.ndarray, tolerance: float) -> np.ndarray:
     return outside[..., 0] | outside[..., 1]
 
 
-def verify_zccs(
-    code_set: CodeSet,
-    z: int | None = None,
-    method: str = "auto",
-) -> CorrelationReport:
+def verify_zccs(code_set: CodeSet, z: int | None = None) -> CorrelationReport:
     """Check the zero-correlation-zone claim of a code set exhaustively.
 
     z defaults to the declared zone.  Every unordered code pair is profiled
@@ -327,7 +300,7 @@ def verify_zccs(
     zone = declared if z is None else int(z)
     if not 1 <= zone <= length:
         raise ValueError(f"zone {zone} out of range [1, {length}]")
-    exact = _use_exact(code_set.q, method)
+    exact = code_set.q in EXACT_MODULI
     tolerance = 0.0 if exact else FLOAT_TOLERANCE_SCALE * code_size * length
     profiles = _profiles(code_set, exact)
 
@@ -371,6 +344,6 @@ def verify_zccs(
     )
 
 
-def measure_zcz(code_set: CodeSet, method: str = "auto") -> int:
+def measure_zcz(code_set: CodeSet) -> int:
     """Widest zone the set actually supports; 0 when a peak is off."""
-    return verify_zccs(code_set, z=1, method=method).measured_zcz
+    return verify_zccs(code_set, z=1).measured_zcz

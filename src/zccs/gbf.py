@@ -3,8 +3,8 @@
 A generalized Boolean function (GBF) maps {0,1}^m into Z_q.  It is stored
 symbolically as a sum of coefficient-weighted products of possibly
 complemented variables, so that complement substitutions stay exact and
-inspectable.  A GBF is realized as a unit-modulus sequence of length 2^m by
-raising a primitive q-th root of unity to the function's truth table.
+inspectable.  A GBF is realized as a length-2^m sequence of phases, its
+truth table; unit_values raises a primitive q-th root of unity to them.
 
 The mapping between a sequence index r in [0, 2^m) and an evaluation point
 (r_0, ..., r_{m-1}) needs a bit-order convention.  The default is "lsb"
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -66,11 +65,8 @@ class Term:
     literals: tuple[Literal, ...] = ()
 
     def __post_init__(self) -> None:
-        lits = self.literals
-        if not isinstance(lits, tuple):
-            lits = tuple(lits)
         # z_i * z_i == z_i, so duplicates collapse; order is canonical.
-        object.__setattr__(self, "literals", tuple(sorted(set(lits))))
+        object.__setattr__(self, "literals", tuple(sorted(set(self.literals))))
 
     @property
     def degree(self) -> int:
@@ -224,74 +220,20 @@ def truth_table(f: GBF, order: str | None = None) -> np.ndarray:
 
 
 def unit_values(q: int, phases: np.ndarray) -> np.ndarray:
-    """Complex values omega_q^{phase} of an integer phase array, same shape.
+    """Values omega_q^{phase} of an integer phase array, same shape.
 
-    For q in {1, 2, 4} the values are Gaussian integers and are produced
-    exactly rather than through exp().
+    The package's one phase-to-value table.  For q in {1, 2} the values
+    are real and come back as float64 +-1; for q = 4 they are the complex
+    Gaussian integers 1, i, -1, -i.  Both are exact, not computed through
+    exp(); every other modulus uses exp.
     """
     if q == 1:
-        return np.ones(phases.shape, dtype=np.complex128)
+        return np.ones(phases.shape)
     if q == 2:
-        return (1 - 2 * phases).astype(np.complex128)
+        return (1 - 2 * phases).astype(np.float64)
     if q == 4:
         return np.array([1 + 0j, 0 + 1j, -1 + 0j, 0 - 1j])[phases]
     return np.exp(2j * np.pi * phases / q)
-
-
-@dataclass(frozen=True)
-class PhaseSequence:
-    """Length-L sequence of phases in Z_q, realized as q-th roots of unity."""
-
-    q: int
-    phases: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.q < 1:
-            raise ValueError(f"modulus must be positive, got {self.q}")
-        if len(self.phases) < 1:
-            raise ValueError("phase sequence must be nonempty")
-        for p in self.phases:
-            if not 0 <= p < self.q:
-                raise ValueError(f"phase {p} out of range for q={self.q}")
-
-    def __len__(self) -> int:
-        return len(self.phases)
-
-    def values(self) -> np.ndarray:
-        """Complex unit-circle values omega_q^{phase}; see unit_values."""
-        return unit_values(self.q, np.asarray(self.phases, dtype=np.int64))
-
-    def conjugate(self) -> "PhaseSequence":
-        return PhaseSequence(self.q, tuple((-p) % self.q for p in self.phases))
-
-    def negate(self) -> "PhaseSequence":
-        """Multiply every value by -1 (phase shift by q/2; q must be even)."""
-        if self.q % 2 != 0:
-            raise ValueError(f"negation needs an even modulus, got q={self.q}")
-        half = self.q // 2
-        return PhaseSequence(self.q, tuple((p + half) % self.q for p in self.phases))
-
-
-def psi(f: GBF, order: str | None = None) -> PhaseSequence:
-    """Full phase-sequence realization of f, length 2^m."""
-    return PhaseSequence(f.q, tuple(int(v) for v in truth_table(f, order)))
-
-
-def psi_prefix(f: GBF, j: int, order: str | None = None) -> PhaseSequence:
-    """First j entries of the realization of f."""
-    _check_cut(f, j)
-    return PhaseSequence(f.q, tuple(int(v) for v in truth_table(f, order)[:j]))
-
-
-def psi_suffix(f: GBF, j: int, order: str | None = None) -> PhaseSequence:
-    """Last j entries of the realization of f."""
-    _check_cut(f, j)
-    return PhaseSequence(f.q, tuple(int(v) for v in truth_table(f, order)[(1 << f.m) - j:]))
-
-
-def _check_cut(f: GBF, j: int) -> None:
-    if not 1 <= j <= (1 << f.m):
-        raise ValueError(f"cut length {j} out of range [1, {1 << f.m}]")
 
 
 def substitute_complement(f: GBF) -> GBF:

@@ -100,18 +100,11 @@ def dumps_code_set(code_set: CodeSet) -> str:
     """Canonical text form: metadata indented, one code per line."""
     doc = code_set_to_document(code_set)
     meta_block = json.dumps(doc["metadata"], indent=2).replace("\n", "\n  ")
-    lines = [
-        "{",
-        f'  "format_version": {doc["format_version"]},',
-        f'  "metadata": {meta_block},',
-        '  "codes": [',
-    ]
-    rows = [json.dumps(code, separators=(",", ":")) for code in doc["codes"]]
-    for idx, row in enumerate(rows):
-        lines.append("    " + row + ("," if idx < len(rows) - 1 else ""))
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    codes = ",\n".join("    " + json.dumps(code, separators=(",", ":")) for code in doc["codes"])
+    return (
+        f'{{\n  "format_version": {doc["format_version"]},\n  "metadata": {meta_block},\n'
+        f'  "codes": [\n{codes}\n  ]\n}}\n'
+    )
 
 
 def save_code_set(code_set: CodeSet, path) -> None:

@@ -10,7 +10,7 @@ import itertools
 
 import pytest
 
-from zccs import GBF, CodeSet, Lemma1Params, PhaseSequence, Term, z
+from zccs import GBF, CodeSet, Lemma1Params, Term, z
 
 
 def brute_accs(u_vals, v_vals, tau):
@@ -27,13 +27,15 @@ def brute_accs(u_vals, v_vals, tau):
     return total
 
 
-def brute_set_accs(code_u, code_v, tau):
-    return sum(brute_accs(u.values().tolist(), v.values().tolist(), tau)
-               for u, v in zip(code_u, code_v))
-
-
 def brute_values(q, phases):
-    return [cmath.exp(2j * cmath.pi * p / q) for p in phases]
+    """Values of a phase row through cmath.exp, not the package's value table."""
+    return [cmath.exp(2j * cmath.pi * int(p) / q) for p in phases]
+
+
+def brute_set_accs(q, code_u, code_v, tau):
+    """Sum of brute_accs over the rows of two codes given as phase rows."""
+    return sum(brute_accs(brute_values(q, u), brute_values(q, v), tau)
+               for u, v in zip(code_u, code_v))
 
 
 def quadratic_gbf(nvars, edges, q=2, weight=1):
@@ -46,11 +48,6 @@ def all_graphs(nvars):
     pairs = list(itertools.combinations(range(nvars), 2))
     for mask in range(1 << len(pairs)):
         yield tuple(p for idx, p in enumerate(pairs) if mask >> idx & 1)
-
-
-def code_rows(code_set, ci):
-    """Code ci of a set as a tuple of PhaseSequence rows."""
-    return tuple(PhaseSequence(code_set.q, tuple(row)) for row in code_set.phases[ci].tolist())
 
 
 def mutate_one_phase(code_set, ci, ri, pos, delta=1):

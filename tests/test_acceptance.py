@@ -18,7 +18,6 @@ from zccs import (
     Lemma2Params,
     GBF,
     NotAPathError,
-    PhaseSequence,
     Term,
     Theorem1Params,
     Theorem2Params,
@@ -216,15 +215,15 @@ def test_criterion_7_verifier_properties_and_mutation_detection(lemma1_sweep, th
     for q in (2, 4, 8):
         for _ in range(25):
             length = int(rng.integers(1, 24))
-            u = PhaseSequence(q, tuple(int(v) for v in rng.integers(0, q, length)))
-            v = PhaseSequence(q, tuple(int(v) for v in rng.integers(0, q, length)))
+            u = rng.integers(0, q, length)
+            v = rng.integers(0, q, length)
             for tau in range(-length - 2, length + 3):
-                lhs = accs(u, v, -tau).as_complex()
-                rhs = accs(v, u, tau).as_complex().conjugate()
+                lhs = accs(q, u, v, -tau).as_complex()
+                rhs = accs(q, v, u, tau).as_complex().conjugate()
                 assert lhs == pytest.approx(rhs, abs=1e-9)
             # beyond the overlap the sum is identically zero
-            assert accs(u, v, length) == accs(u, v, -length)
-            assert accs(u, v, length).as_complex() == 0
+            assert accs(q, u, v, length) == accs(q, u, v, -length)
+            assert accs(q, u, v, length).as_complex() == 0
 
     # every single-phase mutation must be caught at the declared zone
     pool = [cs for _, _, cs, _ in lemma1_sweep.cases]

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from zccs import import_csv, load_code_set
+from zccs import graphs, import_csv, load_code_set
 from zccs.cli import main
 
 EXAMPLE_ARGS = [
@@ -62,6 +62,21 @@ class TestGenerate:
         assert code == 0
         assert "(M, N, L, Z) = (4, 2, 8, 4)" in stdout
         assert "size bound met with equality: yes" in stdout
+
+    def test_long_block_labels(self, capsys):
+        # only the R block indices are expanded into l bits, not all 2^l
+        code, stdout, _ = run(
+            capsys, "generate", "thm1", "--m1", "6", "--quadratic", "0-1", "--l", "45", "--R", "2"
+        )
+        assert code == 0
+        assert "(M, N, L, Z) = (4, 2, 80, 40)" in stdout
+
+    def test_oversized_set_is_exit_2(self, capsys):
+        path = ",".join(f"{i}-{i + 1}" for i in range(45))
+        code, _, stderr = run(capsys, "generate", "lemma1", "--m1", "50", "--quadratic", path)
+        assert code == 2
+        assert stderr.startswith("error: set of M * N * L = ")
+        assert "exceeds the limit" in stderr
 
     def test_missing_block_arguments(self, capsys):
         code, _, stderr = run(capsys, "generate", "thm1", *EXAMPLE_ARGS)
@@ -186,6 +201,16 @@ class TestEnumerate:
         code, _, stderr = run(capsys, "enumerate", "--quadratic", "0-1", "--k", "5")
         assert code == 2
         assert "error:" in stderr
+
+    def test_oversized_enumeration_is_exit_2(self, capsys, monkeypatch):
+        # C(10, 2) * 10 = 450 path-test steps against a limit of 100
+        monkeypatch.setattr(graphs, "MAX_ENUMERATION_STEPS", 100)
+        code, stdout, stderr = run(
+            capsys, "enumerate", "--quadratic", "0-1", "--vertices", "10", "--k", "2"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: enumerating the C(10, 2) deletions")
 
     def test_needs_vertices(self, capsys):
         code, _, stderr = run(capsys, "enumerate", "--k", "0")

@@ -22,7 +22,6 @@ from zccs import (
     eval_gbf,
     lemma1_ccc,
     lemma2_ccc,
-    psi_prefix,
     theorem1_zccs,
     theorem2_zccs,
     theorem3_zccs,
@@ -30,6 +29,7 @@ from zccs import (
     verify_zccs,
     z,
 )
+from zccs import constructions
 
 from conftest import quadratic_gbf
 
@@ -204,6 +204,19 @@ class TestBlockParams:
         with pytest.raises(ValueError):
             Theorem1Params(base, l=2, r=4, s_r=((0, 0), (0, 1)))  # wrong count
 
+    def test_size_limits(self, monkeypatch):
+        # the tiny thm1 set (4, 2, 40, 20) holds 320 phases and R * l label bits
+        base = tiny_params()
+        monkeypatch.setattr(constructions, "MAX_PHASES", 320)
+        assert theorem1_zccs(Theorem1Params(base, l=1, r=2)).dims == (4, 2, 40, 20)
+        assert theorem1_zccs(Theorem1Params(base, l=160, r=2)).dims == (4, 2, 40, 20)
+        with pytest.raises(ValueError, match="R \\* l = 322 label bits"):
+            theorem1_zccs(Theorem1Params(base, l=161, r=2))
+        monkeypatch.setattr(constructions, "MAX_PHASES", 319)
+        with pytest.raises(ValueError, match="M \\* N \\* L = 320 phases"):
+            theorem1_zccs(Theorem1Params(base, l=1, r=2))
+        assert lemma1_ccc(base).dims == (2, 2, 20, 20)
+
     def test_default_labels_follow_bit_order(self):
         t = Theorem1Params(tiny_params(), l=2, r=2)
         assert t.resolved_s_r("lsb") == ((0, 0), (1, 0))
@@ -232,7 +245,7 @@ class TestBinaryGenerators:
         p = Lemma1Params(6, quadratic_gbf(2, [(0, 1)]), (0, 1), beta1=1)
         cs = lemma1_ccc(p)
         g = build_g(p)
-        assert tuple(cs.phases[0, 0].tolist()) == psi_prefix(g, p.gamma).phases
+        assert np.array_equal(cs.phases[0, 0], truth_table(g)[: p.gamma])
 
     def test_row_order_is_lexicographic_in_labels(self):
         # every code of both seed families against the symbolic row

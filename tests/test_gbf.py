@@ -10,20 +10,18 @@ from zccs import (
     DEFAULT_BIT_ORDER,
     GBF,
     Literal,
-    PhaseSequence,
     Term,
+    accs,
     bits_to_index,
     eval_gbf,
     index_to_bits,
-    psi,
-    psi_prefix,
-    psi_suffix,
     resolve_bit_order,
     substitute_complement,
     truth_table,
     z,
     zbar,
 )
+from zccs.gbf import unit_values
 
 
 class TestLiteralsAndTerms:
@@ -163,57 +161,37 @@ class TestTruthTable:
 
 
 class TestPhaseSequence:
+    """A phase sequence is an integer array; unit_values gives its values."""
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PhaseSequence(2, ())
-        with pytest.raises(ValueError):
-            PhaseSequence(2, (0, 2))
-        with pytest.raises(ValueError):
-            PhaseSequence(0, (0,))
+        # accs checks its rows as the CodeSet checks its array
+        for q, u in ((2, ()), (2, (0, 2)), (2, (-1, 0)), (0, (0,))):
+            with pytest.raises(ValueError):
+                accs(q, u, u, 0)
 
     def test_binary_values_are_signs(self):
-        s = PhaseSequence(2, (0, 1, 0))
-        assert s.values().tolist() == [1, -1, 1]
+        values = unit_values(2, np.array([0, 1, 0]))
+        assert values.dtype == np.float64
+        assert values.tolist() == [1, -1, 1]
+        assert unit_values(1, np.zeros((2, 3), dtype=np.int64)).tolist() == [[1.0] * 3] * 2
 
     def test_quaternary_values_are_gaussian_integers(self):
-        s = PhaseSequence(4, (0, 1, 2, 3))
-        assert s.values().tolist() == [1, 1j, -1, -1j]
+        values = unit_values(4, np.array([0, 1, 2, 3]))
+        assert values.dtype == np.complex128
+        assert values.tolist() == [1, 1j, -1, -1j]
 
     def test_generic_modulus_uses_unit_circle(self):
-        s = PhaseSequence(8, (1,))
-        assert abs(s.values()[0] - np.exp(2j * np.pi / 8)) < 1e-12
+        assert abs(unit_values(8, np.array([1]))[0] - np.exp(2j * np.pi / 8)) < 1e-12
 
     def test_conjugate_negates_phases(self):
-        s = PhaseSequence(4, (0, 1, 2, 3))
-        assert s.conjugate().phases == (0, 3, 2, 1)
-        assert np.allclose(s.conjugate().values(), s.values().conj())
+        for q in (2, 4, 6, 8):
+            phases = np.arange(q)
+            assert np.allclose(unit_values(q, -phases % q), unit_values(q, phases).conj())
 
     def test_negate_shifts_by_half(self):
-        s = PhaseSequence(4, (0, 1, 2, 3))
-        assert s.negate().phases == (2, 3, 0, 1)
-        with pytest.raises(ValueError):
-            PhaseSequence(3, (0,)).negate()
-
-
-class TestRealizations:
-    def test_full_length(self):
-        f = GBF(3, 2, (Term(1, (z(0), z(1))),))
-        assert len(psi(f)) == 8
-
-    def test_prefix_suffix_partition(self):
-        f = GBF(4, 4, (Term(2, (z(0), z(1))), Term(1, (z(3),))))
-        full = psi(f).phases
-        for j in (1, 5, 8, 16):
-            assert psi_prefix(f, j).phases == full[:j]
-            assert psi_suffix(f, j).phases == full[16 - j:]
-
-    def test_cut_bounds(self):
-        f = GBF.zero(3, 2)
-        for bad in (0, 9):
-            with pytest.raises(ValueError):
-                psi_prefix(f, bad)
-            with pytest.raises(ValueError):
-                psi_suffix(f, bad)
+        for q in (2, 4, 6, 8):
+            phases = np.arange(q)
+            assert np.allclose(unit_values(q, (phases + q // 2) % q), -unit_values(q, phases))
 
 
 class TestComplementSubstitution:
