@@ -12,6 +12,7 @@ inadmissible construction inputs, 3 unreadable or malformed files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from . import __version__
@@ -100,7 +101,8 @@ def _build_code_set(args: argparse.Namespace):
         nvars = args.m1 - 4
         if nvars < 1:
             raise ValueError(f"need m1 >= 5, got {args.m1}")
-        d_vec = _parse_ints(args.d_vec) if args.d_vec else (0,) * nvars
+        # materialized only after Lemma1Params has bounded m1 by the set size
+        d_vec = _parse_ints(args.d_vec) if args.d_vec else itertools.repeat(0, nvars)
         base = Lemma1Params(
             m1=args.m1,
             quadratic=_quadratic_gbf(nvars, 2, _parse_edges(args.quadratic, 1)),

@@ -29,7 +29,7 @@ import numpy as np
 from .gbf import (
     GBF,
     Term,
-    bit_matrix,
+    bit_column,
     index_to_bits,
     resolve_bit_order,
     substitute_complement,
@@ -110,8 +110,48 @@ def _check_binary_entries(values, what: str) -> tuple[int, ...]:
     return out
 
 
+class SeedParams:
+    """All that row functions and assembly read of Lemma1Params and
+    Lemma2Params: the modulus q, the seed GBF seed() (build_g(self) or f),
+    the path end the row offsets toggle (pair_end or beta1), seed_length
+    (gamma or 2^m2: rows keep this prefix of their truth tables, partners
+    this suffix), k deleted vertices and the path certificate."""
+
+    @property
+    def path(self) -> PathCertificate:
+        return self._cert
+
+    @property
+    def k(self) -> int:
+        return len(self.deleted)
+
+    def _check_seed_size(self, name: str, m: int) -> None:
+        """Sort deleted; refuse a seed set over MAX_PHASES before any O(m) work.
+        It holds at least 2^(m + 2k + 1) phases, so a huge m fails the exponent
+        test unformed, and the message leaves out the count."""
+        object.__setattr__(self, "deleted", tuple(sorted(int(v) for v in self.deleted)))
+        k = self.k
+        if m + 2 * k + 1 > MAX_PHASES.bit_length() or 4 ** (k + 1) * self.seed_length > MAX_PHASES:
+            raise ValueError(
+                f"set of M * N * L = 4^(k+1) * seed_length phases exceeds the limit "
+                f"{MAX_PHASES}: {name} is too large for k={k} deleted vertices"
+            )
+
+    def _check_path(self, quadratic: GBF, required_weight: int | None = None) -> None:
+        """Run the path test once, keep its certificate on .path, and resolve
+        beta1 (None takes the smallest end)."""
+        cert = validate_deletion_path(graph_of_quadratic(quadratic), self.deleted, required_weight)
+        beta1 = cert.end_vertices[0] if self.beta1 is None else int(self.beta1)
+        if beta1 not in cert.end_vertices:
+            raise ValueError(
+                f"beta1={beta1} is not an end of the residual path; choices: {cert.end_vertices}"
+            )
+        object.__setattr__(self, "beta1", beta1)
+        object.__setattr__(self, "_cert", cert)
+
+
 @dataclass(frozen=True)
-class Lemma1Params:
+class Lemma1Params(SeedParams):
     """Inputs for the binary seed construction (modulus fixed at 2).
 
     quadratic is a strictly degree-2 GBF over the low m1 - 4 variables; the
@@ -123,9 +163,9 @@ class Lemma1Params:
     The two path ends play different roles.  beta1 is wired into the high
     four variables by the seed's patch terms, which makes it an interior
     vertex of the effective chain; the row offsets therefore toggle the
-    opposite end (.pair_end).  On a single-vertex path the two coincide.
-    Toggling beta1 instead breaks the correlation zone as soon as the path
-    has an edge.
+    opposite end (.pair_end, the seed interface's end).  On a single-vertex
+    path the two coincide.  Toggling beta1 instead breaks the correlation
+    zone as soon as the path has an edge.
     """
 
     m1: int
@@ -138,6 +178,7 @@ class Lemma1Params:
     def __post_init__(self) -> None:
         if self.m1 < 5:
             raise ValueError(f"need m1 >= 5, got {self.m1}")
+        self._check_seed_size("m1", self.m1)
         nvars = self.m1 - 4
         if self.quadratic.m != nvars:
             raise ValueError(
@@ -157,19 +198,14 @@ class Lemma1Params:
             raise ValueError(f"d_vec must have {nvars} entries, got {len(self.d_vec)}")
         if self.d not in (0, 1):
             raise ValueError(f"d must be 0 or 1, got {self.d}")
-        object.__setattr__(self, "deleted", tuple(sorted(int(v) for v in self.deleted)))
-        cert = validate_deletion_path(graph_of_quadratic(self.quadratic), self.deleted)
-        beta1 = cert.end_vertices[0] if self.beta1 is None else int(self.beta1)
-        if beta1 not in cert.end_vertices:
-            raise ValueError(
-                f"beta1={beta1} is not an end of the residual path; choices: {cert.end_vertices}"
-            )
-        object.__setattr__(self, "beta1", beta1)
-        object.__setattr__(self, "_cert", cert)
+        self._check_path(self.quadratic)
 
     @property
-    def path(self) -> PathCertificate:
-        return self._cert
+    def q(self) -> int:
+        return 2
+
+    def seed(self) -> GBF:
+        return build_g(self)
 
     @property
     def pair_end(self) -> int:
@@ -180,13 +216,11 @@ class Lemma1Params:
         return ends[1] if self.beta1 == ends[0] else ends[0]
 
     @property
-    def k(self) -> int:
-        return len(self.deleted)
-
-    @property
     def gamma(self) -> int:
         """Truncation length (1 << (m1 - 1)) + (1 << (m1 - 3))."""
         return (1 << (self.m1 - 1)) + (1 << (self.m1 - 3))
+
+    end, seed_length = pair_end, gamma
 
 
 def _check_block_choice(l: int, r: int, s_r) -> tuple[tuple[int, ...], ...] | None:
@@ -197,6 +231,8 @@ def _check_block_choice(l: int, r: int, s_r) -> tuple[tuple[int, ...], ...] | No
     if (r - 1) >> l:
         raise ValueError(f"block count R={r} exceeds 2^l for l={l}")
     if s_r is None:
+        if r & (r - 1):
+            raise ValueError(f"default block labels need R to be a power of two, got R={r}")
         return None
     chosen = tuple(_check_binary_entries(c, "s_r") for c in s_r)
     for c in chosen:
@@ -210,12 +246,13 @@ def _check_block_choice(l: int, r: int, s_r) -> tuple[tuple[int, ...], ...] | No
 
 
 @dataclass(frozen=True)
-class Lemma2Params:
+class Lemma2Params(SeedParams):
     """Inputs for the q-ary seed construction.
 
     f may carry any linear and constant terms, but its quadratic part must
     turn into a path after deleting the chosen vertices, with every
-    surviving edge weighted exactly q/2.
+    surviving edge weighted exactly q/2.  f is the seed itself, the row
+    offsets toggle beta1, and the seed codes keep all 2^m2 positions.
     """
 
     q: int
@@ -229,30 +266,24 @@ class Lemma2Params:
             raise ValueError(f"modulus must be even and at least 2, got {self.q}")
         if self.m2 < 1:
             raise ValueError(f"need m2 >= 1, got {self.m2}")
+        self._check_seed_size("m2", self.m2)
         if self.f.m != self.m2 or self.f.q != self.q:
             raise ValueError(
                 f"f must map {{0,1}}^{self.m2} into Z_{self.q}, "
                 f"got m={self.f.m}, q={self.f.q}"
             )
-        object.__setattr__(self, "deleted", tuple(sorted(int(v) for v in self.deleted)))
-        cert = validate_deletion_path(
-            graph_of_quadratic(self.f), self.deleted, required_weight=self.q // 2
-        )
-        beta1 = cert.end_vertices[0] if self.beta1 is None else int(self.beta1)
-        if beta1 not in cert.end_vertices:
-            raise ValueError(
-                f"beta1={beta1} is not an end of the residual path; choices: {cert.end_vertices}"
-            )
-        object.__setattr__(self, "beta1", beta1)
-        object.__setattr__(self, "_cert", cert)
+        self._check_path(self.f, required_weight=self.q // 2)
+
+    def seed(self) -> GBF:
+        return self.f
 
     @property
-    def path(self) -> PathCertificate:
-        return self._cert
+    def end(self) -> int:
+        return self.beta1
 
     @property
-    def k(self) -> int:
-        return len(self.deleted)
+    def seed_length(self) -> int:
+        return 1 << self.m2
 
 
 @dataclass(frozen=True)
@@ -266,8 +297,11 @@ class ChainParams:
     the default choice, the first R length-l vectors in ascending integer
     order under the active bit convention.  Beware: the zone property needs
     sum over blocks of (-1)^{<c xor c', bits(r)>} to vanish for every pair
-    of distinct labels.  The default satisfies this whenever R is a power
-    of two; an arbitrary choice may not, and verification will say so.
+    of distinct labels.  The default satisfies this exactly when R is a
+    power of two, and any other R with s_r=None raises ValueError: labels 0
+    and 2^t, t = floor(log2(R - 1)), sum to 2^(t+1) - R at zero shift.  An
+    explicit s_r is taken as given; if it breaks the zone, verification
+    will say so.
     """
 
     base: Lemma1Params | Lemma2Params
@@ -305,7 +339,7 @@ def build_g(params: Lemma1Params) -> GBF:
     m1 = params.m1
     v1, v2, v3, v4 = m1 - 1, m1 - 2, m1 - 3, m1 - 4
     b = params.beta1
-    terms = [Term(params.d)]
+    terms = [*params.quadratic.terms, Term(params.d)]
     terms += [Term(di, (z(i),)) for i, di in enumerate(params.d_vec)]
     terms += [
         Term(1, (zbar(v1), zbar(v4), z(v3))),
@@ -315,57 +349,36 @@ def build_g(params: Lemma1Params) -> GBF:
         Term(1, (z(b), zbar(v1), z(v2), z(v3))),
         Term(1, (z(b), z(v1), zbar(v2), zbar(v3))),
     ]
-    core = GBF(m1, 2, tuple(Term(t.coefficient, t.literals) for t in params.quadratic.terms))
-    return core + GBF(m1, 2, tuple(terms))
+    return GBF(m1, 2, tuple(terms))
 
 
-def _check_row_labels(k: int, a_vec, n: int) -> tuple[int, ...]:
+def _row_gbf(params: SeedParams, a_vec, n: int, bit_order, partner: bool) -> GBF:
     a = _check_binary_entries(a_vec, "a_vec")
-    if len(a) != k + 1:
-        raise ValueError(f"a_vec must have {k + 1} entries, got {len(a)}")
-    if not 0 <= n < (1 << k):
-        raise ValueError(f"n={n} out of range for k={k}")
-    return a
-
-
-def build_g_an(g: GBF, params: Lemma1Params, a_vec, n: int, bit_order: str | None = None) -> GBF:
-    """Row function: g plus (a_i + n_i) z_{p_i} over deleted vertices plus
-    a z on the pair end (the path end the patch terms leave free)."""
-    a = _check_row_labels(params.k, a_vec, n)
-    n_bits = index_to_bits(n, params.k, bit_order)
-    terms = [Term(ai + ni, (z(p),)) for p, ai, ni in zip(params.deleted, a, n_bits)]
-    terms.append(Term(a[-1], (z(params.pair_end),)))
-    return g + GBF(params.m1, 2, tuple(terms))
-
-
-def build_s_an(g: GBF, params: Lemma1Params, a_vec, n: int, bit_order: str | None = None) -> GBF:
-    """Partner row function: complement-substituted g, complemented offsets,
-    and the flipped tail coefficient (1 - a) on the pair end."""
-    a = _check_row_labels(params.k, a_vec, n)
-    n_bits = index_to_bits(n, params.k, bit_order)
-    terms = [Term(ai + ni, (zbar(p),)) for p, ai, ni in zip(params.deleted, a, n_bits)]
-    terms.append(Term(1 - a[-1], (z(params.pair_end),)))
-    return substitute_complement(g) + GBF(params.m1, 2, tuple(terms))
-
-
-def build_f_an(params: Lemma2Params, a_vec, n: int, bit_order: str | None = None) -> GBF:
-    """q-ary row function: f plus (q/2)-weighted offsets on the deleted
-    vertices and on z_{beta1}."""
-    a = _check_row_labels(params.k, a_vec, n)
+    if len(a) != params.k + 1:
+        raise ValueError(f"a_vec must have {params.k + 1} entries, got {len(a)}")
+    if not 0 <= n < (1 << params.k):
+        raise ValueError(f"n={n} out of range for k={params.k}")
     n_bits = index_to_bits(n, params.k, bit_order)
     half = params.q // 2
-    terms = [Term(half * (ai + ni), (z(p),)) for p, ai, ni in zip(params.deleted, a, n_bits)]
-    terms.append(Term(half * a[-1], (z(params.beta1),)))
-    return params.f + GBF(params.m2, params.q, tuple(terms))
+    seed = substitute_complement(params.seed()) if partner else params.seed()
+    lit = zbar if partner else z
+    terms = [Term(half * (ai + ni), (lit(p),)) for p, ai, ni in zip(params.deleted, a, n_bits)]
+    terms.append(Term(half * (1 - a[-1] if partner else a[-1]), (z(params.end),)))
+    return seed + GBF(seed.m, params.q, tuple(terms))
 
 
-def build_h_an(params: Lemma2Params, a_vec, n: int, bit_order: str | None = None) -> GBF:
-    a = _check_row_labels(params.k, a_vec, n)
-    n_bits = index_to_bits(n, params.k, bit_order)
-    half = params.q // 2
-    terms = [Term(half * (ai + ni), (zbar(p),)) for p, ai, ni in zip(params.deleted, a, n_bits)]
-    terms.append(Term(half * (1 - a[-1]), (z(params.beta1),)))
-    return substitute_complement(params.f) + GBF(params.m2, params.q, tuple(terms))
+def row_function(params: SeedParams, a_vec, n: int, bit_order: str | None = None) -> GBF:
+    """Row a of front code n: the seed plus (q/2)(a_i + n_i) z_{p_i} over the
+    deleted vertices p_i and (q/2) a_last z_end.  Its truth table's
+    seed_length-prefix is the row."""
+    return _row_gbf(params, a_vec, n, bit_order, partner=False)
+
+
+def partner_function(params: SeedParams, a_vec, n: int, bit_order: str | None = None) -> GBF:
+    """Partner of row_function: the complement-substituted seed, the deleted
+    offsets on complemented variables, and (q/2)(1 - a_last) z_end.  Row a
+    of back code n is the conjugate of its truth table's seed_length-suffix."""
+    return _row_gbf(params, a_vec, n, bit_order, partner=True)
 
 
 # ---------------------------------------------------------------------------
@@ -375,47 +388,47 @@ def build_h_an(params: Lemma2Params, a_vec, n: int, bit_order: str | None = None
 # coordinate fastest.  This is a fixed convention independent of bit order.
 
 
-def _row_tables(base: Lemma1Params | Lemma2Params, order: str):
+def _row_tables(base: SeedParams, order: str):
     """Phase tables of every row function and its partner, from one seed table.
 
-    Returns (q, half, rows, partners), the tables of shape (2^k, 2^(k+1), L0):
-    code n, row a.  Row (n, a) adds half * (a_i + n_i) z_{p_i} over the
-    deleted vertices p_i and half * a_last z_end to the seed.  Its partner
-    complements every variable of the seed and of the deleted-vertex
-    offsets, which maps index r to 2^m - 1 - r under both bit orders, and
-    adds half * (1 - a_last) z_end.  The binary family (q = 2, half = 1)
-    keeps the length-gamma prefix of rows and suffix of partners and puts
-    its offsets on pair_end; the q-ary family keeps full tables and uses
-    beta1.
+    Returns (rows, partners) of shape (2^k, 2^(k+1), seed_length): code n,
+    row a, the truth tables of row_function and partner_function cut to
+    their prefix and suffix.  A partner complements every variable but the
+    end's, which reverses the seed and deleted-vertex part of the table
+    under both bit orders.  Only the columns of the deleted vertices and of
+    the end vertex are built.
     """
-    if isinstance(base, Lemma1Params):
-        q, seed_fn, end, cut = 2, build_g(base), base.pair_end, base.gamma
-    else:
-        q, seed_fn, end, cut = base.q, base.f, base.beta1, 1 << base.m2
-    half = q // 2
-    seed = truth_table(seed_fn, order)
-    bits = bit_matrix(seed_fn.m, order)
-    k = base.k
-    labels = np.array(list(itertools.product((0, 1), repeat=k + 1)), dtype=np.int64)[None]
-    deleted = labels[..., :k] + bit_matrix(k, order)[:, None, :]
-    with_deleted = seed + half * (deleted @ bits[:, list(base.deleted)].T)
-    tail = labels[..., k:] * bits[:, end]
-    rows = (with_deleted + half * tail) % q
-    partners = (with_deleted[..., ::-1] + half * (bits[:, end] - tail)) % q
-    return q, half, rows[..., :cut], partners[..., seed.size - cut:]
+    seed_fn = base.seed()
+    m, q, k, half, cut = seed_fn.m, base.q, base.k, base.q // 2, base.seed_length
+    index = np.arange(1 << m, dtype=np.int64)
+    columns = np.array([bit_column(index, p, m, order) for p in base.deleted], dtype=np.int64)
+    labels = np.array(list(itertools.product((0, 1), repeat=k + 1)), dtype=np.int64)
+    n_bits = np.array([index_to_bits(n, k, order) for n in range(1 << k)], dtype=np.int64)
+    coefficients = half * (labels[None, :, :k] + n_bits.reshape(1 << k, 1, k))
+    with_deleted = coefficients @ columns.reshape(k, 1 << m)
+    with_deleted += truth_table(seed_fn, order)
+    end = half * bit_column(index, base.end, m, order)
+    tail = labels[:, k:] * end
+    rows = with_deleted + tail
+    rows %= q
+    # the partners reuse with_deleted's memory, reversed: + (end - tail)
+    partners = with_deleted[..., ::-1]
+    tail -= end
+    partners -= tail
+    partners %= q
+    return rows[..., :cut], partners[..., (1 << m) - cut:]
 
 
-def _check_size(base: Lemma1Params | Lemma2Params, codes: int, blocks: int) -> None:
+def _check_size(base: SeedParams, codes: int, blocks: int) -> None:
     """Reject a set of codes * 2^(k+1) codes of 2^(k+1) rows, each blocks seed
     lengths long, whose M * N * L exceeds MAX_PHASES; nothing is built yet."""
-    seed_length = base.gamma if isinstance(base, Lemma1Params) else 1 << base.m2
-    count = codes * 4 ** (base.k + 1) * blocks * seed_length
+    count = codes * 4 ** (base.k + 1) * blocks * base.seed_length
     if count > MAX_PHASES:
         raise ValueError(f"set of M * N * L = {count} phases exceeds the limit {MAX_PHASES}")
 
 
 def _chained_code_set(
-    base: Lemma1Params | Lemma2Params,
+    base: SeedParams,
     order: str,
     signs,
     zone_blocks: int,
@@ -430,21 +443,22 @@ def _chained_code_set(
     the same way and conjugated.  The declared zone is zone_blocks seed
     lengths.  chain_doc adds block parameters to the provenance record.
     """
-    _check_size(base, len(signs), len(signs[0]))
-    q, half, rows, partners = _row_tables(base, order)
-    offsets = half * np.asarray(signs, dtype=np.int64)[None, :, None, :, None]
-
-    def chain(tables: np.ndarray) -> np.ndarray:
-        _, n_rows, cut = tables.shape
-        blocks = tables[:, None, :, None, :] + offsets
-        return blocks.reshape(-1, n_rows, offsets.shape[3] * cut)
-
-    phases = np.concatenate([chain(rows) % q, -chain(partners) % q])
+    labels, blocks = np.shape(signs)
+    _check_size(base, labels, blocks)
+    q = base.q
+    rows, partners = _row_tables(base, order)
+    codes, n_rows, cut = rows.shape
+    offsets = q // 2 * np.asarray(signs, dtype=np.int64)[None, :, None, :, None]
+    phases = np.empty((2, codes, labels, n_rows, blocks, cut), dtype=np.int64)
+    np.add(rows[:, None, :, None, :], offsets, out=phases[0])
+    np.subtract(-offsets, partners[:, None, :, None, :], out=phases[1])
+    del rows, partners
+    phases %= q
     parameters = {**_base_doc(base), **(chain_doc or {})}
     return CodeSet(
         q=q,
-        zcz=zone_blocks * rows.shape[2],
-        phases=phases,
+        zcz=zone_blocks * cut,
+        phases=phases.reshape(-1, n_rows, blocks * cut),
         provenance={"construction": construction, "bit_order": order, "parameters": parameters},
     )
 

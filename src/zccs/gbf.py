@@ -16,7 +16,6 @@ conventions can be tested side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -189,34 +188,33 @@ def bits_to_index(bits: tuple[int, ...], order: str | None = None) -> int:
     return r
 
 
-@lru_cache(maxsize=None)
-def bit_matrix(m: int, order: str) -> np.ndarray:
-    """(2^m, m) matrix whose row r is index_to_bits(r, m, order)."""
-    r = np.arange(1 << m, dtype=np.int64)
-    if order == "lsb":
-        shifts = np.arange(m, dtype=np.int64)
-    else:
-        shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
-    bits = (r[:, None] >> shifts[None, :]) & 1
-    bits.setflags(write=False)
-    return bits
+def bit_column(index: np.ndarray, var: int, m: int, order: str) -> np.ndarray:
+    """Bit z_var of every index in an array of m-bit indices, under order."""
+    return (index >> (m - 1 - var if order == "msb" else var)) & 1
 
 
 def truth_table(f: GBF, order: str | None = None) -> np.ndarray:
     """All 2^m values of f, indexed by the bit-order convention.
 
     Returns an int64 array t with t[r] = f(index_to_bits(r, m, order)).
+    Each literal's bit column is shifted out of one index array into a
+    reused buffer, so the work memory is four length-2^m arrays for any m.
     """
-    order = resolve_bit_order(order)
-    bits = bit_matrix(f.m, order)
-    acc = np.zeros(1 << f.m, dtype=np.int64)
+    msb = resolve_bit_order(order) == "msb"
+    index = np.arange(1 << f.m, dtype=np.int64)
+    acc = np.zeros_like(index)
+    prod, bit = np.empty_like(index), np.empty_like(index)
     for t in f.terms:
-        prod = np.full(1 << f.m, t.coefficient, dtype=np.int64)
+        prod.fill(t.coefficient)
         for lit in t.literals:
-            col = bits[:, lit.var_index]
-            prod *= (1 - col) if lit.complemented else col
+            np.right_shift(index, f.m - 1 - lit.var_index if msb else lit.var_index, out=bit)
+            bit &= 1
+            if lit.complemented:
+                bit ^= 1
+            prod *= bit
         acc += prod
-    return acc % f.q
+    acc %= f.q
+    return acc
 
 
 def unit_values(q: int, phases: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 Code-set files are written in a canonical layout (fixed key order, one code
 per line, trailing newline) so that serialize -> parse -> serialize is
 byte-identical.  They contain integers only; phases are stored directly and
-never converted to floating point.  Reports are plain JSON for human and
-machine consumption and carry no such guarantee.
+never converted to floating point.  Reports are compact JSON on one line
+and carry no such guarantee.
 """
 
 from __future__ import annotations
@@ -149,9 +149,9 @@ def report_to_document(report: CorrelationReport) -> dict:
 
 
 def save_report(report: CorrelationReport, path) -> None:
-    Path(path).write_text(
-        json.dumps(report_to_document(report), indent=2) + "\n", encoding="utf-8"
-    )
+    """Compact JSON plus a newline: without indent, json uses its C encoder."""
+    text = json.dumps(report_to_document(report), separators=(",", ":"))
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def export_csv(code_set: CodeSet, path) -> None:

@@ -180,6 +180,26 @@ def _qary_row_tables(doc: dict, order: str):
 # assembly
 
 
+def _described_dims(construction: str, doc: dict, length: int) -> tuple[int, int, int] | None:
+    """(M, N, L) of the set the parameters describe, or None when they cannot
+    describe one of this length.  A seed length is at least 2^(m - 1), so m
+    is held to length's bit length before any power of two is formed, and l
+    to the length of every stored label."""
+    qary = construction in ("lemma2", "thm2")
+    m = doc["m2"] if qary else doc["m1"]
+    if type(m) is not int or not (1 if qary else 5) <= m <= length.bit_length():
+        return None
+    seed_length = 1 << m if qary else (1 << (m - 1)) + (1 << (m - 3))
+    if construction in ("thm1", "thm2"):
+        if type(doc["R"]) is not int or any(len(c) != doc["l"] for c in doc["s_r"]):
+            return None
+        labels, blocks = len(doc["s_r"]), doc["R"]
+    else:
+        labels, blocks = 1, 3 if construction == "thm3" else 1
+    rows = 2 << len(doc["deleted"])
+    return rows * labels, rows, blocks * seed_length
+
+
 def _parity(c: list[int], block: int, l: int, order: str) -> int:
     rb = _bits(block, l, order)
     return sum(ci * bi for ci, bi in zip(c, rb)) % 2
@@ -204,7 +224,9 @@ def oracle_regenerate(code_set: CodeSet) -> CodeSet:
     The result carries a copy of the provenance, so a faithful generator
     satisfies oracle_regenerate(cs) == cs.  Raises ValueError when the set
     has no provenance, names an unknown construction or bit order, or its
-    parameters are not an object holding every field the construction needs.
+    parameters are not an object holding every field the construction needs
+    and describing a set of the stored (M, N, L).  That comparison comes
+    before any loop, so a forged record cannot size the work.
     """
     prov = code_set.provenance
     if not prov:
@@ -228,6 +250,16 @@ def oracle_regenerate(code_set: CodeSet) -> CodeSet:
     missing = [name for name in fields if name not in doc]
     if missing:
         raise ValueError(f"provenance record is incomplete: parameters lack {', '.join(missing)}")
+    dims = code_set.dims[:3]
+    try:
+        described = _described_dims(construction, doc, code_set.length)
+    except TypeError:
+        described = None
+    if described != dims:
+        raise ValueError(
+            f"provenance record is incomplete: its parameters do not describe an "
+            f"(M, N, L) = {dims} set"
+        )
     if qary:
         q = doc["q"]
         seed_length, fronts, backs = _qary_row_tables(doc, order)

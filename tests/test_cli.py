@@ -78,6 +78,35 @@ class TestGenerate:
         assert stderr.startswith("error: set of M * N * L = ")
         assert "exceeds the limit" in stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lemma1", "--m1", "100000", "--quadratic", "0-1"],
+            ["thm1", "--m1", "100000", "--quadratic", "0-1", "--l", "1", "--R", "2"],
+            ["lemma2", "--m2", "100000", "--q", "2", "--quadratic", "0-1"],
+        ],
+        ids=["lemma1", "thm1", "lemma2"],
+    )
+    def test_huge_seed_is_refused_before_the_path_test(self, capsys, argv):
+        code, _, stderr = run(capsys, "generate", *argv)
+        assert code == 2
+        assert stderr.startswith("error: set of M * N * L = ")
+        assert len(stderr.encode()) < 1024
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["thm1", *EXAMPLE_ARGS],
+            ["thm2", "--m2", "3", "--q", "4", "--quadratic", "0-1:2,1-2:2"],
+        ],
+        ids=["thm1", "thm2"],
+    )
+    def test_default_labels_for_r_6_are_exit_2(self, capsys, argv):
+        code, stdout, stderr = run(capsys, "generate", *argv, "--l", "3", "--R", "6")
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: default block labels") and "R=6" in stderr
+
     def test_missing_block_arguments(self, capsys):
         code, _, stderr = run(capsys, "generate", "thm1", *EXAMPLE_ARGS)
         assert code == 2

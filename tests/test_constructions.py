@@ -1,6 +1,7 @@
 """Construction layer: parameter objects, seed functions, generators."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,14 +15,12 @@ from zccs import (
     Term,
     Theorem1Params,
     Theorem2Params,
-    build_f_an,
     build_g,
-    build_g_an,
-    build_h_an,
-    build_s_an,
     eval_gbf,
     lemma1_ccc,
     lemma2_ccc,
+    partner_function,
+    row_function,
     theorem1_zccs,
     theorem2_zccs,
     theorem3_zccs,
@@ -145,27 +144,25 @@ class TestSeedFunction:
 class TestRowFunctions:
     def test_zero_labels_leave_seed_unchanged(self):
         p = tiny_params()
-        g = build_g(p)
-        assert build_g_an(g, p, (0,), 0) == g
+        assert row_function(p, (0,), 0) == build_g(p)
 
     def test_unit_label_toggles_pair_end(self):
         q = quadratic_gbf(2, [(0, 1)])
         p = Lemma1Params(6, q, (0, 0), beta1=0)
         g = build_g(p)
-        offset = build_g_an(g, p, (1,), 0) + g  # mod-2 difference
+        offset = row_function(p, (1,), 0) + g  # mod-2 difference
         assert offset == GBF(6, 2, (Term(1, (z(p.pair_end),)),))
 
     def test_mod2_cancellation_of_matching_labels(self):
         q = quadratic_gbf(2, [(0, 1)])
         p = Lemma1Params(7, quadratic_gbf(3, [(1, 2)]), (0, 0, 0), deleted=(0,), beta1=1)
-        g = build_g(p)
         # a_0 = n_0 = 1 cancels; only the tail label remains
-        assert build_g_an(g, p, (1, 1), 1) == build_g_an(g, p, (0, 1), 0)
+        assert row_function(p, (1, 1), 1) == row_function(p, (0, 1), 0)
 
     def test_partner_uses_complemented_offsets(self):
         p = Lemma1Params(7, quadratic_gbf(3, [(1, 2)]), (0, 0, 0), deleted=(0,), beta1=1)
         g = build_g(p)
-        s = build_s_an(g, p, (1, 1), 0)
+        s = partner_function(p, (1, 1), 0)
         # direct reconstruction from the definition
         from zccs import substitute_complement, zbar
 
@@ -176,13 +173,12 @@ class TestRowFunctions:
 
     def test_label_validation(self):
         p = tiny_params()
-        g = build_g(p)
         with pytest.raises(ValueError):
-            build_g_an(g, p, (0, 1), 0)  # wrong arity
+            row_function(p, (0, 1), 0)  # wrong arity
         with pytest.raises(ValueError):
-            build_g_an(g, p, (2,), 0)  # not a bit
+            row_function(p, (2,), 0)  # not a bit
         with pytest.raises(ValueError):
-            build_g_an(g, p, (0,), 1)  # n out of range for k=0
+            row_function(p, (0,), 1)  # n out of range for k=0
 
 
 class TestBlockParams:
@@ -217,6 +213,14 @@ class TestBlockParams:
             theorem1_zccs(Theorem1Params(base, l=1, r=2))
         assert lemma1_ccc(base).dims == (2, 2, 20, 20)
 
+    @pytest.mark.parametrize("r", [6, 10, 12])
+    def test_default_labels_need_a_power_of_two(self, r):
+        # labels 0 and 2^t, t = floor(log2(R - 1)), leave 2^(t+1) - R at zero shift
+        qary = [Lemma2Params(q, 2, GBF(2, q, (Term(q // 2, (z(0), z(1))),))) for q in (2, 4)]
+        for base in (tiny_params(), *qary):
+            with pytest.raises(ValueError, match=f"power of two, got R={r}"):
+                Theorem1Params(base, l=4, r=r)
+
     def test_default_labels_follow_bit_order(self):
         t = Theorem1Params(tiny_params(), l=2, r=2)
         assert t.resolved_s_r("lsb") == ((0, 0), (1, 0))
@@ -225,6 +229,55 @@ class TestBlockParams:
     def test_explicit_labels_win(self):
         t = Theorem1Params(tiny_params(), l=2, r=2, s_r=((1, 1), (0, 0)))
         assert t.resolved_s_r("lsb") == ((1, 1), (0, 0))
+
+
+class TestSizeComesFirst:
+    """A seed set beyond MAX_PHASES is refused before any check that grows with m."""
+
+    def test_binary_size_before_d_vec_and_path(self):
+        triangle_plus = quadratic_gbf(26, [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(ValueError, match="m1 is too large for k=0"):
+            Lemma1Params(30, triangle_plus, ())
+
+    def test_qary_size_before_path(self):
+        f = GBF(40, 4, (Term(2, (z(0), z(1))),))  # 40 variables, no path
+        with pytest.raises(ValueError, match="m2 is too large for k=1"):
+            Lemma2Params(4, 40, f, deleted=(3,))
+
+    def test_deleted_vertices_count(self, monkeypatch):
+        # the k = 1 seed set of m2 = 2 holds 16 * 4 = 64 phases
+        f = GBF(2, 4, (Term(2, (z(0), z(1))),))
+        monkeypatch.setattr(constructions, "MAX_PHASES", 63)
+        assert Lemma2Params(4, 2, f).seed_length == 4
+        with pytest.raises(ValueError, match="m2 is too large for k=1"):
+            Lemma2Params(4, 2, f, deleted=(0,))
+
+
+class TestSeedInterface:
+    def test_both_families_answer_the_same_questions(self):
+        binary = Lemma1Params(7, quadratic_gbf(3, [(0, 1), (1, 2)]), (1, 0, 1), deleted=(0,))
+        f = GBF(3, 6, (Term(3, (z(0), z(1))), Term(3, (z(1), z(2))), Term(5, (z(0),))))
+        qary = Lemma2Params(6, 3, f, deleted=(0,), beta1=2)
+        assert (binary.q, binary.end, binary.seed_length) == (2, binary.pair_end, binary.gamma)
+        assert binary.seed() == build_g(binary)
+        assert (qary.q, qary.end, qary.seed_length) == (6, 2, 8)
+        assert qary.seed() == f
+        assert binary.k == qary.k == 1
+
+
+class TestGenerationMemory:
+    def test_lemma2_peak_stays_within_four_sets(self):
+        # no 2^m x m bit matrix: the peak is a few copies of the set itself
+        f = GBF(18, 4, tuple(Term(2, (z(i), z(i + 1))) for i in range(17)))
+        params = Lemma2Params(4, 18, f)
+        tracemalloc.start()
+        try:
+            cs = lemma2_ccc(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cs.dims == (2, 2, 1 << 18, 1 << 18)
+        assert peak <= 4 * cs.phases.nbytes, peak / cs.phases.nbytes
 
 
 class TestBinaryGenerators:
@@ -256,18 +309,18 @@ class TestBinaryGenerators:
             enumerate(((), (0,), (0, 1))), (4, 6), ("lsb", "msb")
         ):
             binary = Lemma1Params(7, path, (1, 0, 1), d=1, deleted=deleted)
-            g, gamma = build_g(binary), binary.gamma
+            gamma = binary.gamma
             half = q // 2
             f = GBF(3, q, (Term(half, (z(0), z(1))), Term(half, (z(1), z(2))),
                            Term(q - 1, (z(0),)), Term(1, (z(2),)), Term(1)))
             qary = Lemma2Params(q, 3, f, deleted=deleted)
             families = [
                 (lemma1_ccc(binary, order), 2,
-                 lambda a, n: truth_table(build_g_an(g, binary, a, n, order), order)[:gamma],
-                 lambda a, n: truth_table(build_s_an(g, binary, a, n, order), order)[-gamma:]),
+                 lambda a, n: truth_table(row_function(binary, a, n, order), order)[:gamma],
+                 lambda a, n: truth_table(partner_function(binary, a, n, order), order)[-gamma:]),
                 (lemma2_ccc(qary, order), q,
-                 lambda a, n: truth_table(build_f_an(qary, a, n, order), order),
-                 lambda a, n: truth_table(build_h_an(qary, a, n, order), order)),
+                 lambda a, n: truth_table(row_function(qary, a, n, order), order),
+                 lambda a, n: truth_table(partner_function(qary, a, n, order), order)),
             ]
             for cs, modulus, row_fn, partner_fn in families:
                 for row, a_vec in enumerate(itertools.product((0, 1), repeat=k + 1)):
@@ -344,10 +397,10 @@ class TestQaryParamsAndGenerators:
     def test_row_offsets_scale_with_half_modulus(self):
         f = GBF(2, 4, (Term(2, (z(0), z(1))),))
         p = Lemma2Params(4, 2, f, beta1=0)
-        fa = build_f_an(p, (1,), 0)
+        fa = row_function(p, (1,), 0)
         assert fa == f + GBF(2, 4, (Term(2, (z(0),)),))
         # partner with a=1 drops its tail term entirely
-        ha = build_h_an(p, (1,), 0)
+        ha = partner_function(p, (1,), 0)
         from zccs import substitute_complement
 
         assert ha == substitute_complement(f)

@@ -28,7 +28,7 @@ from zccs import (
 )
 from zccs.cli import main
 
-from conftest import quadratic_gbf
+from conftest import mutate_one_phase, quadratic_gbf
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +148,15 @@ class TestReports:
         save_report(verify_zccs(binary_set), path)
         parsed = json.loads(path.read_text(encoding="utf-8"))
         assert parsed["summary"]["measured_zcz"] == binary_set.length
+
+    def test_failing_report_round_trips(self, tmp_path, binary_set):
+        report = verify_zccs(mutate_one_phase(binary_set, ci=1, ri=0, pos=3))
+        assert report.violations
+        path = tmp_path / "report.json"
+        save_report(report, path)
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert json.loads(text) == report_to_document(report)
 
 
 class TestCsv:

@@ -127,6 +127,25 @@ class TestProvenanceValidation:
         with pytest.raises(ValueError, match="provenance record is incomplete"):
             oracle_regenerate(bad)
 
+    @pytest.mark.parametrize(
+        "build,field,value",
+        [
+            (lambda: lemma1_ccc(Lemma1Params(5, GBF(1, 2, ()), (0,))), "m1", 17),
+            (lambda: lemma2_ccc(qary_base()), "m2", 4),
+            (lambda: theorem1_zccs(Theorem1Params(Lemma1Params(5, GBF(1, 2, ()), (0,)), l=2, r=2)),
+             "R", 4),
+        ],
+        ids=["lemma1-m1", "lemma2-m2", "thm1-R"],
+    )
+    def test_forged_dimensions(self, build, field, value):
+        # the record must describe the stored (M, N, L) before anything is regenerated
+        cs = build()
+        assert oracle_regenerate(cs) == cs
+        prov = copy.deepcopy(cs.provenance)
+        prov["parameters"][field] = value
+        with pytest.raises(ValueError, match="provenance record is incomplete"):
+            oracle_regenerate(dataclasses.replace(cs, provenance=prov))
+
     def test_unknown_bit_order(self):
         cs = lemma1_ccc(Lemma1Params(5, GBF(1, 2, ()), (0,)))
         prov = dict(cs.provenance)
