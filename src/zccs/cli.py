@@ -27,7 +27,7 @@ from .constructions import (
     lemma2_ccc,
     theorem3_zccs,
 )
-from .correlation import is_optimal, verify_zccs
+from .correlation import ProfileSizeError, is_optimal, verify_zccs
 from .gbf import z
 from .graphs import LabeledGraph, NotAPathError, enumerate_admissible_deletions
 from .io import (
@@ -145,7 +145,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _print_verification(report) -> None:
-    arithmetic = "exact" if report.exact else f"float, tolerance {report.tolerance:g}"
+    arithmetic = "exact" if report.exact else f"not certified, tolerance {report.tolerance:g}"
     print(
         f"set: q={report.q}, (M, N, L) = "
         f"({report.set_size}, {report.code_size}, {report.length})"
@@ -255,7 +255,7 @@ def main(argv=None) -> int:
     except NotAPathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CodeSetFormatError as exc:
+    except (CodeSetFormatError, ProfileSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

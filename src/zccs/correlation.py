@@ -9,7 +9,7 @@ where the zero-correlation claim breaks.
 A sequence is a 1-D integer array of phases in Z_q, a code its (N, L)
 rows, and a set the CodeSet's (M, N, L) array.  gbf.unit_values is the one
 table from phases to values, and the modulus alone fixes the arithmetic:
-exact for q in EXACT_MODULI, complex128 with a tolerance otherwise.
+integers for q in EXACT_MODULI, complex128 otherwise.
 
 verify_zccs computes every pair profile with one batched FFT engine.  It
 transforms the set's whole (M, N, L) value array once, zero-padded to the
@@ -20,22 +20,19 @@ Real value arrays (q <= 2) use rfft/irfft, complex ones fft/ifft.
 accs and set_accs compute one shift by direct dot products and share no
 code with the engine but unit_values, so the two check each other.
 
-Arithmetic is exact for moduli 1, 2 and 4, whose values are the Gaussian
-integers +-1 and +-i.  The engine rounds each code's block of profiles to
-integers and certifies the rounding: an a-priori round-off bound
-(_rounding_bound) and the largest observed distance to an integer must
-both stay below 1/4.  A block that fails either check is recomputed
-in integers by np.correlate.  A zero test is then literal equality.
+For q in EXACT_MODULI the values are the Gaussian integers +-1 and +-i.
+The engine rounds each code's block of profiles to integers and certifies
+the rounding: _rounding_bound and the largest observed distance to an
+integer must both stay below 1/4, or np.correlate recomputes the block.
 
-Other moduli are checked in complex128 with an absolute tolerance of
-1e-6 * N * L, and their reports say exact=False.  The tolerance sits far
-above the round-off, but it does not sit below every nonzero sum: for
-phi(q) > 2 a nonzero sum of q-th roots of unity can be arbitrarily small.
-One q = 8 pair of rows with N = 1 and L = 3363 (u holding 1393 zeros, 985
-fives and 985 threes, v all zeros) has the cross sum 1393 - 985 * sqrt(2),
-about -3.6e-4, at shift 0.  Its tolerance is 3.4e-3, so verify_zccs passes
-that set although the sum violates the zone.  Exact checking for every
-modulus is the ROADMAP.md item "Exact verification for every modulus".
+One zero test serves every modulus: a nonzero sum in Z[zeta_q] has modulus
+at least s (_separation), so its real or imaginary part exceeds s / 2.  A
+part above tolerance = max(s / 4, b) counts as nonzero, where the round-off
+b is 0 for integer profiles and _rounding_bound otherwise.  The verdict is
+exact, certified, when b < s / 4; otherwise a zero sum still never reads
+as nonzero, and the report says exact=False.  s = 1 for q in
+{1, 2, 3, 4, 6}; q = 5, 8, 10, 12 are certified up to L = 65536, 32768,
+16384, 8192, 4096 for N = 1, 2, 4, 8, 16.
 """
 
 from __future__ import annotations
@@ -50,13 +47,19 @@ from .gbf import unit_values
 
 EXACT_MODULI = (1, 2, 4)
 
-FLOAT_TOLERANCE_SCALE = 1e-6
+# The most profile entries M(M+1)/2 * (2L - 1) verify allocates, 1.55 times
+# the 10.8M of the (32, 4, 10240) thm1 set; as float64 pairs they take 268 MB.
+MAX_PROFILE_ENTRIES = 1 << 24
+
+
+class ProfileSizeError(ValueError):
+    """The set's profiles would exceed MAX_PROFILE_ENTRIES."""
 
 
 class CorrelationValue(NamedTuple):
     """One correlation sum, split into real and imaginary parts.
 
-    Both parts are ints when produced by the exact engine, floats otherwise.
+    Both parts are ints for q in EXACT_MODULI, floats otherwise.
     """
 
     real: int | float
@@ -67,9 +70,6 @@ class CorrelationValue(NamedTuple):
 
     def magnitude(self) -> float:
         return float(np.hypot(self.real, self.imag))
-
-    def is_zero(self, tolerance: float = 0.0) -> bool:
-        return abs(self.real) <= tolerance and abs(self.imag) <= tolerance
 
 
 class Violation(NamedTuple):
@@ -91,12 +91,15 @@ class CorrelationReport:
 
     profiles is one (M(M+1)/2, 2L-1, 2) array, with one row per code pair
     (i, j), i <= j, in the order of np.triu_indices(M).  It holds integers
-    when exact (int32 unless N * L needs int64), float64 otherwise.
-    profiles[p, t] holds the real and imaginary parts of the pair's sum at
-    shift tau = t - (L - 1).  measured_zcz is the widest zone the data
-    actually supports: the smallest |tau| at which any pair turns nonzero
-    (L when none does), or 0 when some peak misses.
-    zccs_ok refers to the zone that was checked, z_checked.
+    for q in EXACT_MODULI (int32 unless N * L needs int64), float64
+    otherwise.  profiles[p, t] holds the real and imaginary parts of the
+    pair's sum at shift tau = t - (L - 1).  A part beyond tolerance counts
+    as nonzero, and exact says the verdict is certified: every zero part
+    reads within tolerance and every nonzero one beyond it.
+    measured_zcz is the widest zone the data actually supports: the
+    smallest |tau| at which any pair turns nonzero (L when none does), or 0
+    when some peak misses.  zccs_ok refers to the zone that was checked,
+    z_checked.
     """
 
     set_size: int
@@ -119,7 +122,7 @@ class CorrelationReport:
         if not 0 <= i <= j < self.set_size:
             raise ValueError(f"need 0 <= i <= j < {self.set_size}, got i={i}, j={j}")
         if abs(tau) >= self.length:
-            return CorrelationValue(0, 0) if self.exact else CorrelationValue(0.0, 0.0)
+            return CorrelationValue(*np.zeros(2, self.profiles.dtype).tolist())
         pair = i * self.set_size - i * (i - 1) // 2 + j - i
         return CorrelationValue(*self.profiles[pair, tau + self.length - 1].tolist())
 
@@ -148,25 +151,22 @@ def accs(q: int, u, v, tau: int) -> CorrelationValue:
 
     Computed by direct dot product, deliberately not sharing code with the
     batched profile path so the two can check each other.  The parts are
-    ints for q in EXACT_MODULI, floats otherwise.
+    ints for q in EXACT_MODULI, whose float partial sums are exact integers
+    below 2^53, and floats otherwise.
     """
     u, v = _phase_row(q, u), _phase_row(q, v)
     length = len(u)
     if len(v) != length:
         raise ValueError(f"sequences differ in length: {length} vs {len(v)}")
-    exact = q in EXACT_MODULI
+    cast = int if q in EXACT_MODULI else float
     if abs(tau) >= length:
-        return CorrelationValue(0, 0) if exact else CorrelationValue(0.0, 0.0)
+        return CorrelationValue(cast(0), cast(0))
     if tau < 0:
         flipped = accs(q, v, u, -tau)
         return CorrelationValue(flipped.real, -flipped.imag)
     u_values, v_values = unit_values(q, u)[tau:], unit_values(q, v)[: length - tau]
-    if exact:
-        ur, ui = u_values.real.astype(np.int64), u_values.imag.astype(np.int64)
-        vr, vi = v_values.real.astype(np.int64), v_values.imag.astype(np.int64)
-        return CorrelationValue(int(ur @ vr) + int(ui @ vi), int(ui @ vr) - int(ur @ vi))
     total = np.vdot(v_values, u_values)
-    return CorrelationValue(float(total.real), float(total.imag))
+    return CorrelationValue(cast(total.real), cast(total.imag))
 
 
 def set_accs(q: int, code_u, code_v, tau: int) -> CorrelationValue:
@@ -200,9 +200,9 @@ def _rounding_bound(code_size: int, length: int) -> float:
     are not plain radix-2; the factor 16 in place of 12 is a margin for
     them, not a proof, and the observed-residual check does not rest on it.
     """
-    n = _fft_length(length)
+    log_n = _fft_length(length).bit_length() - 1
     eps = float(np.finfo(np.float64).eps)
-    return 16 * eps * (np.log2(n) + code_size) * code_size * length**1.5
+    return 16 * eps * (log_n + code_size) * code_size * length**1.5
 
 
 def _round_certified(block: np.ndarray, bound: float, direct) -> np.ndarray:
@@ -223,17 +223,15 @@ def _direct_block(i: int, values: np.ndarray) -> np.ndarray:
     """(M - i, 2L - 1, 2) integer profiles of the pairs (i, j >= i).
 
     values is the set's exact (M, N, L) value array; its real and imaginary
-    parts are integers.  np.correlate(a, v, "full") lists
-    sum_t a[t + tau] * v[t] for tau from -(L - 1) to L - 1 in ascending
-    order, which is the profile's order.
+    parts are integers, so every float partial sum below 2^53 is exact.
+    np.correlate(a, v, "full") lists sum_t a[t + tau] * conj(v[t]) for tau
+    from -(L - 1) to L - 1 in ascending order, which is the profile's order.
     """
-    real, imag = values.real.astype(np.int64), values.imag.astype(np.int64)
-    set_size, _, length = real.shape
-    block = np.zeros((set_size - i, 2 * length - 1, 2), dtype=np.int64)
+    set_size, _, length = values.shape
+    block = np.empty((set_size - i, 2 * length - 1, 2), dtype=np.int64)
     for j in range(i, set_size):
-        for ur, ui, vr, vi in zip(real[i], imag[i], real[j], imag[j]):
-            block[j - i, :, 0] += np.correlate(ur, vr, "full") + np.correlate(ui, vi, "full")
-            block[j - i, :, 1] += np.correlate(ui, vr, "full") - np.correlate(ur, vi, "full")
+        sums = sum(np.correlate(u, v, "full") for u, v in zip(values[i], values[j]))
+        block[j - i, :, 0], block[j - i, :, 1] = sums.real, sums.imag
     return block
 
 
@@ -242,7 +240,7 @@ def _exact_dtype(code_size: int, length: int) -> type:
     return np.int32 if code_size * length <= np.iinfo(np.int32).max else np.int64
 
 
-def _profiles(code_set: CodeSet, exact: bool) -> np.ndarray:
+def _profiles(code_set: CodeSet, integer: bool) -> np.ndarray:
     """Every pair profile of the set; see CorrelationReport.profiles."""
     q, phases = code_set.q, code_set.phases
     set_size, code_size, length = phases.shape
@@ -260,20 +258,20 @@ def _profiles(code_set: CodeSet, exact: bool) -> np.ndarray:
 
     profiles = np.empty(
         (set_size * (set_size + 1) // 2, 2 * length - 1, 2),
-        dtype=_exact_dtype(code_size, length) if exact else np.float64,
+        dtype=_exact_dtype(code_size, length) if integer else np.float64,
     )
     start = 0
     for i in range(set_size):
         stop = start + set_size - i
         sums = inverse(np.einsum("nf,jnf->jf", spectra[i].conj(), spectra[i:]), n)
-        block = np.empty(profiles[start:stop].shape) if exact else profiles[start:stop]
+        block = np.empty(profiles[start:stop].shape) if integer else profiles[start:stop]
         # shift tau sits at index tau mod n of the circular correlation
         block[:, : length - 1, 0] = sums[:, n - length + 1 :].real
         block[:, length - 1 :, 0] = sums[:, :length].real
         block[:, : length - 1, 1] = sums[:, n - length + 1 :].imag
         block[:, length - 1 :, 1] = sums[:, :length].imag
         del sums
-        if exact:
+        if integer:
             profiles[start:stop] = _round_certified(
                 block,
                 _rounding_bound(code_size, length),
@@ -281,6 +279,22 @@ def _profiles(code_set: CodeSet, exact: bool) -> np.ndarray:
             )
         start = stop
     return profiles
+
+
+def _separation(q: int, code_size: int, length: int) -> float:
+    """Lower bound s on |S| for a nonzero sum or peak difference S in Z[zeta_q].
+
+    The embeddings zeta -> zeta^k of S, k <= q / 2 coprime to q, are r
+    conjugate pairs (r = 1 for q <= 2) of modulus at most 2 * N * L whose
+    product is a nonzero integer (Washington, Introduction to Cyclotomic
+    Fields, ch. 2), so |S| >= (2 * N * L)^(1 - r).  For q > 2^15,
+    phi(q) >= sqrt(q / 2) > 128 puts s / 4 below 2^-66, under any
+    _rounding_bound, so s is taken as 0 there.
+    """
+    if q > 1 << 15:
+        return 0.0
+    pairs = max(1, int(np.count_nonzero(np.gcd(np.arange(1, q // 2 + 1), q) == 1)))
+    return float(2 * code_size * length) ** (1 - pairs)
 
 
 def _nonzero(values: np.ndarray, tolerance: float) -> np.ndarray:
@@ -294,15 +308,25 @@ def verify_zccs(code_set: CodeSet, z: int | None = None) -> CorrelationReport:
 
     z defaults to the declared zone.  Every unordered code pair is profiled
     over all shifts; violations list the in-zone failures, measured_zcz the
-    zone the data would actually support.
+    zone the data would actually support.  A set of more than
+    MAX_PROFILE_ENTRIES profile entries raises ProfileSizeError, a
+    ValueError, before anything is allocated.
     """
     set_size, code_size, length, declared = code_set.dims
+    entries = set_size * (set_size + 1) // 2 * (2 * length - 1)
+    if entries > MAX_PROFILE_ENTRIES:
+        raise ProfileSizeError(
+            f"(M, L) = ({set_size}, {length}) needs {entries} profile entries, "
+            f"over the limit {MAX_PROFILE_ENTRIES}"
+        )
     zone = declared if z is None else int(z)
     if not 1 <= zone <= length:
         raise ValueError(f"zone {zone} out of range [1, {length}]")
-    exact = code_set.q in EXACT_MODULI
-    tolerance = 0.0 if exact else FLOAT_TOLERANCE_SCALE * code_size * length
-    profiles = _profiles(code_set, exact)
+    integer = code_set.q in EXACT_MODULI
+    quarter = _separation(code_set.q, code_size, length) / 4
+    roundoff = 0.0 if integer else _rounding_bound(code_size, length)
+    tolerance, exact = max(quarter, roundoff), roundoff < quarter
+    profiles = _profiles(code_set, integer)
 
     center = length - 1
     expected_peak = code_size * length

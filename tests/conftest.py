@@ -7,7 +7,9 @@ cannot hide in shared code paths.
 
 import cmath
 import itertools
+import math
 
+import numpy as np
 import pytest
 
 from zccs import GBF, CodeSet, Lemma1Params, Term, z
@@ -36,6 +38,30 @@ def brute_set_accs(q, code_u, code_v, tau):
     """Sum of brute_accs over the rows of two codes given as phase rows."""
     return sum(brute_accs(brute_values(q, u), brute_values(q, v), tau)
                for u, v in zip(code_u, code_v))
+
+
+def brute_nonzero(q, code_u, code_v, tau, offset=0):
+    """Whether the correlation sum of two codes at tau, minus offset, is nonzero.
+
+    Exact, through every embedding zeta -> zeta^k with k <= q / 2 coprime to
+    q, each a direct cmath sum.  A nonzero sum in Z[zeta_q] has a nonzero
+    integer norm, the product of its embeddings' squared moduli, so one of
+    them reaches modulus 1; a zero sum reads zero in all of them up to
+    round-off.
+    """
+    ks = [k for k in range(1, max(q // 2, 1) + 1) if math.gcd(k, q) == 1]
+    return any(
+        abs(brute_set_accs(q, [[k * p for p in u] for u in code_u],
+                           [[k * p for p in v] for v in code_v], tau) - offset) >= 0.5
+        for k in ks
+    )
+
+
+def q8_counterexample():
+    """(2, 1, 3363, 1) q = 8 set: u holds 1393 zeros, 985 fives and 985 threes,
+    v is all zeros, so the shift-0 cross sum is 1393 - 985 * sqrt(2)."""
+    u = [0] * 1393 + [5] * 985 + [3] * 985
+    return CodeSet(8, 1, np.array([[u], [[0] * len(u)]]))
 
 
 def quadratic_gbf(nvars, edges, q=2, weight=1):

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from zccs import graphs, import_csv, load_code_set
+from zccs import correlation, graphs, import_csv, load_code_set, save_code_set
 from zccs.cli import main
+
+from conftest import q8_counterexample
 
 EXAMPLE_ARGS = [
     "--m1", "8",
@@ -178,6 +180,28 @@ class TestVerify:
         code, _, stderr = run(capsys, "verify", str(path))
         assert code == 3
         assert "not valid JSON" in stderr
+
+    def test_q8_counterexample_fails_exactly(self, capsys, tmp_path):
+        path = tmp_path / "q8.json"
+        save_code_set(q8_counterexample(), path)
+        report_path = tmp_path / "report.json"
+        code, stdout, _ = run(capsys, "verify", str(path), "--report", str(report_path))
+        assert code == 1
+        assert "zone checked: 1 (exact)" in stdout
+        assert "codes (0, 1) shift 0" in stdout
+        summary = json.loads(report_path.read_text(encoding="utf-8"))["summary"]
+        assert summary["zccs_ok"] is False
+        assert type(summary["exact"]) is bool and summary["exact"]
+        assert type(summary["tolerance"]) is float
+
+    def test_oversized_set_is_exit_3(self, capsys, monkeypatch, stored_set):
+        # the (8, 8, 160) set has 36 * 319 = 11484 profile entries
+        monkeypatch.setattr(correlation, "MAX_PROFILE_ENTRIES", 1000)
+        code, stdout, stderr = run(capsys, "verify", str(stored_set))
+        assert code == 3
+        assert stdout == ""
+        assert stderr.startswith("error: (M, L) = (8, 160) needs 11484 profile entries")
+        assert stderr.count("\n") == 1 and len(stderr) < 1024
 
     def test_side_report(self, capsys, stored_set, tmp_path):
         report_path = tmp_path / "report.json"

@@ -1,6 +1,7 @@
 """Correlation engine against a from-the-definition reference."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -22,15 +23,23 @@ from zccs import (
     verify_zccs,
     z,
 )
+from zccs import correlation
 from zccs.correlation import (
-    FLOAT_TOLERANCE_SCALE,
+    ProfileSizeError,
     _direct_block,
     _round_certified,
     _rounding_bound,
 )
 from zccs.gbf import unit_values
 
-from conftest import brute_accs, brute_set_accs, brute_values, mutate_one_phase
+from conftest import (
+    brute_accs,
+    brute_nonzero,
+    brute_set_accs,
+    brute_values,
+    mutate_one_phase,
+    q8_counterexample,
+)
 
 
 def random_seq(rng, q, length):
@@ -163,7 +172,7 @@ class TestVerify:
         assert report.measured_zcz == 4
         assert report.expected_peak == 8
         assert report.peaks == (CorrelationValue(8, 0),) * 2
-        assert report.tolerance == 0.0
+        assert report.tolerance == 0.25
 
     def test_profiles_match_brute_force(self, quaternary_ccc):
         report = verify_zccs(quaternary_ccc)
@@ -185,7 +194,7 @@ class TestVerify:
         for v in report.violations:
             assert v.i <= v.j
             assert abs(v.tau) < bad.zcz
-            assert not v.value.is_zero()
+            assert v.value != (0, 0)
         assert report.measured_zcz < bad.length
 
     def test_violations_sorted_and_cross_at_zero(self, small_ccc):
@@ -229,8 +238,8 @@ class TestFloatOnlyModuli:
     def test_octary_sequence_fails_beyond_trivial_zone(self):
         cs = CodeSet(8, 1, np.array([[[0, 1, 2, 3]]]))
         trivial = verify_zccs(cs)
-        assert not trivial.exact
-        assert trivial.tolerance == FLOAT_TOLERANCE_SCALE * cs.code_size * cs.length
+        assert trivial.exact
+        assert trivial.tolerance == 1 / (8 * cs.code_size * cs.length)
         assert trivial.zccs_ok  # zone 1 only demands the peak
         assert trivial.peaks[0].as_complex() == pytest.approx(4 + 0j, abs=1e-9)
         wider = verify_zccs(cs, z=2)
@@ -238,6 +247,76 @@ class TestFloatOnlyModuli:
         assert wider.violations[0].tau in (-1, 1)
         # linear phase ramp: shift-1 sum has magnitude 3
         assert wider.violations[0].value.magnitude() == pytest.approx(3.0, abs=1e-9)
+
+
+def near_cancelling_row(rng, q, length):
+    """Phases whose running sum of values stays near zero: each step takes the
+    phase that brings it closest, ties broken at random."""
+    row, total = [], 0j
+    for _ in range(length):
+        gaps = [abs(total + np.exp(2j * np.pi * p / q)) for p in range(q)]
+        best = [p for p in range(q) if gaps[p] <= min(gaps) + 1e-9]
+        row.append(int(rng.choice(best)))
+        total += np.exp(2j * np.pi * row[-1] / q)
+    return row
+
+
+class TestDerivedZeroTest:
+    """One zero test for every q: parts beyond max(s / 4, round-off) are nonzero."""
+
+    def test_q8_counterexample_is_caught(self):
+        report = verify_zccs(q8_counterexample())
+        assert report.exact and not report.zccs_ok
+        assert [(v.i, v.j, v.tau) for v in report.violations] == [(0, 1, 0)]
+        value = report.violations[0].value
+        assert value.real == pytest.approx(1393 - 985 * math.sqrt(2), abs=1e-9)
+        assert value.real == pytest.approx(-3.6e-4, abs=1e-5)
+
+    @pytest.mark.parametrize("q", [3, 5, 6, 8, 10, 12])
+    def test_near_cancelling_profiles_match_embeddings(self, q):
+        # Code 0 holds near-cancelling rows u, code 1 the rows u + c mod q,
+        # code 2 the constant rows c, so the cross sums with code 2 are
+        # running sums of u that stay near zero or hit it.
+        rng = np.random.default_rng(400 + q)
+        for trial in range(4):
+            code_size, length = int(rng.integers(1, 3)), int(rng.integers(8, 41))
+            c = int(rng.integers(0, q))
+            u = np.array([near_cancelling_row(rng, q, length) for _ in range(code_size)])
+            phases = np.stack([u, (u + c) % q, np.full_like(u, c)])
+            if trial % 2:
+                ci, ri, pos = (int(rng.integers(0, s)) for s in phases.shape)
+                phases[ci, ri, pos] = (phases[ci, ri, pos] + int(rng.integers(1, q))) % q
+            report = verify_zccs(CodeSet(q, 1, phases))
+            assert report.exact
+            peak = code_size * length
+            for i, j in itertools.combinations_with_replacement(range(3), 2):
+                for tau in range(1 - length, length):
+                    offset = peak if i == j and tau == 0 else 0
+                    got = report.profile_value(i, j, tau)
+                    nonzero = max(abs(got.real - offset), abs(got.imag)) > report.tolerance
+                    assert nonzero == brute_nonzero(q, phases[i], phases[j], tau, offset)
+
+    def test_beyond_certified_range_is_not_exact(self):
+        report = verify_zccs(random_set(np.random.default_rng(16), 16, 2, 1, 512))
+        assert not report.exact
+        assert report.tolerance == _rounding_bound(1, 512)
+
+    def test_exact_and_tolerance_are_builtin(self):
+        for q in (2, 6, 8, 16):
+            report = verify_zccs(random_set(np.random.default_rng(q), q, 2, 1, 512))
+            assert type(report.exact) is bool and type(report.tolerance) is float
+
+
+class TestSizeGuard:
+    def test_oversized_set_is_refused(self, monkeypatch):
+        # 3 pairs * (2 * 4 - 1) shifts = 21 profile entries against a limit of 20
+        monkeypatch.setattr(correlation, "MAX_PROFILE_ENTRIES", 20)
+        cs = random_set(np.random.default_rng(1), 2, 2, 1, 4)
+        with pytest.raises(ProfileSizeError, match="21 profile entries") as info:
+            verify_zccs(cs)
+        assert isinstance(info.value, ValueError)
+        monkeypatch.setattr(correlation, "MAX_PROFILE_ENTRIES", 21)
+        assert verify_zccs(cs).profiles.shape == (3, 7, 2)
 
 
 class TestEngineDifferential:
@@ -254,7 +333,7 @@ class TestEngineDifferential:
         for set_size, code_size, length in itertools.product((1, 3), (1, 2, 3), (1, 2, 7, 64)):
             cs = random_set(rng, q, set_size, code_size, length)
             report = verify_zccs(cs)
-            assert report.exact == exact
+            assert report.exact
             assert np.issubdtype(report.profiles.dtype, np.integer) == exact
             for i, j in itertools.combinations_with_replacement(range(set_size), 2):
                 rows_i, rows_j = cs.phases[i], cs.phases[j]

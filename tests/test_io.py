@@ -159,6 +159,21 @@ class TestReports:
         assert json.loads(text) == report_to_document(report)
 
 
+    @pytest.mark.parametrize("q", [6, 8])
+    def test_non_gaussian_reports_round_trip(self, tmp_path, q):
+        f = GBF(2, q, (Term(q // 2, (z(0), z(1))), Term(1, (z(1),))))
+        code_set = lemma2_ccc(Lemma2Params(q, 2, f))
+        for cs in (code_set, mutate_one_phase(code_set, ci=1, ri=0, pos=2)):
+            report = verify_zccs(cs)
+            assert report.zccs_ok == (cs is code_set)
+            path = tmp_path / "report.json"
+            save_report(report, path)
+            parsed = json.loads(path.read_text(encoding="utf-8"))
+            assert parsed == report_to_document(report)
+            assert parsed["summary"]["exact"] is True
+            assert type(parsed["summary"]["tolerance"]) is float
+
+
 class TestCsv:
     def test_binary_export_uses_signs(self, tmp_path, binary_set):
         path = tmp_path / "set.csv"
