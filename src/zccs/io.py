@@ -1,8 +1,12 @@
 """File formats: canonical JSON code-set files, report files, CSV export.
 
-Code-set files are written in a canonical layout (fixed key order, one code
-per line, trailing newline) so that serialize -> parse -> serialize is
-byte-identical.  They contain integers only; phases are stored directly and
+Code-set files are written in a canonical layout so that serialize -> parse
+-> serialize is byte-identical.  `dumps_code_set` alone defines it: the keys
+format_version, metadata, codes in that order; the metadata object as
+json.dumps(indent=2) writes it; one code per line,
+`    [[p,...,p],...,[p,...,p]]`, lines joined by ",\n"; a trailing newline.
+The code lines are built as bytes straight from the phase array, never
+through one Python int per phase.  Files contain integers only; phases are
 never converted to floating point.  Reports are compact JSON on one line
 and carry no such guarantee.
 """
@@ -24,9 +28,9 @@ class CodeSetFormatError(Exception):
     """The file exists but does not parse as a code-set document."""
 
 
-def code_set_to_document(code_set: CodeSet) -> dict:
+def _metadata(code_set: CodeSet) -> dict:
     prov = code_set.provenance or {}
-    metadata = {
+    return {
         "q": code_set.q,
         "M": code_set.set_size,
         "N": code_set.code_size,
@@ -36,15 +40,19 @@ def code_set_to_document(code_set: CodeSet) -> dict:
         "bit_order": prov.get("bit_order"),
         "parameters": prov.get("parameters"),
     }
+
+
+def code_set_to_document(code_set: CodeSet) -> dict:
     codes = code_set.phases.tolist()
-    return {"format_version": FORMAT_VERSION, "metadata": metadata, "codes": codes}
+    return {"format_version": FORMAT_VERSION, "metadata": _metadata(code_set), "codes": codes}
 
 
 def code_set_from_document(doc) -> CodeSet:
     if not isinstance(doc, dict):
         raise CodeSetFormatError("top level must be an object")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise CodeSetFormatError(f"unsupported format version {doc.get('format_version')!r}")
+    version = doc.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise CodeSetFormatError(f"unsupported format version {version!r}")
     meta = doc.get("metadata")
     if not isinstance(meta, dict):
         raise CodeSetFormatError("missing metadata object")
@@ -96,14 +104,39 @@ def _checked_code_set(data, dims: dict, provenance: dict | None) -> CodeSet:
         raise CodeSetFormatError(str(exc)) from exc
 
 
+def _codes_text(phases: np.ndarray) -> str:
+    """The code lines of `dumps_code_set`, joined by ",\n".
+
+    One byte row per sequence: a 6-byte lead, a cell per phase (its digits
+    right-aligned, then "," or "]") and a 3-byte tail.  Bytes left unused,
+    leading zeros included, stay NUL and are deleted in one pass.
+    """
+    m, n, length = phases.shape
+    width = len(str(phases.max()))
+    rows = np.zeros((m, n, 6 + length * (width + 1) + 3), np.uint8)
+    cells = rows[:, :, 6:-3].reshape(m, n, length, width + 1)
+    rest = phases
+    for k in range(width - 1):
+        power = 10 ** (width - 1 - k)
+        digits, rest = np.divmod(rest, power)
+        cells[..., k] = np.where(phases >= power, digits + ord("0"), 0)
+    cells[..., -2] = rest + ord("0")
+    cells[..., -1] = ord(",")
+    cells[:, :, -1, -1] = ord("]")
+    rows[:, :, 5] = ord("[")
+    rows[:, 0, :5] = np.frombuffer(b"    [", np.uint8)
+    rows[:, :-1, -3] = ord(",")
+    rows[:, -1, -3:] = np.frombuffer(b"],\n", np.uint8)
+    rows[-1, -1, -2:] = 0
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def dumps_code_set(code_set: CodeSet) -> str:
     """Canonical text form: metadata indented, one code per line."""
-    doc = code_set_to_document(code_set)
-    meta_block = json.dumps(doc["metadata"], indent=2).replace("\n", "\n  ")
-    codes = ",\n".join("    " + json.dumps(code, separators=(",", ":")) for code in doc["codes"])
+    meta_block = json.dumps(_metadata(code_set), indent=2).replace("\n", "\n  ")
     return (
-        f'{{\n  "format_version": {doc["format_version"]},\n  "metadata": {meta_block},\n'
-        f'  "codes": [\n{codes}\n  ]\n}}\n'
+        f'{{\n  "format_version": {FORMAT_VERSION},\n  "metadata": {meta_block},\n'
+        f'  "codes": [\n{_codes_text(code_set.phases)}\n  ]\n}}\n'
     )
 
 
@@ -112,15 +145,24 @@ def save_code_set(code_set: CodeSet, path) -> None:
 
 
 def loads_code_set(text: str) -> CodeSet:
+    # json.loads also raises a plain ValueError for an integer beyond the
+    # digit limit, and RecursionError for nesting too deep
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CodeSetFormatError(f"not valid JSON: {exc}") from exc
     return code_set_from_document(doc)
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CodeSetFormatError(f"not UTF-8 text: {exc}") from exc
+
+
 def load_code_set(path) -> CodeSet:
-    return loads_code_set(Path(path).read_text(encoding="utf-8"))
+    return loads_code_set(_read_text(path))
 
 
 def report_to_document(report: CorrelationReport) -> dict:
@@ -181,7 +223,7 @@ def import_csv(path) -> CodeSet:
     """Inverse of export_csv up to provenance, which CSV does not carry."""
     meta: dict[str, str] = {}
     rows: list[list[int]] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
         stripped = line.strip()
         if not stripped:
             continue

@@ -181,6 +181,24 @@ class TestVerify:
         assert code == 3
         assert "not valid JSON" in stderr
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"format_version": 1, "metadata": "\xff"}',
+            b"[" * 200000,
+            b'{"format_version": ' + b"1" * 5000 + b"}",
+        ],
+        ids=["not UTF-8", "nested too deeply", "integer of 5000 digits"],
+    )
+    def test_unreadable_file_is_exit_3(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, stdout, stderr = run(capsys, "verify", str(path))
+        assert code == 3
+        assert stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert "Traceback" not in stderr
+
     def test_q8_counterexample_fails_exactly(self, capsys, tmp_path):
         path = tmp_path / "q8.json"
         save_code_set(q8_counterexample(), path)

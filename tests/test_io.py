@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from zccs import (
+    CodeSet,
     CodeSetFormatError,
     GBF,
     Lemma1Params,
@@ -125,6 +126,26 @@ class TestCanonicalText:
         code_lines = [ln for ln in text.splitlines() if ln.startswith("    [")]
         assert len(code_lines) == binary_set.set_size
 
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 3, 4), (3, 2, 5), (2, 3, 1)])
+    @pytest.mark.parametrize("q", [1, 2, 10, 11, 16, 1000, 2**40])
+    def test_layout_matches_per_code_json(self, q, shape):
+        rng = np.random.default_rng(q * 1000 + sum(shape))
+        # mixed digit counts, and the widest phase q - 1 somewhere
+        phases = rng.integers(0, q, shape) // 10 ** rng.integers(0, len(str(q - 1)), shape)
+        phases.flat[rng.integers(phases.size)] = q - 1
+        cs = CodeSet(q=q, zcz=1, phases=phases)
+        doc = code_set_to_document(cs)
+        meta_block = json.dumps(doc["metadata"], indent=2).replace("\n", "\n  ")
+        codes = ",\n".join(
+            "    " + json.dumps(code, separators=(",", ":")) for code in doc["codes"]
+        )
+        want = (
+            f'{{\n  "format_version": 1,\n  "metadata": {meta_block},\n'
+            f'  "codes": [\n{codes}\n  ]\n}}\n'
+        )
+        assert dumps_code_set(cs) == want
+        assert loads_code_set(want) == cs
+
     def test_file_round_trip(self, tmp_path, quaternary_set):
         path = tmp_path / "set.json"
         save_code_set(quaternary_set, path)
@@ -206,6 +227,12 @@ class TestCsv:
         assert np.array_equal(back.phases, cs.phases)
         assert back.dims == cs.dims
 
+    def test_import_refuses_non_utf8(self, tmp_path):
+        path = tmp_path / "set.csv"
+        path.write_bytes(b"# q=2\n# M=1\n# N=1\n# L=1\n# Z=1\n\xff\n")
+        with pytest.raises(CodeSetFormatError, match="not UTF-8"):
+            import_csv(path)
+
     def test_import_validates(self, tmp_path, binary_set):
         path = tmp_path / "set.csv"
         export_csv(binary_set, path)
@@ -257,6 +284,8 @@ JSON_FUZZ = {
     "N disagrees": _json_meta("N", 1),
     "L disagrees": _json_meta("L", 5),
     "M of 10**12": _json_meta("M", 10**12),
+    "format_version true": lambda doc: doc.update(format_version=True),
+    "format_version 1.0": lambda doc: doc.update(format_version=1.0),
 }
 
 
