@@ -1,33 +1,26 @@
 """Independent regeneration of code sets from their provenance records.
 
-Everything here is deliberately naive and self-contained: bits come from
-shifts, row functions are evaluated pointwise in nested arithmetic form,
-and codes are assembled as nested lists with plain loops, wrapped into a
-CodeSet only at the end.  No truth-table vectorization, no symbolic term
-algebra, no assembly code shared with the generators.  Exact agreement
-between this path and the fast one is a strong check on both.
+The oracle works from the formulas alone: its own shifts take the bits of
+every point index, the seed and each row function are evaluated in nested
+arithmetic form over int64 point columns (one column per variable, so one
+evaluation covers every point), and its own broadcasting chains the rows
+into codes.  It uses no generator or `gbf` code: no truth tables, no
+symbolic term algebra, no label-matrix offsets, no shared chaining.  Exact
+agreement between this path and the generators' is a strong check on both.
 
-Within one call the oracle does each distinct piece of pointwise work once.
-Every row function is the seed function plus linear terms on the deleted
-vertices and on the pair end (beta1 for the q-ary family), so
+Within one call each distinct piece of work is done once.  Every row
+function is the seed plus linear terms on the deleted vertices and on the
+pair end (beta1 for the q-ary family), so
 
-- the seed is evaluated once per point, at the point for the front tables
-  (g, f) and at its complement for the back tables (s, h), instead of once
-  per (n, row) and point;
+- the seed is evaluated once, over the front tables' points (g, f) and over
+  the complements of the back tables' points (s, h);
 - the linear coefficients (q/2)(a[pos] + n[pos]) matter only mod q, so for
-  even q the 2^(2k+1) (n, row) pairs share 2^(k+1) distinct row functions.
-  Each function's tables are evaluated point by point once and shared by
-  every row with that function.
+  even q the 2^(2k+1) (n, row) pairs share 2^(k+1) distinct row functions,
+  each evaluated once and shared by every row with that function.
 
-These caches live in local variables and are rebuilt from the provenance on
-every call; nothing is kept between calls.  The oracle therefore stays an
-independent check: it evaluates the seed in nested arithmetic form at every
-point and adds the linear terms point by point, where the generators add
-label-matrix offsets to one vectorized truth table and reverse it for the
-partners.
+Nothing is kept between calls.  Every integer of the record is reduced mod q
+before it meets an array, so huge forged coefficients act as their residues.
 """
-
-from __future__ import annotations
 
 import copy
 
@@ -40,7 +33,8 @@ _QARY_FIELDS = ("q", "m2", "f_terms", "deleted", "beta1")
 _CHAIN_FIELDS = ("l", "R", "s_r")
 
 
-def _bits(value: int, width: int, order: str) -> list[int]:
+def _bits(value, width: int, order: str) -> list:
+    """The width bits of an int, or of an index array as one column per bit."""
     if order == "lsb":
         return [(value >> i) & 1 for i in range(width)]
     return [(value >> (width - 1 - i)) & 1 for i in range(width)]
@@ -56,42 +50,40 @@ def _row_label(index: int, width: int) -> list[int]:
 # row functions, both families
 
 
-def _front_phase(q: int, seed: int, point: list[int], deleted, coeffs, end_vertex: int, end: int) -> int:
-    """g (binary) or f (q-ary) at one point: the seed's value there plus
-    the row's linear terms on the deleted vertices and the pair end."""
-    total = seed
+def _front_phase(q: int, seed, point: list, deleted, coeffs, end_vertex: int, end: int):
+    """g (binary) or f (q-ary) over the bit columns point: the seed plus the
+    row's linear terms on the deleted vertices and the pair end."""
+    total = seed + (q // 2) * end * point[end_vertex]  # a new array; seed is shared
     for c, vertex in zip(coeffs, deleted):
         total += c * point[vertex]
-    total += (q // 2) * end * point[end_vertex]
     return total % q
 
 
-def _back_phase(q: int, seed_c: int, point: list[int], deleted, coeffs, end_vertex: int, end: int) -> int:
-    """s (binary) or h (q-ary) at one point: the seed's value at the
-    complemented point plus the row's complemented linear terms."""
-    total = seed_c
+def _back_phase(q: int, seed_c, point: list, deleted, coeffs, end_vertex: int, end: int):
+    """s (binary) or h (q-ary) over the bit columns point: the seed's values
+    at the complemented points plus the row's complemented linear terms."""
+    total = seed_c + (q // 2) * (1 - end) * point[end_vertex]  # a new array; seed_c is shared
     for c, vertex in zip(coeffs, deleted):
         total += c * (1 - point[vertex])
-    total += (q // 2) * (1 - end) * point[end_vertex]
     return total % q
 
 
 def _row_tables(doc: dict, order: str, q: int, m: int, seed_eval, end_vertex: int, front_at, back_at):
-    """Front tables over the indices front_at and back tables over back_at,
-    nested [n][row].
+    """Front tables over the index array front_at and back tables over
+    back_at, nested [n][row], one int64 array per table.
 
     Row (n, a) adds (q/2)(a[pos] + n[pos]) times deleted vertex pos, and a
     pair-end term picked by a[-1].  Those coefficients mod q and a[-1] key
     the memo of (front, back) table pairs, so rows with the same function
-    share one pair of lists.
+    share one pair of arrays.
     """
     half = q // 2
     deleted = doc["deleted"]
     k = len(deleted)
-    front_points = [_bits(t, m, order) for t in front_at]
-    back_points = [_bits(t, m, order) for t in back_at]
-    front_seed = [seed_eval(doc, p) for p in front_points]
-    back_seed = [seed_eval(doc, [1 - b for b in p]) for p in back_points]
+    front_point = _bits(front_at, m, order)
+    back_point = _bits(back_at, m, order)
+    front_seed = seed_eval(doc, front_point)
+    back_seed = seed_eval(doc, [1 - b for b in back_point])
     memo = {}
     fronts, backs = [], []
     for n in range(1 << k):
@@ -103,14 +95,8 @@ def _row_tables(doc: dict, order: str, q: int, m: int, seed_eval, end_vertex: in
             if key not in memo:
                 coeffs, end = key
                 memo[key] = (
-                    [
-                        _front_phase(q, s, p, deleted, coeffs, end_vertex, end)
-                        for s, p in zip(front_seed, front_points)
-                    ],
-                    [
-                        _back_phase(q, s, p, deleted, coeffs, end_vertex, end)
-                        for s, p in zip(back_seed, back_points)
-                    ],
+                    _front_phase(q, front_seed, front_point, deleted, coeffs, end_vertex, end),
+                    _back_phase(q, back_seed, back_point, deleted, coeffs, end_vertex, end),
                 )
             front, back = memo[key]
             fn.append(front)
@@ -124,14 +110,15 @@ def _row_tables(doc: dict, order: str, q: int, m: int, seed_eval, end_vertex: in
 # binary family
 
 
-def _seed_eval(doc: dict, point: list[int]) -> int:
-    """The binary seed function at one point, patches kept in nested form."""
+def _seed_eval(doc: dict, point: list):
+    """The binary seed function over the bit columns point, patches kept in
+    nested form."""
     m1 = doc["m1"]
-    total = doc["d"]
+    total = doc["d"] % 2
     for i, j, w in doc["quadratic"]:
-        total += w * point[i] * point[j]
+        total += w % 2 * point[i] * point[j]
     for i, di in enumerate(doc["d_vec"]):
-        total += di * point[i]
+        total += di % 2 * point[i]
     v1, v2, v3, v4 = m1 - 1, m1 - 2, m1 - 3, m1 - 4
     b1 = doc["beta1"]
     t = point
@@ -149,7 +136,7 @@ def _binary_row_tables(doc: dict, order: str):
     gamma = (1 << (m1 - 1)) + (1 << (m1 - 3))
     full = 1 << m1
     fronts, backs = _row_tables(
-        doc, order, 2, m1, _seed_eval, doc["pair_end"], range(gamma), range(full - gamma, full)
+        doc, order, 2, m1, _seed_eval, doc["pair_end"], np.arange(gamma), np.arange(full - gamma, full)
     )
     return gamma, fronts, backs
 
@@ -158,10 +145,10 @@ def _binary_row_tables(doc: dict, order: str):
 # q-ary family
 
 
-def _terms_eval(doc: dict, point: list[int]) -> int:
+def _terms_eval(doc: dict, point: list):
     total = 0
     for term in doc["f_terms"]:
-        prod = term["coefficient"]
+        prod = term["coefficient"] % doc["q"]
         for var, complemented in term["literals"]:
             prod *= (1 - point[var]) if complemented else point[var]
         total += prod
@@ -171,7 +158,7 @@ def _terms_eval(doc: dict, point: list[int]) -> int:
 def _qary_row_tables(doc: dict, order: str):
     """Per (n, row): the phases of f and of its partner h."""
     length = 1 << doc["m2"]
-    points = range(length)
+    points = np.arange(length)
     fronts, backs = _row_tables(doc, order, doc["q"], doc["m2"], _terms_eval, doc["beta1"], points, points)
     return length, fronts, backs
 
@@ -200,33 +187,38 @@ def _described_dims(construction: str, doc: dict, length: int) -> tuple[int, int
     return rows * labels, rows, blocks * seed_length
 
 
-def _parity(c: list[int], block: int, l: int, order: str) -> int:
-    rb = _bits(block, l, order)
-    return sum(ci * bi for ci, bi in zip(c, rb)) % 2
+def _flips(doc: dict, order: str) -> list:
+    """Per label c of s_r, block b's flip: the parity of c against the l
+    bits of b."""
+    blocks = np.arange(doc["R"])
+    bits = _bits(blocks, doc["l"], order)
+    return [sum((ci % 2 * bi for ci, bi in zip(c, bits)), np.zeros_like(blocks)) % 2 for c in doc["s_r"]]
 
 
-def _chain(q: int, fronts, backs, flips: list[list[int]]) -> list:
-    """Codes as nested lists: for each n and each flip pattern, the front
-    rows repeated once per block, block b shifted by q/2 when flips[b] is
-    1; then the conjugates of the same patterns over the back rows."""
-    half = q // 2
-    front, back = [], []
-    for n in range(len(fronts)):
-        for pattern in flips:
-            front.append([[(p + half * f) % q for f in pattern for p in row] for row in fronts[n]])
-            back.append([[(-(p + half * f)) % q for f in pattern for p in row] for row in backs[n]])
-    return front + back
+def _chain(q: int, fronts, backs, flips) -> np.ndarray:
+    """Codes as one (M, N, L) array: for each n and flip pattern, the front
+    rows once per block, block b shifted by q/2 when the pattern's entry b
+    is 1; then the conjugates of the same patterns over the back rows."""
+    fronts, backs = np.array(fronts), np.array(backs)  # (2^k, N, seed length)
+    shift = (q // 2) * np.array(flips)[:, None, :, None]  # (patterns, 1, blocks, 1)
+    n, rows, width = fronts.shape
+    codes = np.empty((2, n, len(shift), rows, shift.shape[2], width), dtype=np.int64)
+    np.add(fronts[:, None, :, None, :], shift, out=codes[0])
+    np.subtract(-shift, backs[:, None, :, None, :], out=codes[1])
+    codes %= q
+    return codes.reshape(-1, rows, shift.shape[2] * width)
 
 
 def oracle_regenerate(code_set: CodeSet) -> CodeSet:
-    """Rebuild a code set from its provenance alone, the slow way.
+    """Rebuild a code set from its provenance alone, independently.
 
     The result carries a copy of the provenance, so a faithful generator
     satisfies oracle_regenerate(cs) == cs.  Raises ValueError when the set
     has no provenance, names an unknown construction or bit order, or its
     parameters are not an object holding every field the construction needs
-    and describing a set of the stored (M, N, L).  That comparison comes
-    before any loop, so a forged record cannot size the work.
+    and describing a set of the stored (M, N, L) and, for the q-ary family,
+    the stored q.  That comparison comes before any loop, so a forged record
+    cannot size the work.
     """
     prov = code_set.provenance
     if not prov:
@@ -262,13 +254,21 @@ def oracle_regenerate(code_set: CodeSet) -> CodeSet:
         )
     if qary:
         q = doc["q"]
+        # A phase adds fewer than q per f term, per deleted vertex, for the
+        # pair end and for the chain's flip, so this bound keeps int64 exact.
+        terms = len(doc["f_terms"]) + len(doc["deleted"]) + 2
+        if type(q) is not int or q != code_set.q or (q * terms) >> 63:
+            raise ValueError(
+                f"provenance record is incomplete: q = {q!r} is not the set's "
+                f"{code_set.q} or overflows int64"
+            )
         seed_length, fronts, backs = _qary_row_tables(doc, order)
     else:
         q = 2
         seed_length, fronts, backs = _binary_row_tables(doc, order)
     zone = seed_length
     if construction in ("thm1", "thm2"):
-        flips = [[_parity(c, rr, doc["l"], order) for rr in range(doc["R"])] for c in doc["s_r"]]
+        flips = _flips(doc, order)
     elif construction == "thm3":
         flips = [[0, 0, 1]]
         zone = 2 * seed_length

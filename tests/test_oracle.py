@@ -1,7 +1,9 @@
 """The oracle must rebuild every generated set from provenance alone."""
 
+import ast
 import copy
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,3 +229,97 @@ def test_one_table_per_row_function(build, tables, order):
         assert len(per_row) == 2 ** (2 * k + 1)
         assert len({id(table) for table in per_row}) == 2 ** (k + 1)
         assert len({tuple(table) for table in per_row}) == 2 ** (k + 1)
+
+
+def path_qary_base(q):
+    """q-ary base on m2 = 7: a weight-q/2 path with vertex 0 deleted (k = 1)."""
+    terms = [Term(q // 2, (z(i), z(i + 1))) for i in range(6)]
+    terms += [Term((3 * i + 1) % q, (z(i),)) for i in range(7)] + [Term(q - 1)]
+    return Lemma2Params(q, 7, GBF(7, q, tuple(terms)), deleted=(0,), beta1=6)
+
+
+def path_binary_base():
+    """Binary base on m1 = 10: a path on six vertices with vertex 0 deleted (k = 1)."""
+    edges = [(i, i + 1) for i in range(5)]
+    return Lemma1Params(10, quadratic_gbf(6, edges), (1, 0, 1, 1, 0, 1), d=1, deleted=(0,), beta1=5)
+
+
+@pytest.mark.parametrize("order", ["lsb", "msb"])
+@pytest.mark.parametrize(
+    "build,dims",
+    [
+        (lambda order: theorem2_zccs(Theorem2Params(path_qary_base(6), l=2, r=4), bit_order=order),
+         (16, 4, 512, 128)),
+        (lambda order: theorem2_zccs(Theorem2Params(path_qary_base(8), l=2, r=4), bit_order=order),
+         (16, 4, 512, 128)),
+        (lambda order: theorem1_zccs(Theorem1Params(path_binary_base(), l=3, r=8), bit_order=order),
+         (32, 4, 5120, 640)),
+        (lambda order: theorem3_zccs(path_binary_base(), bit_order=order), (4, 4, 1920, 1280)),
+    ],
+    ids=["thm2-q6", "thm2-q8", "thm1-m1=10", "thm3-m1=10"],
+)
+def test_large_chained_sets_regenerate(build, dims, order):
+    cs = build(order)
+    assert cs.dims == dims
+    assert oracle_regenerate(cs) == cs
+
+
+def forge(cs, path, change):
+    """cs with a copy of its provenance whose parameter at path is change(old)."""
+    prov = copy.deepcopy(cs.provenance)
+    *outer, last = ("parameters", *path)
+    node = prov
+    for key in outer:
+        node = node[key]
+    node[last] = change(node[last])
+    return dataclasses.replace(cs, provenance=prov)
+
+
+class TestForgedIntegers:
+    """Record integers act as their residues mod q; the record's q must be
+    the set's and must keep the oracle's int64 sums exact."""
+
+    @pytest.mark.parametrize(
+        "build,path",
+        [
+            (lambda: lemma2_ccc(qary_base()), ("f_terms", 1, "coefficient")),
+            (lambda: lemma1_ccc(binary_k2()), ("quadratic", 0, 2)),
+            (lambda: lemma1_ccc(binary_k2()), ("d",)),
+            (lambda: lemma1_ccc(binary_k2()), ("d_vec", 0)),
+            (lambda: theorem1_zccs(Theorem1Params(binary_k2(), l=2, r=2)), ("s_r", 1, 0)),
+        ],
+        ids=["f_terms coefficient 3", "quadratic weight", "d", "d_vec", "s_r label"],
+    )
+    def test_huge_integers_act_as_residues(self, build, path):
+        cs = build()
+        regen = oracle_regenerate(forge(cs, path, lambda v: v + 2**70))
+        assert phase_mismatches(cs, regen) == []
+
+    @pytest.mark.parametrize("q", [2**70, 8, 4.0, "4"], ids=["2**70", "8", "4.0", "str 4"])
+    def test_record_q_must_be_the_sets(self, q):
+        cs = lemma2_ccc(qary_base())
+        with pytest.raises(ValueError, match="provenance record is incomplete"):
+            oracle_regenerate(forge(cs, ("q",), lambda _: q))
+
+    def test_q_beyond_int64_refused(self):
+        cs = lemma2_ccc(qary_base())
+        huge = dataclasses.replace(forge(cs, ("q",), lambda _: 2**70), q=2**70)
+        with pytest.raises(ValueError, match="provenance record is incomplete"):
+            oracle_regenerate(huge)
+
+    def test_large_q_within_int64_regenerates(self):
+        cs = theorem2_zccs(Theorem2Params(qary_base(2**40, deleted=(2,)), l=2, r=2))
+        assert oracle_regenerate(cs) == cs
+
+
+def test_oracle_imports_nothing_of_the_generators():
+    """The oracle stays independent: besides copy and numpy it takes only
+    the CodeSet container from the package."""
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imports = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imports.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imports.update(f"{'.' * node.level}{node.module}.{alias.name}" for alias in node.names)
+    assert imports == {"copy", "numpy", ".constructions.CodeSet"}
