@@ -9,6 +9,13 @@ The code lines are built as bytes straight from the phase array, never
 through one Python int per phase.  Files contain integers only; phases are
 never converted to floating point.  Reports are compact JSON on one line
 and carry no such guarantee.
+
+Reading a file tries the canonical layout first: json parses only the
+header above the codes, and numpy reads every digit run below it in one
+pass.  That set is accepted only when `dumps_code_set` reproduces the text
+byte for byte.  Any other text, and every document a caller passes in, goes
+through `json.loads` and `code_set_from_document`, so both paths check the
+header with the same code and give the same set or the same error.
 """
 
 from __future__ import annotations
@@ -47,7 +54,9 @@ def code_set_to_document(code_set: CodeSet) -> dict:
     return {"format_version": FORMAT_VERSION, "metadata": _metadata(code_set), "codes": codes}
 
 
-def code_set_from_document(doc) -> CodeSet:
+def _header(doc) -> tuple[dict, dict | None]:
+    """Dims q, M, N, L, Z and the provenance of a document whose format
+    version and metadata are checked; the codes are left to the caller."""
     if not isinstance(doc, dict):
         raise CodeSetFormatError("top level must be an object")
     version = doc.get("format_version")
@@ -62,6 +71,18 @@ def code_set_from_document(doc) -> CodeSet:
         if not isinstance(value, int) or isinstance(value, bool):
             raise CodeSetFormatError(f"metadata field {key} must be an integer")
         dims[key] = value
+    provenance = None
+    if meta.get("construction") is not None:
+        provenance = {
+            "construction": meta.get("construction"),
+            "bit_order": meta.get("bit_order"),
+            "parameters": meta.get("parameters"),
+        }
+    return dims, provenance
+
+
+def code_set_from_document(doc) -> CodeSet:
+    dims, provenance = _header(doc)
     codes_doc = doc.get("codes")
     if not isinstance(codes_doc, list):
         raise CodeSetFormatError("missing codes array")
@@ -72,13 +93,6 @@ def code_set_from_document(doc) -> CodeSet:
             # exact types: bool is a subclass of int but its own type
             if type(row) is not list or set(map(type, row)) - {int}:
                 raise CodeSetFormatError(f"code {ci} row {ri} must be an array of integers")
-    provenance = None
-    if meta.get("construction") is not None:
-        provenance = {
-            "construction": meta.get("construction"),
-            "bit_order": meta.get("bit_order"),
-            "parameters": meta.get("parameters"),
-        }
     return _checked_code_set(codes_doc, dims, provenance)
 
 
@@ -144,7 +158,44 @@ def save_code_set(code_set: CodeSet, path) -> None:
     Path(path).write_text(dumps_code_set(code_set), encoding="utf-8")
 
 
+_CODES_LINE = '\n  "codes": [\n'
+_DIGITS_ONLY = bytes(b if 48 <= b <= 57 else 32 for b in range(256))
+
+
+def _canonical_code_set(text: str) -> CodeSet | None:
+    """The set whose `dumps_code_set` text is exactly text, or None.
+
+    The phases are the digit runs below the codes line, read in one numpy
+    pass.  Brackets, commas and any other byte count as spaces, a blank
+    block reads as one 0 and a run beyond int64 saturates: the re-dump
+    rejects all of those.  The data alone size the array; the metadata's
+    M * N * L is only compared with their count.
+    """
+    head, codes_line, body = text.partition(_CODES_LINE)
+    # json.dumps(indent=2) writes the codes line too; its next line is "    ["
+    if not codes_line or not body.startswith("    [[") or not body.isascii():
+        return None
+    try:
+        dims, provenance = _header(json.loads(head[:-1] + "}"))
+    except (ValueError, RecursionError, CodeSetFormatError):
+        return None
+    phases = np.fromstring(body.encode("ascii").translate(_DIGITS_ONLY), np.int64, sep=" ")
+    m, n, length = dims["M"], dims["N"], dims["L"]
+    if phases.size != m * n * length:
+        return None
+    try:
+        phases = phases.reshape(m, n, length)
+        code_set = CodeSet(q=dims["q"], zcz=dims["Z"], phases=phases, provenance=provenance)
+    except ValueError:
+        return None
+    del phases  # the set holds its own copy; keep one while re-dumping
+    return code_set if dumps_code_set(code_set) == text else None
+
+
 def loads_code_set(text: str) -> CodeSet:
+    code_set = _canonical_code_set(text)
+    if code_set is not None:
+        return code_set
     # json.loads also raises a plain ValueError for an integer beyond the
     # digit limit, and RecursionError for nesting too deep
     try:

@@ -167,22 +167,46 @@ def _qary_row_tables(doc: dict, order: str):
 # assembly
 
 
+def _record_fields(doc: dict, qary: bool) -> tuple[list, list]:
+    """The vertex indices and the other integers a seed record holds, taken
+    apart as the formulas take them apart; a field of another shape raises
+    TypeError, KeyError or ValueError."""
+    vertices = [*doc["deleted"], doc["beta1"]]
+    if qary:
+        numbers = [term["coefficient"] for term in doc["f_terms"]]
+        vertices += [var for term in doc["f_terms"] for var, _ in term["literals"]]
+    else:
+        edges = [(i, j, w) for i, j, w in doc["quadratic"]]
+        numbers = [w for _, _, w in edges] + [*doc["d_vec"], doc["d"]]
+        vertices += [v for i, j, _ in edges for v in (i, j)]
+        vertices += [doc["pair_end"], *range(len(doc["d_vec"]))]
+    return vertices, numbers
+
+
 def _described_dims(construction: str, doc: dict, length: int) -> tuple[int, int, int] | None:
     """(M, N, L) of the set the parameters describe, or None when they cannot
     describe one of this length.  A seed length is at least 2^(m - 1), so m
     is held to length's bit length before any power of two is formed, and l
-    to the length of every stored label."""
+    to the length of every stored label.  Every vertex the record names must
+    be one of the seed's m variables and every other number an int, so that
+    no loop meets a field it cannot index or reduce."""
     qary = construction in ("lemma2", "thm2")
     m = doc["m2"] if qary else doc["m1"]
     if type(m) is not int or not (1 if qary else 5) <= m <= length.bit_length():
         return None
+    vertices, numbers = _record_fields(doc, qary)
     seed_length = 1 << m if qary else (1 << (m - 1)) + (1 << (m - 3))
     if construction in ("thm1", "thm2"):
-        if type(doc["R"]) is not int or any(len(c) != doc["l"] for c in doc["s_r"]):
+        if type(doc["R"]) is not int or type(doc["l"]) is not int:
             return None
+        if any(len(c) != doc["l"] for c in doc["s_r"]):
+            return None
+        numbers += [b for c in doc["s_r"] for b in c]
         labels, blocks = len(doc["s_r"]), doc["R"]
     else:
         labels, blocks = 1, 3 if construction == "thm3" else 1
+    if any(type(v) is not int for v in vertices + numbers) or not all(0 <= v < m for v in vertices):
+        return None
     rows = 2 << len(doc["deleted"])
     return rows * labels, rows, blocks * seed_length
 
@@ -215,10 +239,11 @@ def oracle_regenerate(code_set: CodeSet) -> CodeSet:
     The result carries a copy of the provenance, so a faithful generator
     satisfies oracle_regenerate(cs) == cs.  Raises ValueError when the set
     has no provenance, names an unknown construction or bit order, or its
-    parameters are not an object holding every field the construction needs
-    and describing a set of the stored (M, N, L) and, for the q-ary family,
-    the stored q.  That comparison comes before any loop, so a forged record
-    cannot size the work.
+    parameters are not an object holding every field the construction needs,
+    in the shapes its formulas read, and describing a set of the stored
+    (M, N, L) and, for the q-ary family, the stored q.  Those checks come
+    before any loop, so a forged record can neither size the work nor break
+    it midway.
     """
     prov = code_set.provenance
     if not prov:
@@ -245,7 +270,7 @@ def oracle_regenerate(code_set: CodeSet) -> CodeSet:
     dims = code_set.dims[:3]
     try:
         described = _described_dims(construction, doc, code_set.length)
-    except TypeError:
+    except (TypeError, KeyError, ValueError):
         described = None
     if described != dims:
         raise ValueError(

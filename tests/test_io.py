@@ -1,6 +1,8 @@
 """Serialization: canonical JSON files, reports, CSV round trips."""
 
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from zccs import (
     Lemma1Params,
     Lemma2Params,
     Term,
+    Theorem1Params,
     code_set_from_document,
     code_set_to_document,
     dumps_code_set,
@@ -24,9 +27,11 @@ from zccs import (
     report_to_document,
     save_code_set,
     save_report,
+    theorem1_zccs,
     verify_zccs,
     z,
 )
+from zccs import io
 from zccs.cli import main
 
 from conftest import mutate_one_phase, quadratic_gbf
@@ -114,6 +119,16 @@ class TestStrictParsing:
             loads_code_set("definitely } not json")
 
 
+def canonical_layout(doc) -> str:
+    """doc in the layout dumps_code_set writes, built with json per code."""
+    meta_block = json.dumps(doc["metadata"], indent=2).replace("\n", "\n  ")
+    codes = ",\n".join("    " + json.dumps(code, separators=(",", ":")) for code in doc["codes"])
+    return (
+        f'{{\n  "format_version": {json.dumps(doc["format_version"])},\n'
+        f'  "metadata": {meta_block},\n  "codes": [\n{codes}\n  ]\n}}\n'
+    )
+
+
 class TestCanonicalText:
     def test_serialize_parse_serialize_is_identity(self, binary_set, quaternary_set):
         for cs in (binary_set, quaternary_set):
@@ -134,17 +149,10 @@ class TestCanonicalText:
         phases = rng.integers(0, q, shape) // 10 ** rng.integers(0, len(str(q - 1)), shape)
         phases.flat[rng.integers(phases.size)] = q - 1
         cs = CodeSet(q=q, zcz=1, phases=phases)
-        doc = code_set_to_document(cs)
-        meta_block = json.dumps(doc["metadata"], indent=2).replace("\n", "\n  ")
-        codes = ",\n".join(
-            "    " + json.dumps(code, separators=(",", ":")) for code in doc["codes"]
-        )
-        want = (
-            f'{{\n  "format_version": 1,\n  "metadata": {meta_block},\n'
-            f'  "codes": [\n{codes}\n  ]\n}}\n'
-        )
+        want = canonical_layout(code_set_to_document(cs))
         assert dumps_code_set(cs) == want
         assert loads_code_set(want) == cs
+        assert io._canonical_code_set(want) == cs  # read without json.loads
 
     def test_file_round_trip(self, tmp_path, quaternary_set):
         path = tmp_path / "set.json"
@@ -330,10 +338,14 @@ class TestLoaderFuzz:
         edit(doc)
         with pytest.raises(CodeSetFormatError):
             code_set_from_document(doc)
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["verify", str(path)]) == 3
-        assert "error:" in capsys.readouterr().err
+        for render in (json.dumps, canonical_layout):
+            text = render(doc)
+            with pytest.raises(CodeSetFormatError):
+                loads_code_set(text)
+            path = tmp_path / "bad.json"
+            path.write_text(text, encoding="utf-8")
+            assert main(["verify", str(path)]) == 3
+            assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", CSV_FUZZ.values(), ids=CSV_FUZZ.keys())
     def test_csv(self, tmp_path, quaternary_set, edit):
@@ -344,3 +356,94 @@ class TestLoaderFuzz:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(CodeSetFormatError):
             import_csv(path)
+
+
+def _first_phase(digits):
+    def edit(text):
+        return re.sub(r"(\n    \[\[)[0-9]+", lambda m: m.group(1) + digits, text, count=1)
+    return edit
+
+
+def _blank_codes(text):
+    head, codes_line, body = text.partition('\n  "codes": [\n')
+    tail = "\n  ]\n}\n"
+    return head + codes_line + " " * (len(body) - len(tail)) + tail
+
+
+def _replace(old, new):
+    def edit(text):
+        return text.replace(old, new, 1)
+    return edit
+
+
+TEXT_EDITS = {
+    "unchanged": lambda text: text,
+    "CRLF line endings": lambda text: text.replace("\n", "\r\n"),
+    "extra space in a code line": _replace("\n    [[", "\n    [[ "),
+    "leading zero": _first_phase("01"),
+    "19-digit phase": _first_phase(str(2**63 - 1)),
+    "19-digit phase beyond int64": _first_phase("9" * 19),
+    "25-digit phase": _first_phase("1" + "0" * 24),
+    "non-ASCII digit": _first_phase("\u0663"),
+    "all-space codes block": _blank_codes,
+    "non-ASCII metadata string": _replace('"bit_order": ', '"bit_order": "\u00e9",\n    "x": '),
+    "second codes key first": _replace('\n  "metadata"', '\n  "codes": [\n  ],\n  "metadata"'),
+    "second codes key last": _replace("\n  ]\n}\n", '\n  ],\n  "codes": [\n    [[0]]\n  ]\n}\n'),
+    "json.dumps indent=2": lambda text: json.dumps(json.loads(text), indent=2),
+    "trailing newline": lambda text: text + "\n",
+    "trailing bytes": lambda text: text + "x",
+}
+
+TEXT_SETS = {
+    "q=4 lemma2": lambda: lemma2_ccc(
+        Lemma2Params(4, 2, GBF(2, 4, (Term(2, (z(0), z(1))), Term(3, (z(1),)))), beta1=1)
+    ),
+    "q=2**64": lambda: CodeSet(
+        q=2**64, zcz=2, phases=np.array([[[3, 10**18, 0], [7, 2**62, 1]]] * 2)
+    ),
+    "one phase": lambda: CodeSet(q=2, zcz=1, phases=np.zeros((1, 1, 1), np.int64)),
+}
+
+
+def _general_path(text):
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise CodeSetFormatError(str(exc)) from exc
+    return code_set_from_document(doc)
+
+
+class TestLoadPaths:
+    """loads_code_set reads canonical text without json.loads, yet for every
+    text it gives what json.loads and code_set_from_document give, or an
+    exception of the same class."""
+
+    @pytest.mark.parametrize("build", TEXT_SETS.values(), ids=TEXT_SETS.keys())
+    @pytest.mark.parametrize("edit", TEXT_EDITS.values(), ids=TEXT_EDITS.keys())
+    def test_text_edits_load_as_the_general_path_does(self, edit, build):
+        cs = build()
+        text = edit(dumps_code_set(cs))
+        try:
+            want = _general_path(text)
+        except CodeSetFormatError:
+            with pytest.raises(CodeSetFormatError):
+                loads_code_set(text)
+        else:
+            assert loads_code_set(text) == want
+
+    def test_load_peak_stays_within_four_phase_arrays(self):
+        base = Lemma1Params(
+            10, quadratic_gbf(6, [(i, i + 1) for i in range(5)]), (1, 0, 1, 1, 0, 1),
+            d=1, deleted=(0,), beta1=5,
+        )
+        cs = theorem1_zccs(Theorem1Params(base, l=2, r=4))
+        text = dumps_code_set(cs)
+        tracemalloc.start()
+        try:
+            loaded = loads_code_set(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cs.dims == (16, 4, 2560, 640)
+        assert loaded == cs
+        assert peak <= 4 * cs.phases.nbytes, peak / cs.phases.nbytes

@@ -312,6 +312,44 @@ class TestForgedIntegers:
         assert oracle_regenerate(cs) == cs
 
 
+class TestForgedStructure:
+    """A record field of the wrong shape or type, or a vertex outside the
+    seed's variables, is refused as incomplete before any loop, never
+    escaping midway as TypeError or IndexError."""
+
+    @pytest.mark.parametrize(
+        "build,path,value",
+        [
+            (lambda: lemma2_ccc(qary_base(deleted=(2,))), ("f_terms",), 5),
+            (lambda: lemma2_ccc(qary_base(deleted=(2,))), ("beta1",), 99),
+            (lambda: lemma2_ccc(qary_base(deleted=(2,))), ("beta1",), -1),
+            (lambda: lemma2_ccc(qary_base(deleted=(2,))), ("deleted",), [99]),
+            (lambda: lemma2_ccc(qary_base(deleted=(2,))), ("f_terms", 1, "literals", 0, 0), 99),
+            (lambda: lemma2_ccc(qary_base(deleted=(2,))), ("f_terms", 1, "literals", 0), [0]),
+            (lambda: lemma2_ccc(qary_base(deleted=(2,))), ("f_terms", 1), [3]),
+            (lambda: lemma2_ccc(qary_base(deleted=(2,))), ("f_terms", 1, "coefficient"), "3"),
+            (lambda: lemma2_ccc(qary_base(deleted=(2,))), ("f_terms", 1, "coefficient"), 3.0),
+            (lambda: lemma1_ccc(binary_k2()), ("quadratic", 0, 0), 99),
+            (lambda: lemma1_ccc(binary_k2()), ("quadratic", 0), [0, 1]),
+            (lambda: lemma1_ccc(binary_k2()), ("pair_end",), 99),
+            (lambda: lemma1_ccc(binary_k2()), ("d_vec",), [1] * 20),
+            (lambda: lemma1_ccc(binary_k2()), ("d",), None),
+            (lambda: theorem1_zccs(Theorem1Params(binary_k2(), l=2, r=2)), ("s_r", 1, 0), "1"),
+            (lambda: theorem1_zccs(Theorem1Params(binary_k2(), l=2, r=2)), ("l",), 2.0),
+        ],
+        ids=[
+            "f_terms 5", "beta1 99", "beta1 -1", "deleted [99]", "literal variable 99",
+            "literal without flag", "term as list", "coefficient str", "coefficient float",
+            "quadratic vertex 99", "quadratic pair", "pair_end 99", "d_vec longer than m1",
+            "d null", "s_r entry str", "l float",
+        ],
+    )
+    def test_refused_as_incomplete(self, build, path, value):
+        cs = build()
+        with pytest.raises(ValueError, match="provenance record is incomplete"):
+            oracle_regenerate(forge(cs, path, lambda _: value))
+
+
 def test_oracle_imports_nothing_of_the_generators():
     """The oracle stays independent: besides copy and numpy it takes only
     the CodeSet container from the package."""
