@@ -11,24 +11,29 @@ rows, and a set the CodeSet's (M, N, L) array.  gbf.unit_values is the one
 table from phases to values, and the modulus alone fixes the arithmetic:
 integers for q in EXACT_MODULI, complex128 otherwise.
 
-verify_zccs computes every pair profile with one batched FFT engine.  It
+One batched FFT engine, _blocks, computes every pair correlation.  It
 transforms the set's whole (M, N, L) value array once, zero-padded to the
 power of two n >= 2L - 1 at which circular correlation equals aperiodic
-correlation.  Then, code i at a time, it sums the cross-spectra against
-every code j >= i over the rows and inverse-transforms them in one call.
-Real value arrays (q <= 2) use rfft/irfft, complex ones fft/ifft.
-accs and set_accs compute one shift by direct dot products and share no
-code with the engine but unit_values, so the two check each other.
+correlation.  Then, for each code i and each chunk of the codes j >= i
+(about CHUNK_ENTRIES spectrum entries), it sums the cross-spectra over the
+rows and inverse-transforms them in one call, giving a circular block in
+which shift tau sits at index tau mod n.  Real value arrays (q <= 2) use
+rfft/irfft and give real blocks, complex ones fft/ifft.  verify_zccs
+reduces each block as it comes and drops it, so its memory does not grow
+with the number of pairs; pair_profiles assembles the same blocks into
+whole profiles.  accs and set_accs compute one shift by direct dot
+products and share no code with the engine but unit_values, so the two
+check each other.
 
 For q in EXACT_MODULI the values are the Gaussian integers +-1 and +-i.
-The engine rounds each code's block of profiles to integers and certifies
-the rounding: _rounding_bound and the largest observed distance to an
-integer must both stay below 1/4, or np.correlate recomputes the block.
+The engine rounds each block to integers and certifies the rounding:
+_rounding_bound and the largest observed distance to an integer must both
+stay below 1/4, or np.correlate recomputes the block.
 
 One zero test serves every modulus: a nonzero sum in Z[zeta_q] has modulus
 at least s (_separation), so its real or imaginary part exceeds s / 2.  A
 part above tolerance = max(s / 4, b) counts as nonzero, where the round-off
-b is 0 for integer profiles and _rounding_bound otherwise.  The verdict is
+b is 0 for integer blocks and _rounding_bound otherwise.  The verdict is
 exact, certified, when b < s / 4; otherwise a zero sum still never reads
 as nonzero, and the report says exact=False.  s = 1 for q in
 {1, 2, 3, 4, 6}; q = 5, 8, 10, 12 are certified up to L = 65536, 32768,
@@ -38,7 +43,7 @@ as nonzero, and the report says exact=False.  s = 1 for q in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -47,13 +52,30 @@ from .gbf import unit_values
 
 EXACT_MODULI = (1, 2, 4)
 
-# The most profile entries M(M+1)/2 * (2L - 1) verify allocates, 1.55 times
-# the 10.8M of the (32, 4, 10240) thm1 set; as float64 pairs they take 268 MB.
+# Spectrum entries (codes j times rows times frequencies) one chunk of the
+# engine reads.  Blocks this small stay in cache between the einsum, the
+# inverse transform and their reduction; 2^20 made verify slower than
+# whole-row blocks, 2^15 to 2^16 faster.
+CHUNK_ENTRIES = 1 << 16
+
+# verify_zccs lists at most this many violations and counts all of them.
+MAX_LISTED_VIOLATIONS = 1000
+
+# verify_zccs's limits, checked before anything is allocated.  The spectra
+# of the (256, 4, 2560) thm1 set are 4.2M entries (67 MB as complex128) and
+# its M(M+1)/2 * n inverse-transform work is 2.7e8; the limits admit twice
+# that work and, for a complex set of those dims, 2^23 entries.
+MAX_SPECTRUM_ENTRIES = 1 << 23
+MAX_TRANSFORM_WORK = 1 << 29
+
+# The most profile entries M(M+1)/2 * (2L - 1) pair_profiles allocates, 1.55
+# times the 10.8M of the (32, 4, 10240) thm1 set; as float64 pairs they
+# take 268 MB.
 MAX_PROFILE_ENTRIES = 1 << 24
 
 
 class ProfileSizeError(ValueError):
-    """The set's profiles would exceed MAX_PROFILE_ENTRIES."""
+    """The set is over a size limit of verify_zccs or pair_profiles."""
 
 
 class CorrelationValue(NamedTuple):
@@ -89,17 +111,16 @@ class Violation(NamedTuple):
 class CorrelationReport:
     """Everything verify_zccs measured about one code set.
 
-    profiles is one (M(M+1)/2, 2L-1, 2) array, with one row per code pair
-    (i, j), i <= j, in the order of np.triu_indices(M).  It holds integers
-    for q in EXACT_MODULI (int32 unless N * L needs int64), float64
-    otherwise.  profiles[p, t] holds the real and imaginary parts of the
-    pair's sum at shift tau = t - (L - 1).  A part beyond tolerance counts
-    as nonzero, and exact says the verdict is certified: every zero part
-    reads within tolerance and every nonzero one beyond it.
-    measured_zcz is the widest zone the data actually supports: the
-    smallest |tau| at which any pair turns nonzero (L when none does), or 0
-    when some peak misses.  zccs_ok refers to the zone that was checked,
-    z_checked.
+    A real or imaginary part beyond tolerance counts as nonzero, and exact
+    says the verdict is certified: every zero part reads within tolerance
+    and every nonzero one beyond it.  violation_count is the number of
+    in-zone violations; violations lists the first MAX_LISTED_VIOLATIONS
+    of them in (i, j, |tau|, tau) order.  first_nonzero holds, for each
+    code pair (i, j), i <= j, in the order of np.triu_indices(M), the
+    smallest |tau| at which the pair's sum is nonzero: L when it never is,
+    0 when the pair is (i, i) and its peak misses N * L.  measured_zcz is
+    its minimum, the widest zone the data actually support.  zccs_ok
+    refers to the zone that was checked, z_checked.
     """
 
     set_size: int
@@ -112,19 +133,11 @@ class CorrelationReport:
     expected_peak: int
     peaks: tuple[CorrelationValue, ...]
     measured_zcz: int
+    violation_count: int
     violations: tuple[Violation, ...]
+    first_nonzero: np.ndarray
     zccs_ok: bool
     optimal: bool
-    profiles: np.ndarray
-
-    def profile_value(self, i: int, j: int, tau: int) -> CorrelationValue:
-        """Correlation sum between codes i and j at shift tau (i <= j)."""
-        if not 0 <= i <= j < self.set_size:
-            raise ValueError(f"need 0 <= i <= j < {self.set_size}, got i={i}, j={j}")
-        if abs(tau) >= self.length:
-            return CorrelationValue(*np.zeros(2, self.profiles.dtype).tolist())
-        pair = i * self.set_size - i * (i - 1) // 2 + j - i
-        return CorrelationValue(*self.profiles[pair, tau + self.length - 1].tolist())
 
 
 def is_optimal(set_size: int, code_size: int, length: int, zone: int) -> bool:
@@ -187,7 +200,7 @@ def _fft_length(length: int) -> int:
 
 
 def _rounding_bound(code_size: int, length: int) -> float:
-    """A-priori bound on |FFT value - exact sum| for any entry of a profile.
+    """A-priori bound on |FFT value - exact sum| for any entry of a block.
 
     Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     Theorem 24.2: a length-n radix-2 FFT has normwise relative error at
@@ -219,29 +232,32 @@ def _round_certified(block: np.ndarray, bound: float, direct) -> np.ndarray:
     return direct()
 
 
-def _direct_block(i: int, values: np.ndarray) -> np.ndarray:
-    """(M - i, 2L - 1, 2) integer profiles of the pairs (i, j >= i).
+def _direct_block(values: np.ndarray, i: int, j0: int, j1: int) -> np.ndarray:
+    """The block of codes j0 <= j < j1 against code i, in integer arithmetic.
 
     values is the set's exact (M, N, L) value array; its real and imaginary
     parts are integers, so every float partial sum below 2^53 is exact.
     np.correlate(a, v, "full") lists sum_t a[t + tau] * conj(v[t]) for tau
-    from -(L - 1) to L - 1 in ascending order, which is the profile's order.
+    from -(L - 1) to L - 1 in ascending order; tau goes to index tau mod n.
     """
-    set_size, _, length = values.shape
-    block = np.empty((set_size - i, 2 * length - 1, 2), dtype=np.int64)
-    for j in range(i, set_size):
+    length = values.shape[2]
+    n = _fft_length(length)
+    block = np.zeros((j1 - j0, n), dtype=values.dtype)
+    for j in range(j0, j1):
         sums = sum(np.correlate(u, v, "full") for u, v in zip(values[i], values[j]))
-        block[j - i, :, 0], block[j - i, :, 1] = sums.real, sums.imag
+        block[j - j0, :length] = sums[length - 1 :]
+        block[j - j0, n - length + 1 :] = sums[: length - 1]
     return block
 
 
-def _exact_dtype(code_size: int, length: int) -> type:
-    """Narrowest of int32 and int64 that holds every sum; |sum| <= N * L."""
-    return np.int32 if code_size * length <= np.iinfo(np.int32).max else np.int64
+def _blocks(code_set: CodeSet) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(i, j0, block) for each code i and each chunk j0 <= j < j1 of codes j >= i.
 
-
-def _profiles(code_set: CodeSet, integer: bool) -> np.ndarray:
-    """Every pair profile of the set; see CorrelationReport.profiles."""
+    block is the (j1 - j0, n) circular correlation of the chunk against
+    code i: row j - j0 holds, at index tau mod n, the sum over rows of
+    codes i and j at shift tau.  It is real for q <= 2 and complex
+    otherwise, and for q in EXACT_MODULI rounded to certified integers.
+    """
     q, phases = code_set.q, code_set.phases
     set_size, code_size, length = phases.shape
     values = unit_values(q, phases)
@@ -255,29 +271,62 @@ def _profiles(code_set: CodeSet, integer: bool) -> np.ndarray:
     # Kept conjugated, so each code's einsum conjugates a copy of its own
     # (N, n) rows only, never the whole set.
     np.conjugate(spectra, out=spectra)
-
-    profiles = np.empty(
-        (set_size * (set_size + 1) // 2, 2 * length - 1, 2),
-        dtype=_exact_dtype(code_size, length) if integer else np.float64,
-    )
-    start = 0
+    rows = max(1, CHUNK_ENTRIES // spectra[0].size)
+    bound = _rounding_bound(code_size, length)
     for i in range(set_size):
-        stop = start + set_size - i
-        sums = inverse(np.einsum("nf,jnf->jf", spectra[i].conj(), spectra[i:]), n)
-        block = np.empty(profiles[start:stop].shape) if integer else profiles[start:stop]
-        # shift tau sits at index tau mod n of the circular correlation
-        block[:, : length - 1, 0] = sums[:, n - length + 1 :].real
-        block[:, length - 1 :, 0] = sums[:, :length].real
-        block[:, : length - 1, 1] = sums[:, n - length + 1 :].imag
-        block[:, length - 1 :, 1] = sums[:, :length].imag
-        del sums
-        if integer:
-            profiles[start:stop] = _round_certified(
-                block,
-                _rounding_bound(code_size, length),
-                lambda: _direct_block(i, unit_values(q, phases)),
-            )
-        start = stop
+        own = spectra[i].conj()
+        for j0 in range(i, set_size, rows):
+            j1 = min(j0 + rows, set_size)
+            block = inverse(np.einsum("nf,jnf->jf", own, spectra[j0:j1]), n)
+            if q in EXACT_MODULI:
+                # real and imaginary parts rounded alike, through a float64 view
+                block = _round_certified(
+                    block.view(np.float64),
+                    bound,
+                    lambda: _direct_block(unit_values(q, phases), i, j0, j1).view(np.float64),
+                ).view(block.dtype)
+            yield i, j0, block
+
+
+def _pair_index(set_size: int, i: int, j: int) -> int:
+    """Position of the pair (i, j), i <= j, in the order of np.triu_indices(M)."""
+    return i * set_size - i * (i - 1) // 2 + j - i
+
+
+def _exact_dtype(code_size: int, length: int) -> type:
+    """Narrowest of int32 and int64 that holds every sum; |sum| <= N * L."""
+    return np.int32 if code_size * length <= np.iinfo(np.int32).max else np.int64
+
+
+def pair_profiles(code_set: CodeSet) -> np.ndarray:
+    """Every pair profile of the set, assembled from the blocks verify_zccs reduces.
+
+    One (M(M+1)/2, 2L-1, 2) array, with one row per code pair (i, j),
+    i <= j, in the order of np.triu_indices(M).  It holds integers for q
+    in EXACT_MODULI (int32 unless N * L needs int64), float64 otherwise.
+    profiles[p, t] holds the real and imaginary parts of the pair's sum at
+    shift tau = t - (L - 1).  A set of more than MAX_PROFILE_ENTRIES
+    profile entries raises ProfileSizeError, a ValueError, before anything
+    is allocated.
+    """
+    set_size, code_size, length = code_set.phases.shape
+    entries = set_size * (set_size + 1) // 2 * (2 * length - 1)
+    if entries > MAX_PROFILE_ENTRIES:
+        raise ProfileSizeError(
+            f"(M, L) = ({set_size}, {length}) needs {entries} profile entries, "
+            f"over the limit {MAX_PROFILE_ENTRIES}"
+        )
+    profiles = np.zeros(
+        (set_size * (set_size + 1) // 2, 2 * length - 1, 2),
+        dtype=_exact_dtype(code_size, length) if code_set.q in EXACT_MODULI else np.float64,
+    )
+    n = _fft_length(length)
+    for i, j0, block in _blocks(code_set):
+        start = _pair_index(set_size, i, j0)
+        pairs = profiles[start : start + len(block)]
+        for part, values in enumerate((block.real, block.imag)):
+            pairs[:, : length - 1, part] = values[:, n - length + 1 :]
+            pairs[:, length - 1 :, part] = values[:, :length]
     return profiles
 
 
@@ -297,27 +346,25 @@ def _separation(q: int, code_size: int, length: int) -> float:
     return float(2 * code_size * length) ** (1 - pairs)
 
 
-def _nonzero(values: np.ndarray, tolerance: float) -> np.ndarray:
-    """Whether the real or the imaginary part (last axis) exceeds the tolerance."""
-    outside = (values > tolerance) | (values < -tolerance)
-    return outside[..., 0] | outside[..., 1]
-
-
 def verify_zccs(code_set: CodeSet, z: int | None = None) -> CorrelationReport:
     """Check the zero-correlation-zone claim of a code set exhaustively.
 
-    z defaults to the declared zone.  Every unordered code pair is profiled
-    over all shifts; violations list the in-zone failures, measured_zcz the
-    zone the data would actually support.  A set of more than
-    MAX_PROFILE_ENTRIES profile entries raises ProfileSizeError, a
-    ValueError, before anything is allocated.
+    z defaults to the declared zone.  Every unordered code pair is checked
+    at every shift, one engine block at a time; see CorrelationReport for
+    what is measured.  A set whose spectra would exceed
+    MAX_SPECTRUM_ENTRIES or whose M(M+1)/2 * n inverse-transform work
+    would exceed MAX_TRANSFORM_WORK raises ProfileSizeError, a ValueError,
+    before anything is allocated.
     """
     set_size, code_size, length, declared = code_set.dims
-    entries = set_size * (set_size + 1) // 2 * (2 * length - 1)
-    if entries > MAX_PROFILE_ENTRIES:
+    n = _fft_length(length)
+    spectrum = set_size * code_size * (n // 2 + 1 if code_set.q <= 2 else n)
+    work = set_size * (set_size + 1) // 2 * n
+    if spectrum > MAX_SPECTRUM_ENTRIES or work > MAX_TRANSFORM_WORK:
         raise ProfileSizeError(
-            f"(M, L) = ({set_size}, {length}) needs {entries} profile entries, "
-            f"over the limit {MAX_PROFILE_ENTRIES}"
+            f"(M, N, L) = ({set_size}, {code_size}, {length}) needs {spectrum} spectrum "
+            f"entries and {work} inverse-transform work, over the limits "
+            f"{MAX_SPECTRUM_ENTRIES} and {MAX_TRANSFORM_WORK}"
         )
     zone = declared if z is None else int(z)
     if not 1 <= zone <= length:
@@ -326,30 +373,46 @@ def verify_zccs(code_set: CodeSet, z: int | None = None) -> CorrelationReport:
     quarter = _separation(code_set.q, code_size, length) / 4
     roundoff = 0.0 if integer else _rounding_bound(code_size, length)
     tolerance, exact = max(quarter, roundoff), roundoff < quarter
-    profiles = _profiles(code_set, integer)
-
-    center = length - 1
     expected_peak = code_size * length
-    first, second = np.triu_indices(set_size)
-    diag = np.flatnonzero(first == second)
-    peaks = profiles[diag, center]
-    # A peak counts as nonzero where it misses N * L, so shift 0 of a
-    # diagonal pair is a violation exactly when its peak is off.
-    nonzero = _nonzero(profiles, tolerance)
-    nonzero[diag, center] = _nonzero(peaks - np.array([expected_peak, 0]), tolerance)
-    taus = np.arange(1 - length, length)
-    measured = int(np.abs(taus[nonzero.any(axis=0)]).min(initial=length))
+    cast = int if integer else float
 
-    pair, col = np.nonzero(nonzero[:, center - zone + 1 : center + zone])
-    tau = col - (zone - 1)
-    order = np.lexsort((tau, np.abs(tau), pair))
-    pair, tau = pair[order], tau[order]
-    values = profiles[pair, tau + center].tolist()
-    violations = tuple(
-        Violation(int(first[p]), int(second[p]), t, CorrelationValue(*v))
-        for p, t, v in zip(pair.tolist(), tau.tolist(), values)
-    )
-    ok = not violations
+    # Block columns in listing order, shifts 0, -1, 1, -2, 2, ...: position
+    # p holds |tau| = (p + 1) // 2, and the zone is the first 2 * zone - 1.
+    taus = np.zeros(2 * length - 1, dtype=np.int64)
+    taus[1::2], taus[2::2] = -np.arange(1, length), np.arange(1, length)
+    columns = taus % n
+    first_nonzero = np.empty(set_size * (set_size + 1) // 2, dtype=np.int64)
+    peaks, violations, count = [], [], 0
+    for i, j0, block in _blocks(code_set):
+        parts = np.abs(block.view(np.float64)) > tolerance
+        if np.iscomplexobj(block):
+            parts = parts[:, 0::2] | parts[:, 1::2]
+        nonzero = parts.take(columns, axis=1)
+        if j0 == i:
+            # A peak counts as nonzero where it misses N * L, so shift 0 of
+            # a diagonal pair is a violation exactly when its peak is off.
+            peak = block[0, 0]
+            peaks.append(CorrelationValue(cast(peak.real), cast(peak.imag)))
+            nonzero[0, 0] = max(abs(peak.real - expected_peak), abs(peak.imag)) > tolerance
+        first = nonzero.argmax(axis=1)
+        start = _pair_index(set_size, i, j0)
+        first_nonzero[start : start + len(block)] = np.where(
+            nonzero[np.arange(len(block)), first], (first + 1) // 2, length
+        )
+        in_zone = nonzero[:, : 2 * zone - 1]
+        count += int(np.count_nonzero(in_zone))
+        room = MAX_LISTED_VIOLATIONS - len(violations)
+        if room > 0:
+            row, position = (index[:room] for index in np.nonzero(in_zone))
+            values = block[row, columns[position]]
+            violations.extend(
+                Violation(i, j0 + j, tau, CorrelationValue(cast(real), cast(imag)))
+                for j, tau, real, imag in zip(
+                    row.tolist(), taus[position].tolist(), values.real, values.imag
+                )
+            )
+    first_nonzero.setflags(write=False)
+    ok = count == 0
     return CorrelationReport(
         set_size=set_size,
         code_size=code_size,
@@ -359,12 +422,13 @@ def verify_zccs(code_set: CodeSet, z: int | None = None) -> CorrelationReport:
         exact=exact,
         tolerance=tolerance,
         expected_peak=expected_peak,
-        peaks=tuple(CorrelationValue(*v) for v in peaks.tolist()),
-        measured_zcz=measured,
-        violations=violations,
+        peaks=tuple(peaks),
+        measured_zcz=int(first_nonzero.min()),
+        violation_count=count,
+        violations=tuple(violations),
+        first_nonzero=first_nonzero,
         zccs_ok=ok,
         optimal=ok and is_optimal(set_size, code_size, length, zone),
-        profiles=profiles,
     )
 
 

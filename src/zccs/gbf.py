@@ -223,7 +223,8 @@ def unit_values(q: int, phases: np.ndarray) -> np.ndarray:
     The package's one phase-to-value table.  For q in {1, 2} the values
     are real and come back as float64 +-1; for q = 4 they are the complex
     Gaussian integers 1, i, -1, -i.  Both are exact, not computed through
-    exp(); every other modulus uses exp.
+    exp(); every other modulus looks its values up in a table of exp over
+    Z_q, or calls exp per phase when that table would outgrow the result.
     """
     if q == 1:
         return np.ones(phases.shape)
@@ -231,7 +232,9 @@ def unit_values(q: int, phases: np.ndarray) -> np.ndarray:
         return (1 - 2 * phases).astype(np.float64)
     if q == 4:
         return np.array([1 + 0j, 0 + 1j, -1 + 0j, 0 - 1j])[phases]
-    return np.exp(2j * np.pi * phases / q)
+    if q > phases.size:
+        return np.exp(2j * np.pi * phases / q)
+    return np.exp(2j * np.pi * np.arange(q) / q)[phases]
 
 
 def substitute_complement(f: GBF) -> GBF:

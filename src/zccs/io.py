@@ -7,8 +7,8 @@ json.dumps(indent=2) writes it; one code per line,
 `    [[p,...,p],...,[p,...,p]]`, lines joined by ",\n"; a trailing newline.
 The code lines are built as bytes straight from the phase array, never
 through one Python int per phase.  Files contain integers only; phases are
-never converted to floating point.  Reports are compact JSON on one line
-and carry no such guarantee.
+never converted to floating point.  Reports are compact JSON on one line,
+have their own REPORT_FORMAT_VERSION and carry no such guarantee.
 
 Reading a file tries the canonical layout first: json parses only the
 header above the codes, and numpy reads every digit run below it in one
@@ -29,6 +29,7 @@ from .constructions import CodeSet
 from .correlation import CorrelationReport
 
 FORMAT_VERSION = 1
+REPORT_FORMAT_VERSION = 2
 
 
 class CodeSetFormatError(Exception):
@@ -217,8 +218,10 @@ def load_code_set(path) -> CodeSet:
 
 
 def report_to_document(report: CorrelationReport) -> dict:
+    """summary.violation_count counts every in-zone violation; violations
+    lists the first summary.violations_listed of them."""
     return {
-        "format_version": FORMAT_VERSION,
+        "format_version": REPORT_FORMAT_VERSION,
         "summary": {
             "q": report.q,
             "M": report.set_size,
@@ -231,7 +234,8 @@ def report_to_document(report: CorrelationReport) -> dict:
             "measured_zcz": report.measured_zcz,
             "zccs_ok": report.zccs_ok,
             "optimal": report.optimal,
-            "violation_count": len(report.violations),
+            "violation_count": report.violation_count,
+            "violations_listed": len(report.violations),
         },
         "peaks": [[v.real, v.imag] for v in report.peaks],
         "violations": [
@@ -268,39 +272,3 @@ def export_csv(code_set: CodeSet, path) -> None:
     for row in values.reshape(-1, code_set.length).tolist():
         lines.append(",".join(map(str, row)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def import_csv(path) -> CodeSet:
-    """Inverse of export_csv up to provenance, which CSV does not carry."""
-    meta: dict[str, str] = {}
-    rows: list[list[int]] = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            body = stripped[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-            continue
-        try:
-            rows.append([int(x) for x in stripped.split(",")])
-        except ValueError as exc:
-            raise CodeSetFormatError(f"line {lineno}: non-integer entry") from exc
-    try:
-        q = int(meta["q"])
-        m, n, length, zone = (int(meta[k]) for k in ("M", "N", "L", "Z"))
-        values = meta.get("values", "signs" if q == 2 else "phases")
-    except (KeyError, ValueError) as exc:
-        raise CodeSetFormatError(f"incomplete or invalid header: {exc}") from exc
-    if min(m, n, length) < 1:
-        raise CodeSetFormatError(f"M, N and L must be positive, got {m}, {n}, {length}")
-    if len(rows) != m * n:
-        raise CodeSetFormatError(f"expected {m * n} data rows, found {len(rows)}")
-    if values == "signs":
-        if any(v not in (1, -1) for row in rows for v in row):
-            raise CodeSetFormatError("sign data has entries other than +-1")
-        rows = [[(1 - v) // 2 for v in row] for row in rows]
-    codes = [rows[ci * n : (ci + 1) * n] for ci in range(m)]
-    return _checked_code_set(codes, {"q": q, "M": m, "N": n, "L": length, "Z": zone}, None)

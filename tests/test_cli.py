@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from zccs import correlation, graphs, import_csv, load_code_set, save_code_set
+from zccs import CodeSet, correlation, graphs, load_code_set, save_code_set
 from zccs.cli import main
 
 from conftest import q8_counterexample
@@ -213,13 +213,33 @@ class TestVerify:
         assert type(summary["tolerance"]) is float
 
     def test_oversized_set_is_exit_3(self, capsys, monkeypatch, stored_set):
-        # the (8, 8, 160) set has 36 * 319 = 11484 profile entries
-        monkeypatch.setattr(correlation, "MAX_PROFILE_ENTRIES", 1000)
+        # the (8, 8, 160) set has 8 * 8 * 257 spectrum entries at n = 512,
+        # and 36 pairs * 512 = 18432 inverse-transform work
+        monkeypatch.setattr(correlation, "MAX_TRANSFORM_WORK", 18431)
         code, stdout, stderr = run(capsys, "verify", str(stored_set))
         assert code == 3
         assert stdout == ""
-        assert stderr.startswith("error: (M, L) = (8, 160) needs 11484 profile entries")
+        assert stderr.startswith(
+            "error: (M, N, L) = (8, 8, 160) needs 16448 spectrum entries and 18432 "
+            "inverse-transform work"
+        )
         assert stderr.count("\n") == 1 and len(stderr) < 1024
+
+    def test_random_file_report_is_bounded(self, capsys, tmp_path):
+        # 263 KB of random binary phases: every pair fails at nearly every shift
+        path, report_path = tmp_path / "random.json", tmp_path / "report.json"
+        phases = np.random.default_rng(0).integers(0, 2, (64, 2, 1024))
+        save_code_set(CodeSet(2, 1024, phases), path)
+        code, stdout, _ = run(capsys, "verify", str(path), "--report", str(report_path))
+        assert code == 1
+        assert "violations in zone: 4111488" in stdout
+        assert "  ... 4111478 more" in stdout
+        assert report_path.stat().st_size < 1 << 20
+        doc = json.loads(report_path.read_text(encoding="utf-8"))
+        assert doc["format_version"] == 2
+        assert doc["summary"]["violation_count"] == 4111488
+        assert doc["summary"]["violations_listed"] == len(doc["violations"]) == 1000
+        assert doc["summary"]["measured_zcz"] == 0
 
     def test_side_report(self, capsys, stored_set, tmp_path):
         report_path = tmp_path / "report.json"
@@ -240,6 +260,7 @@ class TestReport:
         assert code == 0
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["summary"]["optimal"] is True
+        assert doc["format_version"] == 2
         assert doc["summary"]["violation_count"] == 0
         assert f"wrote {out}" in stdout
 
@@ -296,8 +317,11 @@ class TestExport:
         csv_path = tmp_path / "set.csv"
         code, stdout, _ = run(capsys, "export", str(set_path), "--out", str(csv_path))
         assert code == 0
-        assert csv_path.read_text(encoding="utf-8").startswith("# q=2\n")
-        assert np.array_equal(import_csv(csv_path).phases, load_code_set(set_path).phases)
+        lines = csv_path.read_bytes().decode("ascii").splitlines()
+        assert lines[0] == "# q=2"
+        signs = np.array([[int(x) for x in ln.split(",")] for ln in lines if ln[0] != "#"])
+        phases = load_code_set(set_path).phases
+        assert np.array_equal(signs, 1 - 2 * phases.reshape(-1, phases.shape[2]))
 
 
 class TestParser:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,10 +26,13 @@ from zccs import (
 )
 from zccs import correlation
 from zccs.correlation import (
+    MAX_LISTED_VIOLATIONS,
     ProfileSizeError,
+    Violation,
     _direct_block,
     _round_certified,
     _rounding_bound,
+    pair_profiles,
 )
 from zccs.gbf import unit_values
 
@@ -49,6 +53,39 @@ def random_seq(rng, q, length):
 def random_set(rng, q, set_size, code_size, length):
     """Uniformly random phases: no complementarity, so most sums are nonzero."""
     return CodeSet(q, 1, rng.integers(0, q, size=(set_size, code_size, length)))
+
+
+def profile_value(profiles, set_size, i, j, tau):
+    """Pair (i, j)'s sum at tau, read from a pair_profiles array."""
+    first, second = np.triu_indices(set_size)
+    pair = np.flatnonzero((first == i) & (second == j))[0]
+    return CorrelationValue(*profiles[pair, tau + profiles.shape[1] // 2].tolist())
+
+
+def reduce_profiles(profiles, set_size, expected_peak, tolerance, zone):
+    """first_nonzero and every in-zone violation, derived from whole profiles.
+
+    The reduction verify_zccs made over the stored profile array before it
+    went block by block: a part beyond tolerance is nonzero, a diagonal
+    pair's shift 0 is nonzero where the peak misses, violations in
+    (pair, |tau|, tau) order.
+    """
+    center = profiles.shape[1] // 2
+    first, second = np.triu_indices(set_size)
+    diag = np.flatnonzero(first == second)
+    nonzero = (np.abs(profiles) > tolerance).any(axis=2)
+    missed = profiles[diag, center] - np.array([expected_peak, 0])
+    nonzero[diag, center] = (np.abs(missed) > tolerance).any(axis=1)
+    taus = np.arange(-center, center + 1)
+    first_nonzero = [int(np.abs(taus[row]).min(initial=center + 1)) for row in nonzero]
+    pair, col = np.nonzero(nonzero[:, center - zone + 1 : center + zone])
+    tau = col - (zone - 1)
+    order = np.lexsort((tau, np.abs(tau), pair))
+    violations = [
+        Violation(int(first[p]), int(second[p]), int(t), CorrelationValue(*profiles[p, center + t]))
+        for p, t in zip(pair[order].tolist(), tau[order].tolist())
+    ]
+    return first_nonzero, violations
 
 
 @pytest.fixture(scope="module")
@@ -175,15 +212,14 @@ class TestVerify:
         assert report.tolerance == 0.25
 
     def test_profiles_match_brute_force(self, quaternary_ccc):
-        report = verify_zccs(quaternary_ccc)
-        length = quaternary_ccc.length
+        profiles = pair_profiles(quaternary_ccc)
+        set_size, length = quaternary_ccc.set_size, quaternary_ccc.length
+        assert profiles.shape == (set_size * (set_size + 1) // 2, 2 * length - 1, 2)
         for (i, j) in ((0, 0), (0, 1), (1, 3), (2, 2)):
             for tau in range(-length + 1, length):
-                got = report.profile_value(i, j, tau).as_complex()
+                got = profile_value(profiles, set_size, i, j, tau).as_complex()
                 want = brute_set_accs(4, quaternary_ccc.phases[i], quaternary_ccc.phases[j], tau)
                 assert got == pytest.approx(want, abs=1e-9)
-        assert report.profile_value(0, 1, length) == CorrelationValue(0, 0)
-        assert report.profile_value(0, 1, -length - 5) == CorrelationValue(0, 0)
 
     def test_single_flip_is_caught(self, quaternary_ccc):
         bad = mutate_one_phase(quaternary_ccc, ci=1, ri=0, pos=3, delta=2)
@@ -221,13 +257,6 @@ class TestVerify:
         report = verify_zccs(CodeSet(2, 2, np.array([[[0, 0]], [[0, 1]]])))
         cross = [(v.tau, v.value) for v in report.violations if (v.i, v.j) == (0, 1)]
         assert cross == [(-1, CorrelationValue(-1, 0)), (1, CorrelationValue(1, 0))]
-
-    def test_profile_value_pair_order(self, small_ccc):
-        report = verify_zccs(small_ccc)
-        with pytest.raises(ValueError):
-            report.profile_value(1, 0, 0)
-        with pytest.raises(ValueError):
-            report.profile_value(0, 2, 0)
 
     def test_measure_zcz(self, small_ccc):
         assert measure_zcz(small_ccc) == small_ccc.length
@@ -288,11 +317,12 @@ class TestDerivedZeroTest:
                 phases[ci, ri, pos] = (phases[ci, ri, pos] + int(rng.integers(1, q))) % q
             report = verify_zccs(CodeSet(q, 1, phases))
             assert report.exact
+            profiles = pair_profiles(CodeSet(q, 1, phases))
             peak = code_size * length
             for i, j in itertools.combinations_with_replacement(range(3), 2):
                 for tau in range(1 - length, length):
                     offset = peak if i == j and tau == 0 else 0
-                    got = report.profile_value(i, j, tau)
+                    got = profile_value(profiles, 3, i, j, tau)
                     nonzero = max(abs(got.real - offset), abs(got.imag)) > report.tolerance
                     assert nonzero == brute_nonzero(q, phases[i], phases[j], tau, offset)
 
@@ -313,10 +343,42 @@ class TestSizeGuard:
         monkeypatch.setattr(correlation, "MAX_PROFILE_ENTRIES", 20)
         cs = random_set(np.random.default_rng(1), 2, 2, 1, 4)
         with pytest.raises(ProfileSizeError, match="21 profile entries") as info:
-            verify_zccs(cs)
+            pair_profiles(cs)
         assert isinstance(info.value, ValueError)
         monkeypatch.setattr(correlation, "MAX_PROFILE_ENTRIES", 21)
-        assert verify_zccs(cs).profiles.shape == (3, 7, 2)
+        assert pair_profiles(cs).shape == (3, 7, 2)
+
+    @pytest.mark.parametrize("q, entries", [(2, 3 * 2 * 9), (4, 3 * 2 * 16)])
+    def test_verify_counts_real_and_complex_spectra(self, monkeypatch, q, entries):
+        # L = 7 pads to n = 16: rfft keeps 9 bins, fft all 16
+        cs = random_set(np.random.default_rng(2), q, 3, 2, 7)
+        monkeypatch.setattr(correlation, "MAX_SPECTRUM_ENTRIES", entries - 1)
+        with pytest.raises(ProfileSizeError, match=f"needs {entries} spectrum entries"):
+            verify_zccs(cs)
+        monkeypatch.setattr(correlation, "MAX_SPECTRUM_ENTRIES", entries)
+        assert verify_zccs(cs).set_size == 3
+
+    def test_verify_limits_fit_the_largest_sets(self, monkeypatch):
+        class Admitted(Exception):
+            pass
+
+        def admit(code_set):
+            raise Admitted
+
+        monkeypatch.setattr(correlation, "_blocks", admit)
+        for q in (2, 4):
+            with pytest.raises(Admitted):
+                verify_zccs(CodeSet(q, 40, np.zeros((256, 4, 2560), np.int8)))
+        # 134M pairs * n = 8: refused before anything is allocated
+        tiny = CodeSet(2, 1, np.zeros((16384, 1, 4), np.int8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProfileSizeError, match="1073807360 inverse-transform work"):
+                verify_zccs(tiny)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
 
 class TestEngineDifferential:
@@ -332,13 +394,13 @@ class TestEngineDifferential:
         exact = q in (1, 2, 4)
         for set_size, code_size, length in itertools.product((1, 3), (1, 2, 3), (1, 2, 7, 64)):
             cs = random_set(rng, q, set_size, code_size, length)
-            report = verify_zccs(cs)
-            assert report.exact
-            assert np.issubdtype(report.profiles.dtype, np.integer) == exact
+            assert verify_zccs(cs).exact
+            profiles = pair_profiles(cs)
+            assert np.issubdtype(profiles.dtype, np.integer) == exact
             for i, j in itertools.combinations_with_replacement(range(set_size), 2):
                 rows_i, rows_j = cs.phases[i], cs.phases[j]
                 for tau in range(1 - length, length):
-                    got = report.profile_value(i, j, tau)
+                    got = profile_value(profiles, set_size, i, j, tau)
                     direct = set_accs(q, rows_i, rows_j, tau)
                     brute = brute_set_accs(q, rows_i, rows_j, tau)
                     if exact:
@@ -352,25 +414,29 @@ class TestEngineDifferential:
 class TestRoundingCertificate:
     @pytest.fixture()
     def exact_block(self):
+        """A (3, 16) complex block as its (3, 32) float64 view of parts."""
         cs = random_set(np.random.default_rng(17), 4, 3, 2, 7)
-        return _direct_block(0, unit_values(4, cs.phases))
+        return _direct_block(unit_values(4, cs.phases), 0, 0, 3).view(np.float64)
 
     def test_direct_block_matches_set_accs(self):
+        # L = 7 pads to n = 16: shift tau sits at index tau mod 16
         cs = random_set(np.random.default_rng(18), 4, 3, 2, 7)
         for i in range(3):
-            block = _direct_block(i, unit_values(4, cs.phases))
-            assert block.shape == (3 - i, 13, 2)
+            block = _direct_block(unit_values(4, cs.phases), i, i, 3)
+            assert block.shape == (3 - i, 16)
+            assert not block[:, 7:10].any()
             for j, tau in itertools.product(range(i, 3), range(-6, 7)):
                 want = set_accs(4, cs.phases[i], cs.phases[j], tau)
-                assert tuple(block[j - i, tau + 6]) == want
+                assert block[j - i, tau % 16] == want.as_complex()
 
     def test_engine_matches_direct_block(self):
         cs = random_set(np.random.default_rng(19), 4, 3, 2, 7)
-        profiles = verify_zccs(cs).profiles
+        profiles = pair_profiles(cs)
         values = unit_values(4, cs.phases)
-        assert np.array_equal(profiles[:3], _direct_block(0, values))
-        assert np.array_equal(profiles[3:5], _direct_block(1, values))
-        assert np.array_equal(profiles[5:], _direct_block(2, values))
+        for i, pairs in ((0, slice(0, 3)), (1, slice(3, 5)), (2, slice(5, 6))):
+            block = _direct_block(values, i, i, 3)
+            linear = np.concatenate([block[:, 10:], block[:, :7]], axis=1)
+            assert np.array_equal(profiles[pairs], np.stack([linear.real, linear.imag], axis=-1))
 
     def test_clean_block_is_rounded(self, exact_block):
         calls = []
@@ -386,8 +452,8 @@ class TestRoundingCertificate:
             calls.append(1)
             return exact_block
 
-        perturbed = exact_block.astype(np.float64)
-        perturbed[1, 4, 0] += 0.3
+        perturbed = exact_block.copy()
+        perturbed[1, 4] += 0.3
         got = _round_certified(perturbed, 1e-6, direct)
         assert calls == [1]
         assert got is exact_block
@@ -401,6 +467,79 @@ class TestRoundingCertificate:
         assert _rounding_bound(4, 10240) < 0.25
 
 
+def report_fields(report):
+    """Every field of a report, first_nonzero as a list."""
+    fields = dict(vars(report))
+    fields["first_nonzero"] = report.first_nonzero.tolist()
+    return fields
+
+
+class TestBlocks:
+    """verify_zccs reduces one engine block at a time; chunking changes nothing."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 6, 8])
+    def test_one_row_chunks_give_the_same_report(self, monkeypatch, q):
+        rng = np.random.default_rng(300 + q)
+        for set_size, code_size, length in itertools.product((1, 3), (1, 2, 3), (1, 2, 7, 64)):
+            cs = random_set(rng, q, set_size, code_size, length)
+            zone = max(1, length // 2)
+            default = report_fields(verify_zccs(cs, z=zone))
+            monkeypatch.setattr(correlation, "CHUNK_ENTRIES", 1)
+            split = verify_zccs(cs, z=zone)
+            profiles = pair_profiles(cs)
+            monkeypatch.undo()
+            first_nonzero, violations = reduce_profiles(
+                profiles, set_size, split.expected_peak, split.tolerance, zone
+            )
+            assert split.first_nonzero.tolist() == first_nonzero
+            assert split.measured_zcz == min(first_nonzero)
+            assert list(split.violations) == violations
+            assert split.violation_count == len(violations)
+            fields = report_fields(split)
+            if q not in (1, 2, 4):
+                # float sums may round differently in another batching
+                got, want = fields.pop("violations"), default.pop("violations")
+                assert [v[:3] for v in got] == [v[:3] for v in want]
+                got = [v.value for v in got] + list(fields.pop("peaks"))
+                want = [v.value for v in want] + list(default.pop("peaks"))
+                assert np.allclose(
+                    [v.as_complex() for v in got], [v.as_complex() for v in want], rtol=0, atol=1e-9
+                )
+            assert fields == default
+
+    @pytest.mark.parametrize("q", [1, 2, 4])
+    def test_forced_fallback_in_split_chunks(self, monkeypatch, q):
+        cs = random_set(np.random.default_rng(20 + q), q, 5, 2, 9)
+        default = report_fields(verify_zccs(cs, z=5))
+        calls = []
+        direct = correlation._direct_block
+
+        def counted(values, i, j0, j1):
+            calls.append((i, j0, j1))
+            return direct(values, i, j0, j1)
+
+        # L = 9 pads to n = 32; two codes' spectra per chunk
+        bins = 17 if q <= 2 else 32
+        monkeypatch.setattr(correlation, "CHUNK_ENTRIES", 2 * 2 * bins)
+        monkeypatch.setattr(correlation, "_rounding_bound", lambda code_size, length: 1.0)
+        monkeypatch.setattr(correlation, "_direct_block", counted)
+        forced = verify_zccs(cs, z=5)
+        assert calls == [(i, j0, min(j0 + 2, 5)) for i in range(5) for j0 in range(i, 5, 2)]
+        assert report_fields(forced) == default
+
+    def test_listing_stops_at_the_cap(self):
+        cs = random_set(np.random.default_rng(21), 2, 8, 2, 64)
+        report = verify_zccs(cs, z=64)
+        first_nonzero, violations = reduce_profiles(
+            pair_profiles(cs), 8, report.expected_peak, report.tolerance, 64
+        )
+        assert len(violations) > MAX_LISTED_VIOLATIONS
+        assert report.violation_count == len(violations)
+        assert list(report.violations) == violations[:MAX_LISTED_VIOLATIONS]
+        assert report.first_nonzero.tolist() == first_nonzero
+        assert not report.zccs_ok and not report.optimal
+
+
 def test_thm1_32_4_10240_1280():
     """The largest thm1 set the paper's chaining gives on a 7-vertex path."""
     quad = GBF(7, 2, tuple(Term(1, (z(i), z(i + 1))) for i in range(6)))
@@ -411,3 +550,14 @@ def test_thm1_32_4_10240_1280():
     assert report.exact
     assert report.zccs_ok and report.optimal
     assert report.measured_zcz == 1280
+
+
+def test_thm1_128_4_1280_40():
+    """R = 32 blocks on the m1 = 6 path base: 32896 pairs less than verify's limits."""
+    base = Lemma1Params(6, GBF(2, 2, (Term(1, (z(0), z(1))),)), (0, 1), deleted=(0,), beta1=1)
+    code_set = theorem1_zccs(ChainParams(base, l=5, r=32))
+    assert code_set.dims == (128, 4, 1280, 40)
+    report = verify_zccs(code_set)
+    assert report.exact and report.zccs_ok and report.optimal
+    assert report.violation_count == 0
+    assert report.measured_zcz == 40

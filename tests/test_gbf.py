@@ -183,6 +183,15 @@ class TestPhaseSequence:
     def test_generic_modulus_uses_unit_circle(self):
         assert abs(unit_values(8, np.array([1]))[0] - np.exp(2j * np.pi / 8)) < 1e-12
 
+    def test_generic_table_is_bit_identical_to_exp(self):
+        rng = np.random.default_rng(3)
+        for q in [3] + list(range(5, 33)):  # q = 4 has its own exact table
+            for phases in (np.arange(q), rng.integers(0, q, size=(3, 2, 50)), np.array([q - 1])):
+                want = np.exp(2j * np.pi * phases / q)
+                assert np.array_equal(unit_values(q, phases).view(np.uint64), want.view(np.uint64))
+        # a modulus beyond the array's size builds no table
+        assert unit_values(1 << 62, np.array([1 << 60]))[0] == pytest.approx(1j)
+
     def test_conjugate_negates_phases(self):
         for q in (2, 4, 6, 8):
             phases = np.arange(q)

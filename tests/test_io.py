@@ -1,4 +1,4 @@
-"""Serialization: canonical JSON files, reports, CSV round trips."""
+"""Serialization: canonical JSON files, reports, CSV export."""
 
 import json
 import re
@@ -19,7 +19,6 @@ from zccs import (
     code_set_to_document,
     dumps_code_set,
     export_csv,
-    import_csv,
     lemma1_ccc,
     lemma2_ccc,
     load_code_set,
@@ -168,7 +167,9 @@ class TestReports:
         assert doc["summary"]["zccs_ok"] is True
         assert doc["summary"]["optimal"] is True
         assert doc["summary"]["M"] == binary_set.set_size
+        assert doc["format_version"] == 2
         assert doc["summary"]["violation_count"] == 0
+        assert doc["summary"]["violations_listed"] == 0
         assert doc["peaks"] == [[80, 0], [80, 0]]
         assert doc["violations"] == []
 
@@ -225,47 +226,6 @@ class TestCsv:
         ]
         assert [int(v) for v in data[0].split(",")] == quaternary_set.phases[0, 0].tolist()
 
-    @pytest.mark.parametrize("which", ["binary", "quaternary"])
-    def test_import_inverts_export(self, tmp_path, binary_set, quaternary_set, which):
-        cs = binary_set if which == "binary" else quaternary_set
-        path = tmp_path / "set.csv"
-        export_csv(cs, path)
-        back = import_csv(path)
-        assert back.provenance is None
-        assert np.array_equal(back.phases, cs.phases)
-        assert back.dims == cs.dims
-
-    def test_import_refuses_non_utf8(self, tmp_path):
-        path = tmp_path / "set.csv"
-        path.write_bytes(b"# q=2\n# M=1\n# N=1\n# L=1\n# Z=1\n\xff\n")
-        with pytest.raises(CodeSetFormatError, match="not UTF-8"):
-            import_csv(path)
-
-    def test_import_validates(self, tmp_path, binary_set):
-        path = tmp_path / "set.csv"
-        export_csv(binary_set, path)
-        text = path.read_text(encoding="utf-8")
-
-        short = tmp_path / "short.csv"
-        short.write_text("\n".join(text.splitlines()[:-1]) + "\n", encoding="utf-8")
-        with pytest.raises(CodeSetFormatError, match="data rows"):
-            import_csv(short)
-
-        bad_entry = tmp_path / "bad.csv"
-        bad_entry.write_text(text.replace("1,", "x,", 1), encoding="utf-8")
-        with pytest.raises(CodeSetFormatError, match="non-integer"):
-            import_csv(bad_entry)
-
-        bad_sign = tmp_path / "sign.csv"
-        bad_sign.write_text(text.replace("-1", "-3", 1), encoding="utf-8")
-        with pytest.raises(CodeSetFormatError):
-            import_csv(bad_sign)
-
-        headless = tmp_path / "headless.csv"
-        headless.write_text("1,-1\n-1,1\n", encoding="utf-8")
-        with pytest.raises(CodeSetFormatError, match="header"):
-            import_csv(headless)
-
 
 def _json_entry(value):
     def edit(doc):
@@ -297,37 +257,6 @@ JSON_FUZZ = {
 }
 
 
-def _csv_entry(value):
-    def edit(lines):
-        lines[-1] = value + lines[-1][lines[-1].index(","):]
-    return edit
-
-
-def _csv_meta(key, value):
-    def edit(lines):
-        lines[:] = [f"# {key}={value}" if ln.startswith(f"# {key}=") else ln for ln in lines]
-    return edit
-
-
-def _csv_ragged(lines):
-    lines[-1] = lines[-1].rsplit(",", 1)[0]
-
-
-CSV_FUZZ = {
-    "ragged rows": _csv_ragged,
-    "code with too few rows": lambda lines: lines.pop(),
-    "bool among ints": _csv_entry("True"),
-    "float": _csv_entry("1.0"),
-    "string": _csv_entry("x"),
-    "phase equal to q": _csv_entry("4"),
-    "negative phase": _csv_entry("-1"),
-    "M disagrees": _csv_meta("M", 3),
-    "N disagrees": _csv_meta("N", 1),
-    "L disagrees": _csv_meta("L", 5),
-    "M of 10**12": _csv_meta("M", 10**12),
-}
-
-
 class TestLoaderFuzz:
     """Malformed array data must end in CodeSetFormatError (exit 3 through
     the CLI), whatever sizes the metadata claim."""
@@ -347,15 +276,16 @@ class TestLoaderFuzz:
             assert main(["verify", str(path)]) == 3
             assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", CSV_FUZZ.values(), ids=CSV_FUZZ.keys())
-    def test_csv(self, tmp_path, quaternary_set, edit):
-        path = tmp_path / "set.csv"
-        export_csv(quaternary_set, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        edit(lines)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(CodeSetFormatError):
-            import_csv(path)
+    @pytest.mark.parametrize("edit", JSON_FUZZ.values(), ids=JSON_FUZZ.keys())
+    def test_csv(self, tmp_path, capsys, quaternary_set, edit):
+        """zccs export refuses the same files and writes no CSV."""
+        doc = code_set_to_document(quaternary_set)
+        edit(doc)
+        path, out = tmp_path / "bad.json", tmp_path / "set.csv"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["export", str(path), "--out", str(out)]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _first_phase(digits):
