@@ -19,9 +19,9 @@ correlation.  Then, for each code i and each chunk of the codes j >= i
 rows and inverse-transforms them in one call, giving a circular block in
 which shift tau sits at index tau mod n.  Real value arrays (q <= 2) use
 rfft/irfft and give real blocks, complex ones fft/ifft.  verify_zccs
-reduces each block as it comes and drops it, so its memory does not grow
-with the number of pairs; pair_profiles assembles the same blocks into
-whole profiles.  accs and set_accs compute one shift by direct dot
+reduces each block as it comes and drops it, so it keeps one number per
+pair and no profile; pair_profiles assembles the same blocks into whole
+profiles.  accs and set_accs compute one shift by direct dot
 products and share no code with the engine but unit_values, so the two
 check each other.
 
@@ -64,9 +64,12 @@ MAX_LISTED_VIOLATIONS = 1000
 # verify_zccs's limits, checked before anything is allocated.  The spectra
 # of the (256, 4, 2560) thm1 set are 4.2M entries (67 MB as complex128) and
 # its M(M+1)/2 * n inverse-transform work is 2.7e8; the limits admit twice
-# that work and, for a complex set of those dims, 2^23 entries.
+# that work and, for a complex set of those dims, 2^23 entries.  The pair
+# limit bounds first_nonzero (8 bytes a pair) and the per-code loop where
+# n is too small for the work limit to: a (32767, 1, 1) file is 360 KB.
 MAX_SPECTRUM_ENTRIES = 1 << 23
 MAX_TRANSFORM_WORK = 1 << 29
+MAX_PAIRS = 1 << 22
 
 # The most profile entries M(M+1)/2 * (2L - 1) pair_profiles allocates, 1.55
 # times the 10.8M of the (32, 4, 10240) thm1 set; as float64 pairs they
@@ -352,19 +355,21 @@ def verify_zccs(code_set: CodeSet, z: int | None = None) -> CorrelationReport:
     z defaults to the declared zone.  Every unordered code pair is checked
     at every shift, one engine block at a time; see CorrelationReport for
     what is measured.  A set whose spectra would exceed
-    MAX_SPECTRUM_ENTRIES or whose M(M+1)/2 * n inverse-transform work
-    would exceed MAX_TRANSFORM_WORK raises ProfileSizeError, a ValueError,
-    before anything is allocated.
+    MAX_SPECTRUM_ENTRIES, whose M(M+1)/2 * n inverse-transform work would
+    exceed MAX_TRANSFORM_WORK or whose M(M+1)/2 code pairs would exceed
+    MAX_PAIRS raises ProfileSizeError, a ValueError, before anything is
+    allocated.
     """
     set_size, code_size, length, declared = code_set.dims
     n = _fft_length(length)
     spectrum = set_size * code_size * (n // 2 + 1 if code_set.q <= 2 else n)
-    work = set_size * (set_size + 1) // 2 * n
-    if spectrum > MAX_SPECTRUM_ENTRIES or work > MAX_TRANSFORM_WORK:
+    pairs = set_size * (set_size + 1) // 2
+    work = pairs * n
+    if spectrum > MAX_SPECTRUM_ENTRIES or work > MAX_TRANSFORM_WORK or pairs > MAX_PAIRS:
         raise ProfileSizeError(
             f"(M, N, L) = ({set_size}, {code_size}, {length}) needs {spectrum} spectrum "
-            f"entries and {work} inverse-transform work, over the limits "
-            f"{MAX_SPECTRUM_ENTRIES} and {MAX_TRANSFORM_WORK}"
+            f"entries and {work} inverse-transform work for {pairs} code pairs, over the "
+            f"limits {MAX_SPECTRUM_ENTRIES}, {MAX_TRANSFORM_WORK} and {MAX_PAIRS} pairs"
         )
     zone = declared if z is None else int(z)
     if not 1 <= zone <= length:
@@ -381,7 +386,7 @@ def verify_zccs(code_set: CodeSet, z: int | None = None) -> CorrelationReport:
     taus = np.zeros(2 * length - 1, dtype=np.int64)
     taus[1::2], taus[2::2] = -np.arange(1, length), np.arange(1, length)
     columns = taus % n
-    first_nonzero = np.empty(set_size * (set_size + 1) // 2, dtype=np.int64)
+    first_nonzero = np.empty(pairs, dtype=np.int64)
     peaks, violations, count = [], [], 0
     for i, j0, block in _blocks(code_set):
         parts = np.abs(block.view(np.float64)) > tolerance

@@ -369,16 +369,23 @@ class TestSizeGuard:
         for q in (2, 4):
             with pytest.raises(Admitted):
                 verify_zccs(CodeSet(q, 40, np.zeros((256, 4, 2560), np.int8)))
-        # 134M pairs * n = 8: refused before anything is allocated
-        tiny = CodeSet(2, 1, np.zeros((16384, 1, 4), np.int8))
-        tracemalloc.start()
-        try:
-            with pytest.raises(ProfileSizeError, match="1073807360 inverse-transform work"):
-                verify_zccs(tiny)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 16
+        # 134M pairs * n = 8 is over the work limit; 537M pairs at n = 1 and
+        # 128M at n = 2 are within it but over the pair limit.  All are
+        # refused before anything is allocated.
+        for shape, need in [
+            ((16384, 1, 4), "1073807360 inverse-transform work"),
+            ((32767, 1, 1), "for 536854528 code pairs"),
+            ((16000, 1, 2), "for 128008000 code pairs"),
+        ]:
+            tiny = CodeSet(2, 1, np.zeros(shape, np.int8))
+            tracemalloc.start()
+            try:
+                with pytest.raises(ProfileSizeError, match=need):
+                    verify_zccs(tiny)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 16
 
 
 class TestEngineDifferential:

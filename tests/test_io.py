@@ -278,14 +278,18 @@ class TestLoaderFuzz:
 
     @pytest.mark.parametrize("edit", JSON_FUZZ.values(), ids=JSON_FUZZ.keys())
     def test_csv(self, tmp_path, capsys, quaternary_set, edit):
-        """zccs export refuses the same files and writes no CSV."""
+        """zccs export refuses the same files and leaves the CSV it would
+        write untouched: none where there was none, an old one unchanged."""
         doc = code_set_to_document(quaternary_set)
         edit(doc)
         path, out = tmp_path / "bad.json", tmp_path / "set.csv"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["export", str(path), "--out", str(out)]) == 3
-        assert "error:" in capsys.readouterr().err
-        assert not out.exists()
+        for old in (None, b"old,csv\r\n"):
+            if old is not None:
+                out.write_bytes(old)
+            assert main(["export", str(path), "--out", str(out)]) == 3
+            assert "error:" in capsys.readouterr().err
+            assert (out.read_bytes() if out.exists() else None) == old
 
 
 def _first_phase(digits):
