@@ -72,8 +72,12 @@ class CodeSet:
             raise ValueError(f"phases must lie in [0, {self.q}), got [{arr.min()}, {arr.max()}]")
         if not 1 <= self.zcz <= arr.shape[2]:
             raise ValueError(f"declared zone {self.zcz} out of range [1, {arr.shape[2]}]")
-        arr = arr.astype(np.int64)
-        arr.setflags(write=False)
+        # The generators and the loader hand over int64 arrays that own
+        # their data and are already read-only; those are kept, any other
+        # array is copied, so a caller's later writes never reach the set.
+        if arr.dtype != np.int64 or arr.base is not None or arr.flags.writeable:
+            arr = arr.astype(np.int64)
+            arr.setflags(write=False)
         object.__setattr__(self, "phases", arr)
 
     def __eq__(self, other: object) -> bool:
@@ -449,16 +453,20 @@ def _chained_code_set(
     rows, partners = _row_tables(base, order)
     codes, n_rows, cut = rows.shape
     offsets = q // 2 * np.asarray(signs, dtype=np.int64)[None, :, None, :, None]
-    phases = np.empty((2, codes, labels, n_rows, blocks, cut), dtype=np.int64)
-    np.add(rows[:, None, :, None, :], offsets, out=phases[0])
-    np.subtract(-offsets, partners[:, None, :, None, :], out=phases[1])
-    del rows, partners
+    # Filled through a block view and handed over read-only, so CodeSet
+    # keeps this array instead of copying it.
+    phases = np.empty((2 * codes * labels, n_rows, blocks * cut), dtype=np.int64)
+    halves = phases.reshape(2, codes, labels, n_rows, blocks, cut)
+    np.add(rows[:, None, :, None, :], offsets, out=halves[0])
+    np.subtract(-offsets, partners[:, None, :, None, :], out=halves[1])
+    del rows, partners, halves
     phases %= q
+    phases.setflags(write=False)
     parameters = {**_base_doc(base), **(chain_doc or {})}
     return CodeSet(
         q=q,
         zcz=zone_blocks * cut,
-        phases=phases.reshape(-1, n_rows, blocks * cut),
+        phases=phases,
         provenance={"construction": construction, "bit_order": order, "parameters": parameters},
     )
 

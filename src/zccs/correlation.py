@@ -93,9 +93,6 @@ class CorrelationValue(NamedTuple):
     def as_complex(self) -> complex:
         return complex(self.real, self.imag)
 
-    def magnitude(self) -> float:
-        return float(np.hypot(self.real, self.imag))
-
 
 class Violation(NamedTuple):
     """Nonzero correlation where the zone demands zero.
@@ -435,8 +432,3 @@ def verify_zccs(code_set: CodeSet, z: int | None = None) -> CorrelationReport:
         zccs_ok=ok,
         optimal=ok and is_optimal(set_size, code_size, length, zone),
     )
-
-
-def measure_zcz(code_set: CodeSet) -> int:
-    """Widest zone the set actually supports; 0 when a peak is off."""
-    return verify_zccs(code_set, z=1).measured_zcz

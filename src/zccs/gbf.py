@@ -121,14 +121,6 @@ class GBF:
         )
         object.__setattr__(self, "terms", normalized)
 
-    @classmethod
-    def zero(cls, m: int, q: int) -> "GBF":
-        return cls(m, q, ())
-
-    @classmethod
-    def constant(cls, m: int, q: int, c: int) -> "GBF":
-        return cls(m, q, (Term(c),))
-
     def __add__(self, other: "GBF") -> "GBF":
         if not isinstance(other, GBF):
             return NotImplemented
@@ -138,9 +130,6 @@ class GBF:
                 f"(m={self.m}, q={self.q}) vs (m={other.m}, q={other.q})"
             )
         return GBF(self.m, self.q, self.terms + other.terms)
-
-    def scale(self, factor: int) -> "GBF":
-        return GBF(self.m, self.q, tuple(Term(factor * t.coefficient, t.literals) for t in self.terms))
 
     @property
     def degree(self) -> int:
@@ -174,18 +163,6 @@ def index_to_bits(r: int, m: int, order: str | None = None) -> tuple[int, ...]:
     if order == "lsb":
         return tuple((r >> i) & 1 for i in range(m))
     return tuple((r >> (m - 1 - i)) & 1 for i in range(m))
-
-
-def bits_to_index(bits: tuple[int, ...], order: str | None = None) -> int:
-    """Inverse of index_to_bits."""
-    order = resolve_bit_order(order)
-    r = 0
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got {b!r}")
-        shift = i if order == "lsb" else len(bits) - 1 - i
-        r |= b << shift
-    return r
 
 
 def bit_column(index: np.ndarray, var: int, m: int, order: str) -> np.ndarray:

@@ -68,31 +68,11 @@ class LabeledGraph:
             normalized.append((pair[0], pair[1], w))
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
 
-    @classmethod
-    def from_pairs(cls, vertex_count: int, pairs) -> "LabeledGraph":
-        """Build from (i, j) or (i, j, weight) items; weight defaults to 1."""
-        edges = []
-        for item in pairs:
-            if len(item) == 2:
-                i, j = item
-                edges.append((i, j, 1))
-            else:
-                edges.append(tuple(item))
-        return cls(vertex_count, tuple(edges))
-
-    def edge_weight(self, i: int, j: int) -> int | None:
-        pair = (min(i, j), max(i, j))
-        for a, b, w in self.edges:
-            if (a, b) == pair:
-                return w
-        return None
-
-    def adjacency(self, keep: frozenset[int] | None = None) -> dict[int, list[int]]:
-        """Neighbor lists, restricted to `keep` when given."""
-        verts = range(self.vertex_count) if keep is None else sorted(keep)
-        adj: dict[int, list[int]] = {v: [] for v in verts}
+    def adjacency(self, keep: frozenset[int]) -> dict[int, list[int]]:
+        """Neighbor lists of the vertices in keep, over the edges among them."""
+        adj: dict[int, list[int]] = {v: [] for v in sorted(keep)}
         for i, j, _ in self.edges:
-            if keep is None or (i in keep and j in keep):
+            if i in keep and j in keep:
                 adj[i].append(j)
                 adj[j].append(i)
         return adj

@@ -50,11 +50,6 @@ def _metadata(code_set: CodeSet) -> dict:
     }
 
 
-def code_set_to_document(code_set: CodeSet) -> dict:
-    codes = code_set.phases.tolist()
-    return {"format_version": FORMAT_VERSION, "metadata": _metadata(code_set), "codes": codes}
-
-
 def _header(doc) -> tuple[dict, dict | None]:
     """Dims q, M, N, L, Z and the provenance of a document whose format
     version and metadata are checked; the codes are left to the caller."""
@@ -113,6 +108,7 @@ def _checked_code_set(data, dims: dict, provenance: dict | None) -> CodeSet:
     for what, want, got in zip(("codes", "rows per code", "phases per row"), wanted, phases.shape):
         if want != got:
             raise CodeSetFormatError(f"expected {want} {what}, got {got}")
+    phases.setflags(write=False)
     try:
         return CodeSet(q=dims["q"], zcz=dims["Z"], phases=phases, provenance=provenance)
     except ValueError as exc:
@@ -185,11 +181,13 @@ def _canonical_code_set(text: str) -> CodeSet | None:
     if phases.size != m * n * length:
         return None
     try:
-        phases = phases.reshape(m, n, length)
+        # reshaped in place (same size, nothing else refers to it) and made
+        # read-only, so the set takes this array instead of a copy
+        phases.resize((m, n, length), refcheck=False)
+        phases.setflags(write=False)
         code_set = CodeSet(q=dims["q"], zcz=dims["Z"], phases=phases, provenance=provenance)
     except ValueError:
         return None
-    del phases  # the set holds its own copy; keep one while re-dumping
     return code_set if dumps_code_set(code_set) == text else None
 
 
@@ -268,7 +266,8 @@ def export_csv(code_set: CodeSet, path) -> None:
     if prov.get("construction"):
         lines.append(f"# construction={prov['construction']}")
         lines.append(f"# bit_order={prov['bit_order']}")
-    values = 1 - 2 * code_set.phases if code_set.q == 2 else code_set.phases
-    for row in values.reshape(-1, code_set.length).tolist():
-        lines.append(",".join(map(str, row)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # The canonical code lines, less their brackets, are the phase lines.
+    rows = _codes_text(code_set.phases)[6:-2].replace("]],\n    [[", "\n").replace("],[", "\n")
+    if code_set.q == 2:
+        rows = rows.replace("1", "-1").replace("0", "1")
+    Path(path).write_text("\n".join(lines) + "\n" + rows + "\n", encoding="utf-8")

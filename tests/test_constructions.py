@@ -279,6 +279,20 @@ class TestGenerationMemory:
         assert cs.dims == (2, 2, 1 << 18, 1 << 18)
         assert peak <= 4 * cs.phases.nbytes, peak / cs.phases.nbytes
 
+    def test_thm1_peak_stays_near_one_set(self):
+        # the chained array becomes the set's phases without a copy; the
+        # row tables beside it are a quarter of the set
+        base = Lemma1Params(10, quadratic_gbf(6, [(i, i + 1) for i in range(5)]), (0,) * 6,
+                            deleted=(0,), beta1=1)
+        tracemalloc.start()
+        try:
+            cs = theorem1_zccs(Theorem1Params(base, 2, 4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cs.dims == (16, 4, 2560, 640)
+        assert peak <= 1.3 * cs.phases.nbytes, peak / cs.phases.nbytes
+
 
 class TestBinaryGenerators:
     def test_ccc_dimensions_and_roundness(self):
@@ -462,6 +476,13 @@ class TestCodeSetValidation:
         assert cs.phases.dtype == np.int64
         with pytest.raises(ValueError):
             cs.phases[0, 0, 0] = 1
+
+    def test_owned_read_only_int64_array_is_kept(self):
+        source = np.array([[[0, 1]]], dtype=np.int64)
+        source.setflags(write=False)
+        assert CodeSet(2, 1, source).phases is source
+        view = source[:, :, :]
+        assert CodeSet(2, 1, view).phases is not view
 
     def test_equality_compares_every_field(self):
         cs = CodeSet(2, 1, [[[0, 1]]], provenance={"construction": "x"})

@@ -40,15 +40,6 @@ class TestLabeledGraph:
         with pytest.raises(ValueError):
             LabeledGraph(2, ((0, 5, 1),))
 
-    def test_from_pairs_defaults_weight(self):
-        g = LabeledGraph.from_pairs(3, [(0, 1), (1, 2, 7)])
-        assert g.edges == ((0, 1, 1), (1, 2, 7))
-
-    def test_edge_weight_lookup(self):
-        g = LabeledGraph(3, ((0, 1, 5),))
-        assert g.edge_weight(1, 0) == 5
-        assert g.edge_weight(0, 2) is None
-
     def test_adjacency_restriction(self):
         g = LabeledGraph(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1)))
         adj = g.adjacency(keep=frozenset({1, 2, 3}))
@@ -74,8 +65,8 @@ class TestGraphOfQuadratic:
 
 
 def path_graph(nvars, *vertices):
-    edges = tuple((vertices[i], vertices[i + 1]) for i in range(len(vertices) - 1))
-    return LabeledGraph.from_pairs(nvars, edges)
+    edges = tuple((vertices[i], vertices[i + 1], 1) for i in range(len(vertices) - 1))
+    return LabeledGraph(nvars, edges)
 
 
 class TestValidateDeletionPath:
@@ -92,7 +83,7 @@ class TestValidateDeletionPath:
     def test_deletion_that_repairs(self):
         # star centered at 0 is not a path; removing 0 leaves singletons,
         # removing a leaf keeps it one
-        star = LabeledGraph.from_pairs(4, [(0, 1), (0, 2), (0, 3)])
+        star = LabeledGraph(4, ((0, 1, 1), (0, 2, 1), (0, 3, 1)))
         with pytest.raises(NotAPathError) as info:
             validate_deletion_path(star, ())
         assert info.value.reason == NotAPathError.BRANCH
@@ -103,7 +94,7 @@ class TestValidateDeletionPath:
         assert info.value.reason == NotAPathError.EMPTY
 
     def test_disconnected_residual(self):
-        g = LabeledGraph.from_pairs(4, [(0, 1), (2, 3)])
+        g = LabeledGraph(4, ((0, 1, 1), (2, 3, 1)))
         with pytest.raises(NotAPathError) as info:
             validate_deletion_path(g, ())
         assert info.value.reason == NotAPathError.DISCONNECTED
@@ -114,7 +105,7 @@ class TestValidateDeletionPath:
         assert info.value.reason == NotAPathError.DISCONNECTED
 
     def test_cycle_residual(self):
-        g = LabeledGraph.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
+        g = LabeledGraph(3, ((0, 1, 1), (1, 2, 1), (0, 2, 1)))
         with pytest.raises(NotAPathError) as info:
             validate_deletion_path(g, ())
         assert info.value.reason == NotAPathError.CYCLE
@@ -145,7 +136,7 @@ class TestPathCertificate:
     def test_verify_against_rejects_other_graph(self):
         g = path_graph(3, 0, 1, 2)
         cert = validate_deletion_path(g, ())
-        other = LabeledGraph.from_pairs(3, [(0, 1), (0, 2)])
+        other = LabeledGraph(3, ((0, 1, 1), (0, 2, 1)))
         with pytest.raises(ValueError):
             cert.verify_against(other)
 
@@ -175,7 +166,7 @@ class TestEnumerationAgainstNetworkx:
     @pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
     def test_matches_reference_on_all_graphs(self, nvars):
         for edges in all_graphs(nvars):
-            graph = LabeledGraph.from_pairs(nvars, edges)
+            graph = LabeledGraph(nvars, tuple((i, j, 1) for i, j in edges))
             for k in range(0, nvars):
                 got = {c.deleted for c in enumerate_admissible_deletions(graph, k)}
                 want = {
@@ -186,7 +177,7 @@ class TestEnumerationAgainstNetworkx:
                 assert got == want, (nvars, edges, k)
 
     def test_certificates_verify_against_source(self):
-        graph = LabeledGraph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        graph = LabeledGraph(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)))
         for cert in enumerate_admissible_deletions(graph, 1):
             cert.verify_against(graph)
 

@@ -16,7 +16,6 @@ from zccs import (
     Term,
     Theorem1Params,
     code_set_from_document,
-    code_set_to_document,
     dumps_code_set,
     export_csv,
     lemma1_ccc,
@@ -49,13 +48,13 @@ def quaternary_set():
 
 class TestDocuments:
     def test_round_trip_preserves_everything(self, binary_set):
-        doc = code_set_to_document(binary_set)
+        doc = json.loads(dumps_code_set(binary_set))
         back = code_set_from_document(doc)
         assert back == binary_set
         assert back.provenance["parameters"]["pair_end"] == 1
 
     def test_metadata_layout(self, binary_set):
-        doc = code_set_to_document(binary_set)
+        doc = json.loads(dumps_code_set(binary_set))
         assert doc["format_version"] == 1
         assert list(doc["metadata"]) == [
             "q", "M", "N", "L", "Z", "construction", "bit_order", "parameters",
@@ -64,18 +63,18 @@ class TestDocuments:
         assert doc["codes"][0][0] == binary_set.phases[0, 0].tolist()
 
     def test_json_safe(self, quaternary_set):
-        text = json.dumps(code_set_to_document(quaternary_set))
+        text = json.dumps(json.loads(dumps_code_set(quaternary_set)))
         assert code_set_from_document(json.loads(text)) == quaternary_set
 
     def test_provenance_absent_when_unknown(self, binary_set):
-        doc = code_set_to_document(binary_set)
+        doc = json.loads(dumps_code_set(binary_set))
         doc["metadata"]["construction"] = None
         assert code_set_from_document(doc).provenance is None
 
 
 class TestStrictParsing:
     def make_doc(self, binary_set):
-        return code_set_to_document(binary_set)
+        return json.loads(dumps_code_set(binary_set))
 
     def test_top_level_shape(self):
         with pytest.raises(CodeSetFormatError):
@@ -148,7 +147,8 @@ class TestCanonicalText:
         phases = rng.integers(0, q, shape) // 10 ** rng.integers(0, len(str(q - 1)), shape)
         phases.flat[rng.integers(phases.size)] = q - 1
         cs = CodeSet(q=q, zcz=1, phases=phases)
-        want = canonical_layout(code_set_to_document(cs))
+        # the metadata as dumped, the codes straight from the array
+        want = canonical_layout({**json.loads(dumps_code_set(cs)), "codes": cs.phases.tolist()})
         assert dumps_code_set(cs) == want
         assert loads_code_set(want) == cs
         assert io._canonical_code_set(want) == cs  # read without json.loads
@@ -226,6 +226,30 @@ class TestCsv:
         ]
         assert [int(v) for v in data[0].split(",")] == quaternary_set.phases[0, 0].tolist()
 
+    @pytest.mark.parametrize("which", ["q2", "q4", "q12", "q12 bare"])
+    def test_whole_file_matches_per_phase_str(self, tmp_path, binary_set, quaternary_set, which):
+        """Every byte, against one str per phase: signs for q = 2, phases
+        of one and two digits otherwise, with and without provenance."""
+        f = GBF(2, 12, (Term(6, (z(0), z(1))), Term(1, (z(1),))))
+        rng = np.random.default_rng(12)
+        cs = {
+            "q2": binary_set,
+            "q4": quaternary_set,
+            "q12": lemma2_ccc(Lemma2Params(12, 2, f)),
+            "q12 bare": CodeSet(q=12, zcz=2, phases=rng.integers(0, 12, (3, 2, 5))),
+        }[which]
+        values = 1 - 2 * cs.phases if cs.q == 2 else cs.phases
+        lines = [f"# {k}={v}" for k, v in zip("qMNLZ", (cs.q, *cs.dims))]
+        lines.append(f"# values={'signs' if cs.q == 2 else 'phases'}")
+        if cs.provenance:
+            lines.append(f"# construction={cs.provenance['construction']}")
+            lines.append(f"# bit_order={cs.provenance['bit_order']}")
+        lines += [",".join(map(str, row)) for row in values.reshape(-1, cs.length).tolist()]
+        assert cs.q != 12 or cs.phases.max() >= 10, "no two-digit phase to write"
+        path = tmp_path / "set.csv"
+        export_csv(cs, path)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+
 
 def _json_entry(value):
     def edit(doc):
@@ -263,7 +287,7 @@ class TestLoaderFuzz:
 
     @pytest.mark.parametrize("edit", JSON_FUZZ.values(), ids=JSON_FUZZ.keys())
     def test_json(self, tmp_path, capsys, quaternary_set, edit):
-        doc = code_set_to_document(quaternary_set)
+        doc = json.loads(dumps_code_set(quaternary_set))
         edit(doc)
         with pytest.raises(CodeSetFormatError):
             code_set_from_document(doc)
@@ -280,7 +304,7 @@ class TestLoaderFuzz:
     def test_csv(self, tmp_path, capsys, quaternary_set, edit):
         """zccs export refuses the same files and leaves the CSV it would
         write untouched: none where there was none, an old one unchanged."""
-        doc = code_set_to_document(quaternary_set)
+        doc = json.loads(dumps_code_set(quaternary_set))
         edit(doc)
         path, out = tmp_path / "bad.json", tmp_path / "set.csv"
         path.write_text(json.dumps(doc), encoding="utf-8")
