@@ -392,35 +392,39 @@ def partner_function(params: SeedParams, a_vec, n: int, bit_order: str | None = 
 # coordinate fastest.  This is a fixed convention independent of bit order.
 
 
-def _row_tables(base: SeedParams, order: str):
-    """Phase tables of every row function and its partner, from one seed table.
+def _row_tables(base: SeedParams, order: str, rows: np.ndarray, partners: np.ndarray) -> None:
+    """Write the phase tables of every row function and its partner, mod q not yet taken.
 
-    Returns (rows, partners) of shape (2^k, 2^(k+1), seed_length): code n,
-    row a, the truth tables of row_function and partner_function cut to
-    their prefix and suffix.  A partner complements every variable but the
-    end's, which reverses the seed and deleted-vertex part of the table
-    under both bit orders.  Only the columns of the deleted vertices and of
-    the end vertex are built.
+    rows and partners are (2^k, 2^(k+1), seed_length) arrays or views: code
+    n, row a, the truth tables of row_function and partner_function cut to
+    their prefix and suffix.  Both share w, the seed plus the deleted-vertex
+    terms.  Row entry i is w(i) plus the end term q/2 * a_k * z_end(i).  A
+    partner complements every variable but the end's, which reverses the
+    table, so partner entry seed_length - 1 - i is w(i) plus
+    q/2 * (1 - a_k) * (1 - z_end(i)).  The indices go by in chunks of
+    max(1024, seed_length / 32), written straight into rows and partners,
+    so the work memory beside them is a few chunk-long arrays, and only the
+    columns of the deleted vertices and of the end vertex are built.
     """
     seed_fn = base.seed()
-    m, q, k, half, cut = seed_fn.m, base.q, base.k, base.q // 2, base.seed_length
-    index = np.arange(1 << m, dtype=np.int64)
-    columns = np.array([bit_column(index, p, m, order) for p in base.deleted], dtype=np.int64)
+    m, k, half, cut = seed_fn.m, base.k, base.q // 2, base.seed_length
     labels = np.array(list(itertools.product((0, 1), repeat=k + 1)), dtype=np.int64)
     n_bits = np.array([index_to_bits(n, k, order) for n in range(1 << k)], dtype=np.int64)
     coefficients = half * (labels[None, :, :k] + n_bits.reshape(1 << k, 1, k))
-    with_deleted = coefficients @ columns.reshape(k, 1 << m)
-    with_deleted += truth_table(seed_fn, order)
-    end = half * bit_column(index, base.end, m, order)
-    tail = labels[:, k:] * end
-    rows = with_deleted + tail
-    rows %= q
-    # the partners reuse with_deleted's memory, reversed: + (end - tail)
-    partners = with_deleted[..., ::-1]
-    tail -= end
-    partners -= tail
-    partners %= q
-    return rows[..., :cut], partners[..., (1 << m) - cut:]
+    step = max(1 << 10, -(-cut // 32))
+    for start in range(0, cut, step):
+        stop = min(start + step, cut)
+        index = np.arange(start, stop, dtype=np.int64)
+        columns = np.array([bit_column(index, p, m, order) for p in base.deleted], dtype=np.int64)
+        front = rows[..., start:stop]
+        back = partners[..., cut - stop : cut - start][..., ::-1]
+        np.matmul(coefficients, columns.reshape(k, stop - start), out=front)
+        front += truth_table(seed_fn, order, index)
+        back[...] = front
+        # a_k is the last label bit, so the row's parity
+        end = half * bit_column(index, base.end, m, order)
+        front[:, 1::2] += end
+        back[:, 0::2] += half - end
 
 
 def _check_size(base: SeedParams, codes: int, blocks: int) -> None:
@@ -449,17 +453,20 @@ def _chained_code_set(
     """
     labels, blocks = np.shape(signs)
     _check_size(base, labels, blocks)
-    q = base.q
-    rows, partners = _row_tables(base, order)
-    codes, n_rows, cut = rows.shape
+    q, codes, n_rows, cut = base.q, 1 << base.k, 2 << base.k, base.seed_length
     offsets = q // 2 * np.asarray(signs, dtype=np.int64)[None, :, None, :, None]
     # Filled through a block view and handed over read-only, so CodeSet
-    # keeps this array instead of copying it.
+    # keeps this array instead of copying it.  The row tables are written
+    # into the set itself when it has one label and one block, and beside
+    # it otherwise: a ufunc input that overlaps a larger output makes numpy
+    # buffer a copy of the whole output.
     phases = np.empty((2 * codes * labels, n_rows, blocks * cut), dtype=np.int64)
     halves = phases.reshape(2, codes, labels, n_rows, blocks, cut)
-    np.add(rows[:, None, :, None, :], offsets, out=halves[0])
-    np.subtract(-offsets, partners[:, None, :, None, :], out=halves[1])
-    del rows, partners, halves
+    tables = halves if labels * blocks == 1 else np.empty((2, codes, 1, n_rows, 1, cut), np.int64)
+    _row_tables(base, order, tables[0, :, 0, :, 0], tables[1, :, 0, :, 0])
+    np.add(tables[0], offsets, out=halves[0])
+    np.subtract(-offsets, tables[1], out=halves[1])
+    del halves, tables
     phases %= q
     phases.setflags(write=False)
     parameters = {**_base_doc(base), **(chain_doc or {})}

@@ -13,17 +13,17 @@ integers for q in EXACT_MODULI, complex128 otherwise.
 
 One batched FFT engine, _blocks, computes every pair correlation.  It
 transforms the set's whole (M, N, L) value array once, zero-padded to the
-power of two n >= 2L - 1 at which circular correlation equals aperiodic
-correlation.  Then, for each code i and each chunk of the codes j >= i
-(about CHUNK_ENTRIES spectrum entries), it sums the cross-spectra over the
-rows and inverse-transforms them in one call, giving a circular block in
-which shift tau sits at index tau mod n.  Real value arrays (q <= 2) use
-rfft/irfft and give real blocks, complex ones fft/ifft.  verify_zccs
-reduces each block as it comes and drops it, so it keeps one number per
-pair and no profile; pair_profiles assembles the same blocks into whole
-profiles.  accs and set_accs compute one shift by direct dot
-products and share no code with the engine but unit_values, so the two
-check each other.
+smallest n >= 2L - 1 of the form 2^a, 3 * 2^a or 5 * 2^a (_fft_length), at
+which circular correlation equals aperiodic correlation.  Then, for each
+code i and each chunk of the codes j >= i (about CHUNK_ENTRIES spectrum
+entries), it sums the cross-spectra over the rows and inverse-transforms
+them in one call, giving a circular block in which shift tau sits at
+index tau mod n.  Real value arrays (q <= 2) use rfft/irfft and give real
+blocks, complex ones fft/ifft.  verify_zccs reduces each block as it
+comes and drops it, so it keeps one number per pair and no profile;
+pair_profiles assembles the same blocks into whole profiles.  accs and
+set_accs compute one shift by direct dot products and share no code with
+the engine but unit_values, so the two check each other.
 
 For q in EXACT_MODULI the values are the Gaussian integers +-1 and +-i.
 The engine rounds each block to integers and certifies the rounding:
@@ -61,12 +61,13 @@ CHUNK_ENTRIES = 1 << 16
 # verify_zccs lists at most this many violations and counts all of them.
 MAX_LISTED_VIOLATIONS = 1000
 
-# verify_zccs's limits, checked before anything is allocated.  The spectra
-# of the (256, 4, 2560) thm1 set are 4.2M entries (67 MB as complex128) and
-# its M(M+1)/2 * n inverse-transform work is 2.7e8; the limits admit twice
-# that work and, for a complex set of those dims, 2^23 entries.  The pair
-# limit bounds first_nonzero (8 bytes a pair) and the per-code loop where
-# n is too small for the work limit to: a (32767, 1, 1) file is 360 KB.
+# verify_zccs's limits, checked before anything is allocated.  At n = 5120
+# the spectra of the (256, 4, 2560) thm1 set are 2.6M entries (42 MB as
+# complex128) and its M(M+1)/2 * n inverse-transform work is 1.7e8; the
+# limits admit three times that work and, for a complex set of those dims
+# (5.2M entries), 2^23 entries.  The pair limit bounds first_nonzero (8
+# bytes a pair) and the per-code loop where n is too small for the work
+# limit to: a (32767, 1, 1) file is 360 KB.
 MAX_SPECTRUM_ENTRIES = 1 << 23
 MAX_TRANSFORM_WORK = 1 << 29
 MAX_PAIRS = 1 << 22
@@ -191,12 +192,15 @@ def set_accs(q: int, code_u, code_v, tau: int) -> CorrelationValue:
 
 
 def _fft_length(length: int) -> int:
-    """Smallest power of two n >= 2L - 1.
+    """Smallest n >= 2L - 1 of the form 2^a, 3 * 2^a or 5 * 2^a.
 
-    At that length circular correlation equals aperiodic correlation for
-    every |tau| < L: shift tau sits at index tau mod n.
+    At any n >= 2L - 1 circular correlation equals aperiodic correlation
+    for every |tau| < L: shift tau sits at index tau mod n.  pocketfft has
+    native radix-3 and radix-5 passes, and the paper's lengths R * gamma,
+    gamma = 5 * 2^(m1 - 3), pad to 5 * 2^a instead of 8 * 2^a.
     """
-    return 1 << (2 * length - 2).bit_length()
+    # r * 2^a >= 2L - 1 exactly when 2^a > (2L - 2) // r
+    return min(r << ((2 * length - 2) // r).bit_length() for r in (1, 3, 5))
 
 
 def _rounding_bound(code_size: int, length: int) -> float:
@@ -209,11 +213,24 @@ def _rounding_bound(code_size: int, length: int) -> float:
     so ||x||_2 = sqrt(L) and every spectrum entry is at most ||x||_1 = L.
     Carried through the two forward transforms, the product, the sum over
     N rows and the inverse transform, this bounds every entry by
-    eps * N * L^(3/2) * (12 log2(n) + N + 2).  The real-input transforms
+    eps * N * L^(3/2) * (12 log2(n) + N + 2).
+
+    pocketfft factors n into radix-4 and radix-2 passes and, for the
+    lengths of _fft_length, one radix-3 or radix-5 pass.  Each pass is
+    charged as radix-2 stages by the roundings on the path from one input
+    to one output, where a radix-2 stage has one addition and one twiddle
+    product, and an addition plus a product by a real constant of modulus
+    below 1 round no more than a twiddle product:
+    - radix 4: two additions, a free product by i, one twiddle; two stages;
+    - radix 3: three additions, one real product, one twiddle; two stages;
+    - radix 5: four additions, one real product, one twiddle; three stages.
+    So log2(n) becomes ceil(log2 n).  For every n of _fft_length that is
+    log2 of the smallest power of two P >= 2L - 1, as P / 2 < 2L - 1 <= n
+    <= P: the bound is the one padding to P had.  The real-input transforms
     are not plain radix-2; the factor 16 in place of 12 is a margin for
     them, not a proof, and the observed-residual check does not rest on it.
     """
-    log_n = _fft_length(length).bit_length() - 1
+    log_n = (_fft_length(length) - 1).bit_length()
     eps = float(np.finfo(np.float64).eps)
     return 16 * eps * (log_n + code_size) * code_size * length**1.5
 

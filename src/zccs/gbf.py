@@ -170,15 +170,17 @@ def bit_column(index: np.ndarray, var: int, m: int, order: str) -> np.ndarray:
     return (index >> (m - 1 - var if order == "msb" else var)) & 1
 
 
-def truth_table(f: GBF, order: str | None = None) -> np.ndarray:
-    """All 2^m values of f, indexed by the bit-order convention.
+def truth_table(f: GBF, order: str | None = None, index: np.ndarray | None = None) -> np.ndarray:
+    """Values of f at the m-bit indices in index, all 2^m by default.
 
-    Returns an int64 array t with t[r] = f(index_to_bits(r, m, order)).
-    Each literal's bit column is shifted out of one index array into a
-    reused buffer, so the work memory is four length-2^m arrays for any m.
+    Returns an int64 array t with t[r] = f(index_to_bits(index[r], m,
+    order)).  Each literal's bit column is shifted out of the index array
+    into a reused buffer, so the work memory is three arrays of the index's
+    length for any m.
     """
     msb = resolve_bit_order(order) == "msb"
-    index = np.arange(1 << f.m, dtype=np.int64)
+    if index is None:
+        index = np.arange(1 << f.m, dtype=np.int64)
     acc = np.zeros_like(index)
     prod, bit = np.empty_like(index), np.empty_like(index)
     for t in f.terms:

@@ -213,15 +213,16 @@ class TestVerify:
         assert type(summary["tolerance"]) is float
 
     def test_oversized_set_is_exit_3(self, capsys, monkeypatch, stored_set):
-        # the (8, 8, 160) set has 8 * 8 * 257 spectrum entries at n = 512,
-        # and 36 pairs * 512 = 18432 inverse-transform work
-        monkeypatch.setattr(correlation, "MAX_TRANSFORM_WORK", 18431)
+        # the (8, 8, 160) set has 8 * 8 * (n/2 + 1) spectrum entries and
+        # 36 pairs * n inverse-transform work, at n = 320
+        n = correlation._fft_length(160)
+        monkeypatch.setattr(correlation, "MAX_TRANSFORM_WORK", 36 * n - 1)
         code, stdout, stderr = run(capsys, "verify", str(stored_set))
         assert code == 3
         assert stdout == ""
         assert stderr.startswith(
-            "error: (M, N, L) = (8, 8, 160) needs 16448 spectrum entries and 18432 "
-            "inverse-transform work"
+            f"error: (M, N, L) = (8, 8, 160) needs {8 * 8 * (n // 2 + 1)} spectrum entries "
+            f"and {36 * n} inverse-transform work"
         )
         assert stderr.count("\n") == 1 and len(stderr) < 1024
 

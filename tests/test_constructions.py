@@ -279,9 +279,23 @@ class TestGenerationMemory:
         assert cs.dims == (2, 2, 1 << 18, 1 << 18)
         assert peak <= 4 * cs.phases.nbytes, peak / cs.phases.nbytes
 
+    @pytest.mark.parametrize("deleted", [(), (0,)])
+    def test_lemma2_peak_stays_near_one_set(self, deleted):
+        # the row tables are written straight into the set, a chunk at a time
+        f = GBF(16, 4, tuple(Term(2, (z(i), z(i + 1))) for i in range(15)))
+        params = Lemma2Params(4, 16, f, deleted=deleted)
+        tracemalloc.start()
+        try:
+            cs = lemma2_ccc(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cs.length == 1 << 16
+        assert peak <= 1.1 * cs.phases.nbytes, peak / cs.phases.nbytes
+
     def test_thm1_peak_stays_near_one_set(self):
         # the chained array becomes the set's phases without a copy; the
-        # row tables beside it are a quarter of the set
+        # row tables beside it are a sixteenth of the set
         base = Lemma1Params(10, quadratic_gbf(6, [(i, i + 1) for i in range(5)]), (0,) * 6,
                             deleted=(0,), beta1=1)
         tracemalloc.start()

@@ -29,6 +29,7 @@ from zccs.correlation import (
     ProfileSizeError,
     Violation,
     _direct_block,
+    _fft_length,
     _round_certified,
     _rounding_bound,
     pair_profiles,
@@ -388,6 +389,29 @@ class TestSizeGuard:
             assert peak < 1 << 16
 
 
+class TestFftLength:
+    """Padding to 2^a, 3 * 2^a or 5 * 2^a, with the radix-2 rounding bound kept."""
+
+    LENGTHS = np.arange(1, (1 << 17) + 1)
+
+    def test_smallest_of_the_three_families(self):
+        family = np.sort([r << a for r in (1, 3, 5) for a in range(20)])
+        powers = np.array([1 << a for a in range(20)])
+        need = 2 * self.LENGTHS - 1
+        got = np.array([_fft_length(length) for length in self.LENGTHS.tolist()])
+        assert (got >= need).all()
+        assert np.array_equal(got, family[np.searchsorted(family, need)])
+        assert (got <= powers[np.searchsorted(powers, need)]).all()
+
+    @pytest.mark.parametrize("code_size", [1, 2, 4, 16])
+    def test_rounding_bound_is_the_radix_2_one(self, code_size):
+        eps = float(np.finfo(np.float64).eps)
+        for length in self.LENGTHS.tolist():
+            log_power = (2 * length - 2).bit_length()
+            want = 16 * eps * (log_power + code_size) * code_size * length**1.5
+            assert _rounding_bound(code_size, length) == want
+
+
 class TestEngineDifferential:
     """The FFT engine against accs/set_accs and the brute force, shift by shift.
 
@@ -397,19 +421,24 @@ class TestEngineDifferential:
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 6, 8])
     def test_random_sets(self, q):
+        # L = 5, 10, 12 and 80 pad to n = 10, 20, 24 and 160, radix 3 and 5
         rng = np.random.default_rng(300 + q)
         exact = q in (1, 2, 4)
-        for set_size, code_size, length in itertools.product((1, 3), (1, 2, 3), (1, 2, 7, 64)):
+        lengths = (1, 2, 5, 7, 10, 12, 64, 80)
+        for set_size, code_size, length in itertools.product((1, 3), (1, 2, 3), lengths):
             cs = random_set(rng, q, set_size, code_size, length)
             assert verify_zccs(cs).exact
             profiles = pair_profiles(cs)
             assert np.issubdtype(profiles.dtype, np.integer) == exact
-            for i, j in itertools.combinations_with_replacement(range(set_size), 2):
+            # brute_set_accs with each code's brute_values computed once
+            values = [[brute_values(q, row) for row in code] for code in cs.phases]
+            pairs = itertools.combinations_with_replacement(range(set_size), 2)
+            for pair, (i, j) in enumerate(pairs):
                 rows_i, rows_j = cs.phases[i], cs.phases[j]
                 for tau in range(1 - length, length):
-                    got = profile_value(profiles, set_size, i, j, tau)
+                    got = CorrelationValue(*profiles[pair, tau + length - 1].tolist())
                     direct = set_accs(q, rows_i, rows_j, tau)
-                    brute = brute_set_accs(q, rows_i, rows_j, tau)
+                    brute = sum(brute_accs(u, v, tau) for u, v in zip(values[i], values[j]))
                     if exact:
                         assert got == direct
                         assert isinstance(got.real, int) and isinstance(got.imag, int)
@@ -435,6 +464,30 @@ class TestRoundingCertificate:
             for j, tau in itertools.product(range(i, 3), range(-6, 7)):
                 want = set_accs(4, cs.phases[i], cs.phases[j], tau)
                 assert block[j - i, tau % 16] == want.as_complex()
+
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_forced_fallback_at_a_radix_5_length(self, monkeypatch, q):
+        # L = 80 pads to n = 160 = 5 * 2^5
+        cs = random_set(np.random.default_rng(22 + q), q, 3, 2, 80)
+        values = unit_values(q, cs.phases)
+        block = _direct_block(values, 1, 1, 3)
+        assert block.shape == (2, 160)
+        assert not block[:, 80:81].any()
+        for j, tau in itertools.product(range(1, 3), range(-79, 80)):
+            want = set_accs(q, cs.phases[1], cs.phases[j], tau)
+            assert block[j - 1, tau % 160] == want.as_complex()
+        default = pair_profiles(cs)
+        calls = []
+        direct = correlation._direct_block
+
+        def counted(values, i, j0, j1):
+            calls.append(i)
+            return direct(values, i, j0, j1)
+
+        monkeypatch.setattr(correlation, "_rounding_bound", lambda code_size, length: 1.0)
+        monkeypatch.setattr(correlation, "_direct_block", counted)
+        assert np.array_equal(pair_profiles(cs), default)
+        assert calls == [0, 1, 2]
 
     def test_engine_matches_direct_block(self):
         cs = random_set(np.random.default_rng(19), 4, 3, 2, 7)
@@ -525,8 +578,9 @@ class TestBlocks:
             calls.append((i, j0, j1))
             return direct(values, i, j0, j1)
 
-        # L = 9 pads to n = 32; two codes' spectra per chunk
-        bins = 17 if q <= 2 else 32
+        # L = 9 pads to n = 20; two codes' spectra per chunk
+        n = _fft_length(9)
+        bins = n // 2 + 1 if q <= 2 else n
         monkeypatch.setattr(correlation, "CHUNK_ENTRIES", 2 * 2 * bins)
         monkeypatch.setattr(correlation, "_rounding_bound", lambda code_size, length: 1.0)
         monkeypatch.setattr(correlation, "_direct_block", counted)

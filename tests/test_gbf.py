@@ -154,6 +154,12 @@ class TestTruthTable:
         for r in range(16):
             assert table[r] == eval_gbf(f, index_to_bits(r, 4, order))
 
+    @pytest.mark.parametrize("order", BIT_ORDERS)
+    def test_values_at_given_indices(self, order):
+        f = GBF(4, 4, (Term(2, (z(0), z(3))), Term(1, (zbar(2),)), Term(3, (z(1),))))
+        index = np.array([15, 0, 6, 6, 9], dtype=np.int64)
+        assert np.array_equal(truth_table(f, order, index), truth_table(f, order)[index])
+
     def test_orders_differ_for_asymmetric_function(self):
         f = GBF(3, 2, (Term(1, (z(0),)),))
         assert not np.array_equal(truth_table(f, "lsb"), truth_table(f, "msb"))
