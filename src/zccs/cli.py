@@ -3,7 +3,9 @@
 Subcommands: generate (build a code set and optionally write it), verify
 (check a stored set, optionally write a full JSON report, and exit nonzero
 on violations), enumerate (list vertex deletions that leave a path), and
-export (code-set file to CSV).
+export (code-set file to CSV).  The construction name comes right after
+generate; `zccs generate <construction> --help` lists the flags that
+construction reads, and any other flag exits 2.
 
 Exit codes: 0 success, 1 verification found violations, 2 bad parameters or
 inadmissible construction inputs, 3 unreadable or malformed files.
@@ -38,28 +40,25 @@ from .io import (
     save_report,
 )
 
-CONSTRUCTIONS = ("lemma1", "thm1", "lemma2", "thm2", "thm3")
+
+def _fields(text: str) -> list[str]:
+    """The stripped comma-separated fields of text; none for blank text."""
+    text = text.strip()
+    return [part.strip() for part in text.split(",")] if text else []
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in _fields(text))
     except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}")
+        raise ValueError(f"expected comma-separated integers, got {text.strip()!r}")
 
 
 def _parse_edges(text: str, default_weight: int) -> tuple[tuple[int, int, int], ...]:
     """Edge list syntax: "0-1,1-2:3" gives edges (0,1) weight default and
     (1,2) weight 3."""
-    text = text.strip()
-    if not text:
-        return ()
     edges = []
-    for part in text.split(","):
-        part = part.strip()
+    for part in _fields(text):
         body, _, weight_text = part.partition(":")
         try:
             i_text, j_text = body.split("-")
@@ -71,70 +70,55 @@ def _parse_edges(text: str, default_weight: int) -> tuple[tuple[int, int, int], 
 
 
 def _parse_bit_vectors(text: str) -> tuple[tuple[int, ...], ...] | None:
-    text = text.strip()
-    if not text:
-        return None
     vectors = []
-    for part in text.split(","):
-        part = part.strip()
+    for part in _fields(text):
         if not part or any(ch not in "01" for ch in part):
             raise ValueError(f"bad bit vector {part!r}; expected a string of 0s and 1s")
         vectors.append(tuple(int(ch) for ch in part))
-    return tuple(vectors)
+    return tuple(vectors) or None
 
 
 def _quadratic_gbf(nvars: int, qmod: int, edges) -> GBF:
     return GBF(nvars, qmod, tuple(Term(w, (z(i), z(j))) for i, j, w in edges))
 
 
-def _require(args: argparse.Namespace, names: list[str], construction: str) -> None:
-    missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
-    if missing:
-        raise ValueError(f"{construction} requires {', '.join(missing)}")
+def _binary_seed(args: argparse.Namespace, deleted: tuple[int, ...]) -> Lemma1Params:
+    nvars = args.m1 - 4
+    if nvars < 1:
+        raise ValueError(f"need m1 >= 5, got {args.m1}")
+    # materialized only after Lemma1Params has bounded m1 by the set size
+    d_vec = _parse_ints(args.d_vec) if args.d_vec else itertools.repeat(0, nvars)
+    return Lemma1Params(
+        m1=args.m1,
+        quadratic=_quadratic_gbf(nvars, 2, _parse_edges(args.quadratic, 1)),
+        d_vec=d_vec,
+        d=args.d,
+        deleted=deleted,
+        beta1=args.beta1,
+    )
 
 
-def _build_code_set(args: argparse.Namespace):
-    deleted = _parse_ints(args.delete)
-    s_r = _parse_bit_vectors(args.s_r)
-    if args.construction in ("lemma1", "thm1", "thm3"):
-        _require(args, ["m1"], args.construction)
-        nvars = args.m1 - 4
-        if nvars < 1:
-            raise ValueError(f"need m1 >= 5, got {args.m1}")
-        # materialized only after Lemma1Params has bounded m1 by the set size
-        d_vec = _parse_ints(args.d_vec) if args.d_vec else itertools.repeat(0, nvars)
-        base = Lemma1Params(
-            m1=args.m1,
-            quadratic=_quadratic_gbf(nvars, 2, _parse_edges(args.quadratic, 1)),
-            d_vec=d_vec,
-            d=args.d,
-            deleted=deleted,
-            beta1=args.beta1,
-        )
-    else:
-        _require(args, ["m2"], args.construction)
-        half = args.q // 2 if args.q >= 2 else 1
-        linear = _parse_ints(args.d_vec) if args.d_vec else ()
-        edges = _parse_edges(args.quadratic, half)
-        terms = list(_quadratic_gbf(args.m2, max(args.q, 2), edges).terms)
-        terms += [Term(coeff, (z(i),)) for i, coeff in enumerate(linear)]
-        terms.append(Term(args.d))
-        base = Lemma2Params(
-            q=args.q,
-            m2=args.m2,
-            f=GBF(args.m2, max(args.q, 2), tuple(terms)),
-            deleted=deleted,
-            beta1=args.beta1,
-        )
-    seed_generators = {"lemma1": lemma1_ccc, "lemma2": lemma2_ccc, "thm3": theorem3_zccs}
-    if args.construction in seed_generators:
-        return seed_generators[args.construction](base, args.bit_order)
-    _require(args, ["l", "R"], args.construction)
-    return chained_zccs(ChainParams(base=base, l=args.l, r=args.R, s_r=s_r), args.bit_order)
+def _qary_seed(args: argparse.Namespace, deleted: tuple[int, ...]) -> Lemma2Params:
+    qmod = max(args.q, 2)
+    linear = _parse_ints(args.d_vec)
+    edges = _parse_edges(args.quadratic, qmod // 2)
+    terms = list(_quadratic_gbf(args.m2, qmod, edges).terms)
+    terms += [Term(coeff, (z(i),)) for i, coeff in enumerate(linear)]
+    terms.append(Term(args.d))
+    return Lemma2Params(
+        q=args.q,
+        m2=args.m2,
+        f=GBF(args.m2, qmod, tuple(terms)),
+        deleted=deleted,
+        beta1=args.beta1,
+    )
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    code_set = _build_code_set(args)
+    params = args.seed(args, _parse_ints(args.delete))
+    if args.generator is chained_zccs:
+        params = ChainParams(base=params, l=args.l, r=args.R, s_r=_parse_bit_vectors(args.s_r))
+    code_set = args.generator(params, args.bit_order)
     m, n, length, zone = code_set.dims
     print(f"(M, N, L, Z) = ({m}, {n}, {length}, {zone})")
     print(f"size bound met with equality: {'yes' if is_optimal(m, n, length, zone) else 'no'}")
@@ -204,26 +188,42 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="build a code set from construction parameters")
-    gen.add_argument("construction", choices=CONSTRUCTIONS)
-    gen.add_argument("--m1", type=int, help="variable count for the binary family (>= 5)")
-    gen.add_argument("--m2", type=int, help="variable count for the q-ary family (>= 1)")
-    gen.add_argument("--q", type=int, default=2, help="modulus for the q-ary family (even)")
-    gen.add_argument(
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument(
         "--quadratic",
         default="",
         help='quadratic part as edges, e.g. "0-1,1-2" or "0-1:2" with weights',
     )
-    gen.add_argument("--d-vec", default="", help='linear coefficients, e.g. "1,1,1,1"')
-    gen.add_argument("--d", type=int, default=0, help="constant coefficient")
-    gen.add_argument("--delete", default="", help='vertices to delete, e.g. "0,1"')
-    gen.add_argument("--beta1", type=int, help="path end to use (default: smallest)")
-    gen.add_argument("--l", type=int, help="label length for block-chained constructions")
-    gen.add_argument("--R", type=int, help="block count (even, at most 2^l)")
-    gen.add_argument("--s-r", default="", help='block labels as bitstrings, e.g. "00,10"')
-    gen.add_argument("--bit-order", choices=("lsb", "msb"), help="index bit convention")
-    gen.add_argument("--out", help="write the code set to this JSON file")
-    gen.set_defaults(func=cmd_generate)
+    seed.add_argument("--d-vec", default="", help='linear coefficients, e.g. "1,1,1,1"')
+    seed.add_argument("--d", type=int, default=0, help="constant coefficient")
+    seed.add_argument("--delete", default="", help='vertices to delete, e.g. "0,1"')
+    seed.add_argument("--beta1", type=int, help="path end to use (default: smallest)")
+    seed.add_argument("--bit-order", choices=("lsb", "msb"), help="index bit convention")
+    seed.add_argument("--out", help="write the code set to this JSON file")
+    binary = argparse.ArgumentParser(add_help=False)
+    binary.add_argument("--m1", type=int, required=True, help="variable count (>= 5)")
+    binary.set_defaults(seed=_binary_seed)
+    qary = argparse.ArgumentParser(add_help=False)
+    qary.add_argument("--m2", type=int, required=True, help="variable count (>= 1)")
+    qary.add_argument("--q", type=int, default=2, help="modulus (even)")
+    qary.set_defaults(seed=_qary_seed)
+    chain = argparse.ArgumentParser(add_help=False)
+    chain.add_argument("--l", type=int, required=True, help="label length")
+    chain.add_argument("--R", type=int, required=True, help="block count (even, at most 2^l)")
+    chain.add_argument("--s-r", default="", help='block labels as bitstrings, e.g. "00,10"')
+
+    gen = sub.add_parser("generate", help="build a code set from construction parameters")
+    kinds = gen.add_subparsers(dest="construction", metavar="construction", required=True)
+    for name, family, generator, what in (
+        ("lemma1", binary, lemma1_ccc, "binary complete complementary code (Lemma 1)"),
+        ("thm1", binary, chained_zccs, "binary block-chained set (Theorem 1)"),
+        ("thm3", binary, theorem3_zccs, "binary three-block set (Theorem 3)"),
+        ("lemma2", qary, lemma2_ccc, "q-ary complete complementary code (Lemma 2)"),
+        ("thm2", qary, chained_zccs, "q-ary block-chained set (Theorem 2)"),
+    ):
+        parents = [family, seed] + ([chain] if generator is chained_zccs else [])
+        kind = kinds.add_parser(name, parents=parents, help=what, description=what)
+        kind.set_defaults(func=cmd_generate, generator=generator)
 
     ver = sub.add_parser("verify", help="verify a stored code set")
     ver.add_argument("file")
@@ -253,18 +253,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NotAPathError as exc:
+    except (NotAPathError, CodeSetFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CodeSetFormatError, ProfileSizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, (CodeSetFormatError, ProfileSizeError, OSError)) else 2
 
 
 if __name__ == "__main__":

@@ -508,17 +508,25 @@ def _base_doc(p: Lemma1Params | Lemma2Params) -> dict:
 # generators
 
 
+def _check_family(params, family: type) -> None:
+    """A seed generator names its family in the provenance it writes."""
+    if not isinstance(params, family):
+        raise TypeError(f"params must be {family.__name__}, got {type(params).__name__}")
+
+
 def lemma1_ccc(params: Lemma1Params, bit_order: str | None = None) -> CodeSet:
     """Binary complete complementary code of 2^(k+1) codes, length gamma.
 
     Codes are ordered: the prefix family for n = 0..2^k-1, then the
     conjugated suffix family for the same n range.
     """
+    _check_family(params, Lemma1Params)
     return _chained_code_set(params, resolve_bit_order(bit_order), [[0]], 1, "lemma1")
 
 
 def lemma2_ccc(params: Lemma2Params, bit_order: str | None = None) -> CodeSet:
     """q-ary complete complementary code of 2^(k+1) codes, length 2^m2."""
+    _check_family(params, Lemma2Params)
     return _chained_code_set(params, resolve_bit_order(bit_order), [[0]], 1, "lemma2")
 
 
@@ -528,6 +536,7 @@ def theorem3_zccs(params: Lemma1Params, bit_order: str | None = None) -> CodeSet
     Each row is the three-block pattern (P, P, -P) over a seed prefix, or
     the conjugate of that pattern over a seed suffix.
     """
+    _check_family(params, Lemma1Params)
     return _chained_code_set(params, resolve_bit_order(bit_order), [[0, 0, 1]], 2, "thm3")
 
 

@@ -186,38 +186,25 @@ def validate_deletion_path(
                 NotAPathError.BRANCH, f"vertex {v} has degree {len(adj[v])} after deletion"
             )
 
-    # breadth-first reachability from the smallest survivor
-    seen = {residual[0]}
-    frontier = [residual[0]]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    if len(seen) != len(residual):
-        missing = sorted(set(residual) - seen)
+    # With every degree at most 2, each component is a path or a cycle: one
+    # walk from an end (or from any vertex when none is an end) runs until it
+    # stops at the far end or closes, and covers exactly its component.
+    ends = tuple(v for v in residual if len(adj[v]) <= 1)
+    start = ends[0] if ends else residual[0]
+    order, nxt = [start], adj[start][:1]
+    while nxt and nxt[0] != start:
+        order.append(nxt[0])
+        nxt = [u for u in adj[order[-1]] if u != order[-2]]
+    if len(order) != len(residual):
+        missing = sorted(set(residual) - set(order))
         raise NotAPathError(
-            NotAPathError.DISCONNECTED, f"residual graph splits; unreachable: {missing}"
+            NotAPathError.DISCONNECTED,
+            f"residual graph splits; unreachable from {start}: {missing}",
         )
-
-    edge_count = sum(len(nbrs) for nbrs in adj.values()) // 2
-    if edge_count != len(residual) - 1:
-        # connected with max degree 2 and too many edges: a single cycle
+    if not ends:
         raise NotAPathError(
             NotAPathError.CYCLE, f"residual graph is a cycle on {len(residual)} vertices"
         )
-
-    ends = tuple(sorted(v for v in residual if len(adj[v]) <= 1))
-    start = ends[0]
-    order = [start]
-    prev = -1
-    while len(order) < len(residual):
-        nxt = [u for u in adj[order[-1]] if u != prev]
-        prev = order[-1]
-        order.append(nxt[0])
 
     return PathCertificate(deleted=deleted_t, path_order=tuple(order), end_vertices=ends)
 

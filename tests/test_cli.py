@@ -1,10 +1,16 @@
 """Command-line behavior: outputs, files, exit codes."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zccs
 from zccs import CodeSet, correlation, graphs, load_code_set, save_code_set
 from zccs.cli import main
 
@@ -110,14 +116,51 @@ class TestGenerate:
         assert stderr.startswith("error: default block labels") and "R=6" in stderr
 
     def test_missing_block_arguments(self, capsys):
-        code, _, stderr = run(capsys, "generate", "thm1", *EXAMPLE_ARGS)
-        assert code == 2
-        assert "thm1 requires --l, --R" in stderr
+        with pytest.raises(SystemExit) as info:
+            main(["generate", "thm1", *EXAMPLE_ARGS])
+        assert info.value.code == 2
+        assert "the following arguments are required: --l, --R" in capsys.readouterr().err
 
     def test_missing_m1(self, capsys):
-        code, _, stderr = run(capsys, "generate", "lemma1")
+        with pytest.raises(SystemExit) as info:
+            main(["generate", "lemma1"])
+        assert info.value.code == 2
+        assert "the following arguments are required: --m1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "construction, flag",
+        [
+            (construction, flag)
+            for construction, reads in [
+                ("lemma1", "--m1"),
+                ("thm1", "--m1 --l --R --s-r"),
+                ("thm3", "--m1"),
+                ("lemma2", "--m2 --q"),
+                ("thm2", "--m2 --q --l --R --s-r"),
+            ]
+            for flag in ("--m1", "--m2", "--q", "--l", "--R", "--s-r")
+            if flag not in reads.split()
+        ],
+    )
+    def test_flag_the_construction_does_not_read_is_exit_2(
+        self, capsys, tmp_path, construction, flag
+    ):
+        family = ["--m2", "2"] if construction in ("lemma2", "thm2") else ["--m1", "6"]
+        chain = ["--l", "1", "--R", "2"] if construction in ("thm1", "thm2") else []
+        out = tmp_path / "set.json"
+        argv = ["generate", construction, *family, "--quadratic", "0-1", *chain, "--out", str(out)]
+        assert main(argv) == 0
+        out.unlink()
+        capsys.readouterr()
+        try:
+            # on a binary construction, --q reads as an abbreviation of
+            # --quadratic, and "8" is no edge list
+            code = main([*argv, flag, "00,11" if flag == "--s-r" else "8"])
+        except SystemExit as exc:
+            code = exc.code
         assert code == 2
-        assert "lemma1 requires --m1" in stderr
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
 
     def test_non_path_deletion_is_exit_2(self, capsys):
         args = [a for a in EXAMPLE_ARGS if a not in ("--delete", "0,1", "--beta1", "2")]
@@ -323,6 +366,73 @@ class TestExport:
         signs = np.array([[int(x) for x in ln.split(",")] for ln in lines if ln[0] != "#"])
         phases = load_code_set(set_path).phases
         assert np.array_equal(signs, 1 - 2 * phases.reshape(-1, phases.shape[2]))
+
+
+def _limit_child():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+    resource.setrlimit(resource.RLIMIT_CPU, (30, 30))
+
+
+# edge lists stay below the 128 KiB a single Linux argument may hold
+LONG_PATH = ",".join(f"{i}-{i + 1}" for i in range(9000))
+
+
+class TestResourceLimits:
+    """Hostile input to every subcommand, one child process at a time, each
+    under an address-space and CPU-time limit: each ends in its exit code
+    with a short message, never a traceback or a runaway allocation."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("hostile")
+        (path / "huge.json").write_text(
+            '{"format_version": 1, "metadata": {"q": 2, "M": 1099511627776, '
+            '"N": 1099511627776, "L": 1099511627776, "Z": 1}, "codes": [[[0]]]}',
+            encoding="utf-8",
+        )
+        assert main(["generate", "lemma1", "--m1", "6", "--quadratic", "0-1",
+                     "--out", str(path / "forged.json")]) == 0
+        doc = json.loads((path / "forged.json").read_text(encoding="utf-8"))
+        doc["metadata"]["parameters"]["m1"] = 40
+        (path / "forged.json").write_text(json.dumps(doc), encoding="utf-8")
+        phases = np.random.default_rng(0).integers(0, 2, (64, 2, 1024))
+        save_code_set(CodeSet(2, 1024, phases), path / "random.json")
+        return path
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            ("generate lemma1 --m1 100000000 --quadratic 0-1", 2),
+            ("generate thm3 --m1 100000000", 2),
+            ("generate lemma2 --m2 100000000 --quadratic 0-1", 2),
+            ("generate thm1 --m1 6 --quadratic 0-1 --l 100000000 --R 2", 2),
+            ("generate thm2 --m2 2 --q 4 --quadratic 0-1:2 --l 40 --R 1099511627776", 2),
+            (f"generate lemma1 --m1 6 --quadratic {LONG_PATH}", 2),
+            ("enumerate --vertices 1000000000 --k 1", 2),
+            (f"enumerate --quadratic {LONG_PATH} --k 1", 2),
+            ("verify huge.json", 3),
+            ("export huge.json --out huge.csv", 3),
+            ("verify forged.json", 0),
+            ("export forged.json --out forged.csv", 0),
+            ("verify random.json --report report.json", 1),
+        ],
+        ids=lambda v: str(v)[:60],
+    )
+    def test_subcommand_ends_cleanly(self, workdir, argv, code):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "1",
+            "PYTHONPATH": str(Path(zccs.__file__).parents[1]),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "zccs.cli", *argv.split()],
+            cwd=workdir, env=env, preexec_fn=_limit_child, capture_output=True, timeout=120,
+        )
+        output = proc.stdout + proc.stderr
+        assert proc.returncode == code, output[-1000:]
+        assert b"Traceback" not in output
+        assert len(output) < 4096
 
 
 class TestParser:

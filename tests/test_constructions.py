@@ -265,6 +265,18 @@ class TestSeedInterface:
         assert binary.k == qary.k == 1
 
 
+    @pytest.mark.parametrize(
+        "generator", [lemma1_ccc, theorem3_zccs, lemma2_ccc], ids=["lemma1", "thm3", "lemma2"]
+    )
+    def test_seed_generators_refuse_the_other_family(self, generator):
+        # a set built from the other family would name the wrong construction
+        # in its provenance, and the oracle could not regenerate it
+        binary, qary = tiny_params(), Lemma2Params(4, 1, GBF(1, 4, ()))
+        params = binary if generator is lemma2_ccc else qary
+        with pytest.raises(TypeError, match=f"got {type(params).__name__}"):
+            generator(params)
+
+
 class TestGenerationMemory:
     def test_lemma2_peak_stays_within_four_sets(self):
         # no 2^m x m bit matrix: the peak is a few copies of the set itself

@@ -147,12 +147,17 @@ class TestPathCertificate:
             PathCertificate(deleted=(0,), path_order=(0, 1), end_vertices=(0, 1))
 
 
-def nx_residual_is_path(nvars, edges, deleted):
-    """Reference predicate: deleting the vertices leaves a nonempty path."""
+def nx_residual(nvars, edges, deleted):
     g = nx.Graph()
     g.add_nodes_from(range(nvars))
     g.add_edges_from(edges)
     g.remove_nodes_from(deleted)
+    return g
+
+
+def nx_residual_is_path(nvars, edges, deleted):
+    """Reference predicate: deleting the vertices leaves a nonempty path."""
+    g = nx_residual(nvars, edges, deleted)
     if g.number_of_nodes() == 0:
         return False
     if not nx.is_connected(g):
@@ -168,13 +173,18 @@ class TestEnumerationAgainstNetworkx:
         for edges in all_graphs(nvars):
             graph = LabeledGraph(nvars, tuple((i, j, 1) for i, j in edges))
             for k in range(0, nvars):
-                got = {c.deleted for c in enumerate_admissible_deletions(graph, k)}
+                certs = enumerate_admissible_deletions(graph, k)
                 want = {
                     d
                     for d in itertools.combinations(range(nvars), k)
                     if nx_residual_is_path(nvars, edges, d)
                 }
-                assert got == want, (nvars, edges, k)
+                assert {c.deleted for c in certs} == want, (nvars, edges, k)
+                for cert in certs:
+                    # path_order is a Hamiltonian path of the residual
+                    order, residual = cert.path_order, nx_residual(nvars, edges, cert.deleted)
+                    assert sorted(order) == sorted(residual), (edges, cert)
+                    assert all(residual.has_edge(a, b) for a, b in zip(order, order[1:])), cert
 
     def test_certificates_verify_against_source(self):
         graph = LabeledGraph(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)))
