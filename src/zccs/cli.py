@@ -5,7 +5,8 @@ Subcommands: generate (build a code set and optionally write it), verify
 on violations), enumerate (list vertex deletions that leave a path), and
 export (code-set file to CSV).  The construction name comes right after
 generate; `zccs generate <construction> --help` lists the flags that
-construction reads, and any other flag exits 2.
+construction reads; any other flag, a flag's prefix, or an edge list that is
+no simple graph with nonzero weights (mod q for generate) exits 2.
 
 Exit codes: 0 success, 1 verification found violations, 2 bad parameters or
 inadmissible construction inputs, 3 unreadable or malformed files.
@@ -14,6 +15,7 @@ inadmissible construction inputs, 3 unreadable or malformed files.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 
@@ -30,7 +32,7 @@ from .constructions import (
     theorem3_zccs,
 )
 from .correlation import ProfileSizeError, is_optimal, verify_zccs
-from .gbf import z
+from .gbf import BIT_ORDERS, z
 from .graphs import LabeledGraph, NotAPathError, enumerate_admissible_deletions
 from .io import (
     CodeSetFormatError,
@@ -54,21 +56,6 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text.strip()!r}")
 
 
-def _parse_edges(text: str, default_weight: int) -> tuple[tuple[int, int, int], ...]:
-    """Edge list syntax: "0-1,1-2:3" gives edges (0,1) weight default and
-    (1,2) weight 3."""
-    edges = []
-    for part in _fields(text):
-        body, _, weight_text = part.partition(":")
-        try:
-            i_text, j_text = body.split("-")
-            weight = int(weight_text) if weight_text else default_weight
-            edges.append((int(i_text), int(j_text), weight))
-        except ValueError:
-            raise ValueError(f"bad edge {part!r}; expected i-j or i-j:w")
-    return tuple(edges)
-
-
 def _parse_bit_vectors(text: str) -> tuple[tuple[int, ...], ...] | None:
     vectors = []
     for part in _fields(text):
@@ -78,8 +65,21 @@ def _parse_bit_vectors(text: str) -> tuple[tuple[int, ...], ...] | None:
     return tuple(vectors) or None
 
 
-def _quadratic_gbf(nvars: int, qmod: int, edges) -> GBF:
-    return GBF(nvars, qmod, tuple(Term(w, (z(i), z(j))) for i, j, w in edges))
+def _read_graph(text: str, vertices: int | None, weight: int, q: int = 0) -> LabeledGraph:
+    """The edge list "0-1,1-2:3" as a LabeledGraph: edge (0, 1) of the given weight,
+    (1, 2) of weight 3, weights mod q if q is set; vertices default to max end + 1."""
+    edges = []
+    for part in _fields(text):
+        body, _, weight_text = part.partition(":")
+        try:
+            i_text, j_text = body.split("-")
+            w = int(weight_text) if weight_text else weight
+            edges.append((int(i_text), int(j_text), w % q if q else w))
+        except ValueError:
+            raise ValueError(f"bad edge {part!r}; expected i-j or i-j:w")
+    if vertices is None:
+        vertices = 1 + max((max(i, j) for i, j, _ in edges), default=-1)
+    return LabeledGraph(vertices, tuple(edges))
 
 
 def _binary_seed(args: argparse.Namespace, deleted: tuple[int, ...]) -> Lemma1Params:
@@ -88,9 +88,10 @@ def _binary_seed(args: argparse.Namespace, deleted: tuple[int, ...]) -> Lemma1Pa
         raise ValueError(f"need m1 >= 5, got {args.m1}")
     # materialized only after Lemma1Params has bounded m1 by the set size
     d_vec = _parse_ints(args.d_vec) if args.d_vec else itertools.repeat(0, nvars)
+    graph = _read_graph(args.quadratic, nvars, 1, 2)
     return Lemma1Params(
         m1=args.m1,
-        quadratic=_quadratic_gbf(nvars, 2, _parse_edges(args.quadratic, 1)),
+        quadratic=GBF(nvars, 2, tuple(Term(w, (z(i), z(j))) for i, j, w in graph.edges)),
         d_vec=d_vec,
         d=args.d,
         deleted=deleted,
@@ -101,8 +102,8 @@ def _binary_seed(args: argparse.Namespace, deleted: tuple[int, ...]) -> Lemma1Pa
 def _qary_seed(args: argparse.Namespace, deleted: tuple[int, ...]) -> Lemma2Params:
     qmod = max(args.q, 2)
     linear = _parse_ints(args.d_vec)
-    edges = _parse_edges(args.quadratic, qmod // 2)
-    terms = list(_quadratic_gbf(args.m2, qmod, edges).terms)
+    graph = _read_graph(args.quadratic, args.m2, qmod // 2, qmod)
+    terms = [Term(w, (z(i), z(j))) for i, j, w in graph.edges]
     terms += [Term(coeff, (z(i),)) for i, coeff in enumerate(linear)]
     terms.append(Term(args.d))
     return Lemma2Params(
@@ -158,13 +159,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    edges = _parse_edges(args.quadratic, 1 if args.weight is None else args.weight)
-    vertices = args.vertices
-    if vertices is None:
-        vertices = 1 + max((max(i, j) for i, j, _ in edges), default=-1)
-    if vertices < 1:
+    weight = 1 if args.require_weight is None else args.require_weight
+    graph = _read_graph(args.quadratic, args.vertices, weight)
+    if graph.vertex_count < 1:
         raise ValueError("graph needs at least one vertex; pass --vertices")
-    graph = LabeledGraph(vertices, edges)
     certs = enumerate_admissible_deletions(graph, args.k, required_weight=args.require_weight)
     for cert in certs:
         path = "-".join(str(v) for v in cert.path_order)
@@ -180,15 +178,21 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # full flag names only; sub-parsers inherit the class
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
+@functools.cache
+def _build_parser() -> _Parser:
+    parser = _Parser(
         prog="zccs",
         description="Construct and verify complementary code sets with zero-correlation zones.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    seed = argparse.ArgumentParser(add_help=False)
+    seed = _Parser(add_help=False)
     seed.add_argument(
         "--quadratic",
         default="",
@@ -198,16 +202,16 @@ def _build_parser() -> argparse.ArgumentParser:
     seed.add_argument("--d", type=int, default=0, help="constant coefficient")
     seed.add_argument("--delete", default="", help='vertices to delete, e.g. "0,1"')
     seed.add_argument("--beta1", type=int, help="path end to use (default: smallest)")
-    seed.add_argument("--bit-order", choices=("lsb", "msb"), help="index bit convention")
+    seed.add_argument("--bit-order", choices=BIT_ORDERS, help="index bit convention")
     seed.add_argument("--out", help="write the code set to this JSON file")
-    binary = argparse.ArgumentParser(add_help=False)
+    binary = _Parser(add_help=False)
     binary.add_argument("--m1", type=int, required=True, help="variable count (>= 5)")
     binary.set_defaults(seed=_binary_seed)
-    qary = argparse.ArgumentParser(add_help=False)
+    qary = _Parser(add_help=False)
     qary.add_argument("--m2", type=int, required=True, help="variable count (>= 1)")
     qary.add_argument("--q", type=int, default=2, help="modulus (even)")
     qary.set_defaults(seed=_qary_seed)
-    chain = argparse.ArgumentParser(add_help=False)
+    chain = _Parser(add_help=False)
     chain.add_argument("--l", type=int, required=True, help="label length")
     chain.add_argument("--R", type=int, required=True, help="block count (even, at most 2^l)")
     chain.add_argument("--s-r", default="", help='block labels as bitstrings, e.g. "00,10"')
@@ -235,9 +239,10 @@ def _build_parser() -> argparse.ArgumentParser:
     enm.add_argument("--quadratic", default="", help="graph edges, same syntax as generate")
     enm.add_argument("--vertices", type=int, help="vertex count (default: inferred from edges)")
     enm.add_argument("--k", type=int, required=True, help="number of vertices to delete")
-    enm.add_argument("--weight", type=int, help="default weight for edges given without one")
     enm.add_argument(
-        "--require-weight", type=int, help="accept only residual edges of this weight"
+        "--require-weight",
+        type=int,
+        help="accept only residual edges of this weight, which edges given without one take",
     )
     enm.set_defaults(func=cmd_enumerate)
 

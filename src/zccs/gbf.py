@@ -160,25 +160,27 @@ def index_to_bits(r: int, m: int, order: str | None = None) -> tuple[int, ...]:
     if not 0 <= r < (1 << m):
         raise ValueError(f"index {r} out of range for {m} bits")
     order = resolve_bit_order(order)
-    if order == "lsb":
-        return tuple((r >> i) & 1 for i in range(m))
-    return tuple((r >> (m - 1 - i)) & 1 for i in range(m))
+    return tuple(bit_column(r, i, m, order) for i in range(m))
 
 
-def bit_column(index: np.ndarray, var: int, m: int, order: str) -> np.ndarray:
-    """Bit z_var of every index in an array of m-bit indices, under order."""
-    return (index >> (m - 1 - var if order == "msb" else var)) & 1
+def _bit_shift(var: int, m: int, order: str) -> int:
+    """How far bit z_var of an m-bit index sits above its lowest bit."""
+    return m - 1 - var if order == "msb" else var
+
+
+def bit_column(index, var: int, m: int, order: str):
+    """Bit z_var of an m-bit index, or of every index in an array of them."""
+    return (index >> _bit_shift(var, m, order)) & 1
 
 
 def truth_table(f: GBF, order: str | None = None, index: np.ndarray | None = None) -> np.ndarray:
     """Values of f at the m-bit indices in index, all 2^m by default.
 
     Returns an int64 array t with t[r] = f(index_to_bits(index[r], m,
-    order)).  Each literal's bit column is shifted out of the index array
-    into a reused buffer, so the work memory is three arrays of the index's
-    length for any m.
+    order)).  Each literal's bit column is shifted into a reused buffer, so
+    the work memory is three arrays of the index's length for any m.
     """
-    msb = resolve_bit_order(order) == "msb"
+    order = resolve_bit_order(order)
     if index is None:
         index = np.arange(1 << f.m, dtype=np.int64)
     acc = np.zeros_like(index)
@@ -186,7 +188,7 @@ def truth_table(f: GBF, order: str | None = None, index: np.ndarray | None = Non
     for t in f.terms:
         prod.fill(t.coefficient)
         for lit in t.literals:
-            np.right_shift(index, f.m - 1 - lit.var_index if msb else lit.var_index, out=bit)
+            np.right_shift(index, _bit_shift(lit.var_index, f.m, order), out=bit)
             bit &= 1
             if lit.complemented:
                 bit ^= 1
@@ -205,9 +207,7 @@ def unit_values(q: int, phases: np.ndarray) -> np.ndarray:
     exp(); every other modulus looks its values up in a table of exp over
     Z_q, or calls exp per phase when that table would outgrow the result.
     """
-    if q == 1:
-        return np.ones(phases.shape)
-    if q == 2:
+    if q <= 2:  # q = 1 phases are all 0
         return (1 - 2 * phases).astype(np.float64)
     if q == 4:
         return np.array([1 + 0j, 0 + 1j, -1 + 0j, 0 - 1j])[phases]

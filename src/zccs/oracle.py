@@ -50,21 +50,13 @@ def _row_label(index: int, width: int) -> list[int]:
 # row functions, both families
 
 
-def _front_phase(q: int, seed, point: list, deleted, coeffs, end_vertex: int, end: int):
-    """g (binary) or f (q-ary) over the bit columns point: the seed plus the
-    row's linear terms on the deleted vertices and the pair end."""
-    total = seed + (q // 2) * end * point[end_vertex]  # a new array; seed is shared
-    for c, vertex in zip(coeffs, deleted):
-        total += c * point[vertex]
-    return total % q
-
-
-def _back_phase(q: int, seed_c, point: list, deleted, coeffs, end_vertex: int, end: int):
-    """s (binary) or h (q-ary) over the bit columns point: the seed's values
-    at the complemented points plus the row's complemented linear terms."""
-    total = seed_c + (q // 2) * (1 - end) * point[end_vertex]  # a new array; seed_c is shared
-    for c, vertex in zip(coeffs, deleted):
-        total += c * (1 - point[vertex])
+def _row_phase(q: int, seed, columns: list, coeffs, end_column, end: int):
+    """A row function over a table's points: the seed's values plus c times
+    each deleted-vertex column and (q/2) * end times the pair-end column.
+    Backs (s, h) pass the complemented deleted-vertex columns and 1 - end."""
+    total = seed + (q // 2) * end * end_column  # a new array; seed is shared
+    for c, column in zip(coeffs, columns):
+        total += c * column
     return total % q
 
 
@@ -84,6 +76,8 @@ def _row_tables(doc: dict, order: str, q: int, m: int, seed_eval, end_vertex: in
     back_point = _bits(back_at, m, order)
     front_seed = seed_eval(doc, front_point)
     back_seed = seed_eval(doc, [1 - b for b in back_point])
+    front_columns = [front_point[v] for v in deleted]
+    back_columns = [1 - back_point[v] for v in deleted]
     memo = {}
     fronts, backs = [], []
     for n in range(1 << k):
@@ -95,8 +89,8 @@ def _row_tables(doc: dict, order: str, q: int, m: int, seed_eval, end_vertex: in
             if key not in memo:
                 coeffs, end = key
                 memo[key] = (
-                    _front_phase(q, front_seed, front_point, deleted, coeffs, end_vertex, end),
-                    _back_phase(q, back_seed, back_point, deleted, coeffs, end_vertex, end),
+                    _row_phase(q, front_seed, front_columns, coeffs, front_point[end_vertex], end),
+                    _row_phase(q, back_seed, back_columns, coeffs, back_point[end_vertex], 1 - end),
                 )
             front, back = memo[key]
             fn.append(front)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import zccs
-from zccs import CodeSet, correlation, graphs, load_code_set, save_code_set
+from zccs import CodeSet, cli, correlation, graphs, load_code_set, save_code_set
 from zccs.cli import main
 
 from conftest import q8_counterexample
@@ -22,6 +22,16 @@ EXAMPLE_ARGS = [
     "--d-vec", "1,1,1,1",
     "--delete", "0,1",
     "--beta1", "2",
+]
+
+
+# edge lists on vertices 0..2 that every command refuses, each with its message
+BAD_EDGE_LISTS = [
+    ("0-1,1-2,0-2,0-2", "duplicate edge (0, 2)"),
+    ("0-1,1-2,2-1", "duplicate edge (1, 2)"),
+    ("0-0,0-1,1-2", "self-loop at vertex 0"),
+    ("0-1:0,1-2", "edge (0, 1) has zero weight"),
+    ("0-1,1-3", "edge (1, 3) out of range for 3 vertices"),
 ]
 
 
@@ -153,8 +163,6 @@ class TestGenerate:
         out.unlink()
         capsys.readouterr()
         try:
-            # on a binary construction, --q reads as an abbreviation of
-            # --quadratic, and "8" is no edge list
             code = main([*argv, flag, "00,11" if flag == "--s-r" else "8"])
         except SystemExit as exc:
             code = exc.code
@@ -167,6 +175,28 @@ class TestGenerate:
         code, _, stderr = run(capsys, "generate", "lemma1", *args, "--delete", "1")
         assert code == 2
         assert "error:" in stderr
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        # 4 is 0 mod 2 and mod 4: generate takes weights mod q
+        [*BAD_EDGE_LISTS, ("0-1:4,1-2", "edge (0, 1) has zero weight")],
+    )
+    @pytest.mark.parametrize(
+        "family",
+        [
+            ["lemma1", "--m1", "7"],
+            ["thm1", "--m1", "7", "--l", "1", "--R", "2"],
+            ["thm3", "--m1", "7"],
+            ["lemma2", "--m2", "3", "--q", "4"],
+            ["thm2", "--m2", "3", "--q", "4", "--l", "1", "--R", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_bad_edge_list_is_exit_2(self, capsys, family, edges, message):
+        code, stdout, stderr = run(capsys, "generate", *family, "--quadratic", edges)
+        assert code == 2
+        assert stdout == ""
+        assert stderr == f"error: {message}\n"
 
     def test_bad_edge_syntax(self, capsys):
         code, _, stderr = run(capsys, "generate", "lemma1", "--m1", "5", "--quadratic", "0+1")
@@ -333,6 +363,26 @@ class TestEnumerate:
         assert code == 0
         assert "0 admissible deletion(s)" in stdout
 
+    @pytest.mark.parametrize("edges", ["0-1,1-2", "0-1:2,1-2", "1-2,0-1:2"])
+    def test_unweighted_edges_take_the_required_weight(self, capsys, edges):
+        code, stdout, _ = run(
+            capsys, "enumerate", "--quadratic", edges, "--k", "0", "--require-weight", "2"
+        )
+        assert code == 0
+        assert stdout.splitlines() == [
+            "delete [] -> path 0-1-2, ends [0, 2]",
+            "1 admissible deletion(s) of size 0",
+        ]
+
+    @pytest.mark.parametrize("edges, message", BAD_EDGE_LISTS)
+    def test_bad_edge_list_is_exit_2(self, capsys, edges, message):
+        code, stdout, stderr = run(
+            capsys, "enumerate", "--quadratic", edges, "--vertices", "3", "--k", "0"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == f"error: {message}\n"
+
     def test_k_out_of_range(self, capsys):
         code, _, stderr = run(capsys, "enumerate", "--quadratic", "0-1", "--k", "5")
         assert code == 2
@@ -446,3 +496,35 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "generate lemma1 --m1 6 --q 8",
+            "generate lemma1 --m1 6 --quad 0-1",
+            "generate thm1 --m1 6 --l 1 --R 2 --s 00,11",
+            "verify f --rep r",
+            "enumerate --quadratic 0-1 --k 0 --weight 2",
+        ],
+    )
+    def test_flags_count_under_their_full_names_only(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv.split())
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv.split()[-2:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "lemma1", *EXAMPLE_ARGS],
+            ["enumerate", "--quadratic", "0-1,1-2,2-3,0-3,0-2", "--k", "1"],
+            ["generate", "lemma1", "--m1", "7", "--quadratic", "0-1,0-1"],
+        ],
+        ids=["generate", "enumerate", "refused"],
+    )
+    def test_calls_share_one_parser(self, capsys, argv):
+        cli._build_parser.cache_clear()
+        first = run(capsys, *argv)
+        assert run(capsys, *argv) == first
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
