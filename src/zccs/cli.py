@@ -67,16 +67,19 @@ def _parse_bit_vectors(text: str) -> tuple[tuple[int, ...], ...] | None:
 
 def _read_graph(text: str, vertices: int | None, weight: int, q: int = 0) -> LabeledGraph:
     """The edge list "0-1,1-2:3" as a LabeledGraph: edge (0, 1) of the given weight,
-    (1, 2) of weight 3, weights mod q if q is set; vertices default to max end + 1."""
+    (1, 2) of weight 3, weights mod q if q is set (a nonzero weight that is 0 mod q
+    is refused); vertices default to max end + 1."""
     edges = []
     for part in _fields(text):
         body, _, weight_text = part.partition(":")
         try:
             i_text, j_text = body.split("-")
-            w = int(weight_text) if weight_text else weight
-            edges.append((int(i_text), int(j_text), w % q if q else w))
+            i, j, w = int(i_text), int(j_text), int(weight_text) if weight_text else weight
         except ValueError:
             raise ValueError(f"bad edge {part!r}; expected i-j or i-j:w")
+        if q and w and w % q == 0:
+            raise ValueError(f"edge ({i}, {j}) has zero weight: {w} is 0 mod {q}")
+        edges.append((i, j, w % q if q else w))
     if vertices is None:
         vertices = 1 + max((max(i, j) for i, j, _ in edges), default=-1)
     return LabeledGraph(vertices, tuple(edges))

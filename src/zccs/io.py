@@ -10,12 +10,12 @@ through one Python int per phase.  Files contain integers only; phases are
 never converted to floating point.  Reports are compact JSON on one line,
 have their own REPORT_FORMAT_VERSION and carry no such guarantee.
 
-Reading a file tries the canonical layout first: json parses only the
-header above the codes, and numpy reads every digit run below it in one
-pass.  That set is accepted only when `dumps_code_set` reproduces the text
-byte for byte.  Any other text, and every document a caller passes in, goes
-through `json.loads` and `code_set_from_document`, so both paths check the
-header with the same code and give the same set or the same error.
+Reading tries two layouts first, the canonical one and json.dumps' default
+(`_default_text`): json parses the header, numpy reads the digits below it,
+and that set is accepted only when re-dumping it in the text's layout gives
+the text byte for byte.  Any other text, and every document a caller passes
+in, goes through `json.loads` and `code_set_from_document`, so both paths
+check the header with the same code and give the same set or the same error.
 """
 
 from __future__ import annotations
@@ -115,30 +115,32 @@ def _checked_code_set(data, dims: dict, provenance: dict | None) -> CodeSet:
         raise CodeSetFormatError(str(exc)) from exc
 
 
-def _codes_text(phases: np.ndarray) -> str:
-    """The code lines of `dumps_code_set`, joined by ",\n".
-
-    One byte row per sequence: a 6-byte lead, a cell per phase (its digits
-    right-aligned, then "," or "]") and a 3-byte tail.  Bytes left unused,
-    leading zeros included, stay NUL and are deleted in one pass.
+def _codes_text(phases: np.ndarray, sep: str = ",", brk: str = "\n    ") -> str:
+    """Each code as "[[p,...,p],...,[p,...,p]]" with sep for ",", codes joined
+    by sep + brk: by default the canonical code lines.  One byte row per
+    sequence: a 2-byte lead, a cell per phase (its digits right-aligned, then
+    sep, or "]" after the last) and a tail, sep or, where a code ends, "]" +
+    sep + brk.  Unused bytes, leading zeros included, stay NUL and go in one pass.
     """
     m, n, length = phases.shape
     width = len(str(phases.max()))
-    rows = np.zeros((m, n, 6 + length * (width + 1) + 3), np.uint8)
-    cells = rows[:, :, 6:-3].reshape(m, n, length, width + 1)
+    code_end = np.frombuffer(f"]{sep}{brk}".encode("ascii"), np.uint8)
+    rows = np.zeros((m, n, 2 + length * (width + len(sep)) + code_end.size), np.uint8)
+    cells = rows[:, :, 2:-code_end.size].reshape(m, n, length, width + len(sep))
     rest = phases
     for k in range(width - 1):
         power = 10 ** (width - 1 - k)
         digits, rest = np.divmod(rest, power)
         cells[..., k] = np.where(phases >= power, digits + ord("0"), 0)
-    cells[..., -2] = rest + ord("0")
-    cells[..., -1] = ord(",")
-    cells[:, :, -1, -1] = ord("]")
-    rows[:, :, 5] = ord("[")
-    rows[:, 0, :5] = np.frombuffer(b"    [", np.uint8)
-    rows[:, :-1, -3] = ord(",")
-    rows[:, -1, -3:] = np.frombuffer(b"],\n", np.uint8)
-    rows[-1, -1, -2:] = 0
+    np.add(rest, ord("0"), out=cells[..., width - 1], casting="unsafe")
+    for k, byte in enumerate(sep.encode("ascii"), width):  # one byte at a time is faster
+        cells[..., k] = byte
+    cells[:, :, -1, width:] = (ord("]"), 0)[: len(sep)]
+    rows[:, :, 1] = ord("[")
+    rows[:, 0, 0] = ord("[")
+    rows[:, :-1, -code_end.size : len(sep) - code_end.size] = code_end[1 : 1 + len(sep)]
+    rows[:, -1, -code_end.size :] = code_end
+    rows[-1, -1, 1 - code_end.size :] = 0
     return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -147,7 +149,7 @@ def dumps_code_set(code_set: CodeSet) -> str:
     meta_block = json.dumps(_metadata(code_set), indent=2).replace("\n", "\n  ")
     return (
         f'{{\n  "format_version": {FORMAT_VERSION},\n  "metadata": {meta_block},\n'
-        f'  "codes": [\n{_codes_text(code_set.phases)}\n  ]\n}}\n'
+        f'  "codes": [\n    {_codes_text(code_set.phases)}\n  ]\n}}\n'
     )
 
 
@@ -155,30 +157,55 @@ def save_code_set(code_set: CodeSet, path) -> None:
     Path(path).write_text(dumps_code_set(code_set), encoding="utf-8")
 
 
-_CODES_LINE = '\n  "codes": [\n'
-_DIGITS_ONLY = bytes(b if 48 <= b <= 57 else 32 for b in range(256))
+def _default_text(code_set: CodeSet) -> str:
+    """json.dumps of the set's document, with its default ", " and ": " separators."""
+    meta, codes = json.dumps(_metadata(code_set)), _codes_text(code_set.phases, ", ", "")
+    return f'{{"format_version": {FORMAT_VERSION}, "metadata": {meta}, "codes": [{codes}]}}'
 
 
-def _canonical_code_set(text: str) -> CodeSet | None:
-    """The set whose `dumps_code_set` text is exactly text, or None.
+_NON_DIGITS = bytes(b for b in range(256) if not 48 <= b <= 57)
+_DIGIT_VALUES = bytes((b - 48) % 256 for b in range(256))  # "0".."9" to 0..9
 
-    The phases are the digit runs below the codes line, read in one numpy
-    pass.  Brackets, commas and any other byte count as spaces, a blank
-    block reads as one 0 and a run beyond int64 saturates: the re-dump
-    rejects all of those.  The data alone size the array; the metadata's
-    M * N * L is only compared with their count.
-    """
-    head, codes_line, body = text.partition(_CODES_LINE)
-    # json.dumps(indent=2) writes the codes line too; its next line is "    ["
-    if not codes_line or not body.startswith("    [[") or not body.isascii():
+
+def _read_phases(body: bytes, size: int) -> np.ndarray | None:
+    """The size digit runs of body as int64, or None.  With exactly size digits
+    each is one run; otherwise runs are read from their last digit back, one
+    pass per digit, up to 18 digits.  The re-dump checks everything else."""
+    digits = body.translate(_DIGIT_VALUES, _NON_DIGITS)
+    if len(digits) == size:
+        return np.frombuffer(digits, np.uint8).astype(np.int64)
+    raw = np.frombuffer(body.translate(_DIGIT_VALUES), np.uint8)  # non-digits >= 10
+    is_digit = raw < 10
+    last = np.flatnonzero(is_digit[:-1] > is_digit[1:])
+    if last.size != size:
+        return None
+    phases = raw[last].astype(np.int64)
+    more = np.ones(size, bool)
+    for k in range(1, 19):
+        last -= 1
+        digit = raw[last]
+        more &= digit < 10
+        if not more.any():
+            return phases
+        phases += np.where(more, digit, 0) * np.int64(10**k)
+    return None
+
+
+def _redumped_code_set(text: str) -> CodeSet | None:
+    """The set that `dumps_code_set` or `_default_text` writes as exactly text,
+    or None.  Its phases are the digit runs after the last "codes" key (no
+    quote follows the real one); they alone size the array, the metadata's
+    M * N * L is only compared with their count."""
+    cut = text.rfind('"codes": ')
+    if cut < 0 or not text.isascii():
         return None
     try:
-        dims, provenance = _header(json.loads(head[:-1] + "}"))
+        dims, provenance = _header(json.loads(text[:cut].rstrip(", \n") + "}"))
     except (ValueError, RecursionError, CodeSetFormatError):
         return None
-    phases = np.fromstring(body.encode("ascii").translate(_DIGITS_ONLY), np.int64, sep=" ")
     m, n, length = dims["M"], dims["N"], dims["L"]
-    if phases.size != m * n * length:
+    phases = _read_phases(text[cut:].encode("ascii"), m * n * length)
+    if phases is None:
         return None
     try:
         # reshaped in place (same size, nothing else refers to it) and made
@@ -188,11 +215,12 @@ def _canonical_code_set(text: str) -> CodeSet | None:
         code_set = CodeSet(q=dims["q"], zcz=dims["Z"], phases=phases, provenance=provenance)
     except ValueError:
         return None
-    return code_set if dumps_code_set(code_set) == text else None
+    dump = dumps_code_set if text.startswith("{\n") else _default_text
+    return code_set if dump(code_set) == text else None
 
 
 def loads_code_set(text: str) -> CodeSet:
-    code_set = _canonical_code_set(text)
+    code_set = _redumped_code_set(text)
     if code_set is not None:
         return code_set
     # json.loads also raises a plain ValueError for an integer beyond the
@@ -267,7 +295,7 @@ def export_csv(code_set: CodeSet, path) -> None:
         lines.append(f"# construction={prov['construction']}")
         lines.append(f"# bit_order={prov['bit_order']}")
     # The canonical code lines, less their brackets, are the phase lines.
-    rows = _codes_text(code_set.phases)[6:-2].replace("]],\n    [[", "\n").replace("],[", "\n")
+    rows = _codes_text(code_set.phases)[2:-2].replace("]],\n    [[", "\n").replace("],[", "\n")
     if code_set.q == 2:
         rows = rows.replace("1", "-1").replace("0", "1")
     Path(path).write_text("\n".join(lines) + "\n" + rows + "\n", encoding="utf-8")

@@ -178,8 +178,8 @@ class TestGenerate:
 
     @pytest.mark.parametrize(
         "edges, message",
-        # 4 is 0 mod 2 and mod 4: generate takes weights mod q
-        [*BAD_EDGE_LISTS, ("0-1:4,1-2", "edge (0, 1) has zero weight")],
+        # 4 is 0 mod 2 and mod 4: generate takes weights mod q, {q} is filled in below
+        [*BAD_EDGE_LISTS, ("0-1:4,1-2", "edge (0, 1) has zero weight: 4 is 0 mod {q}")],
     )
     @pytest.mark.parametrize(
         "family",
@@ -193,6 +193,7 @@ class TestGenerate:
         ids=lambda argv: argv[0],
     )
     def test_bad_edge_list_is_exit_2(self, capsys, family, edges, message):
+        message = message.format(q=4 if "--q" in family else 2)
         code, stdout, stderr = run(capsys, "generate", *family, "--quadratic", edges)
         assert code == 2
         assert stdout == ""

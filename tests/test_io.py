@@ -151,7 +151,9 @@ class TestCanonicalText:
         want = canonical_layout({**json.loads(dumps_code_set(cs)), "codes": cs.phases.tolist()})
         assert dumps_code_set(cs) == want
         assert loads_code_set(want) == cs
-        assert io._canonical_code_set(want) == cs  # read without json.loads
+        # both layouts are read without json.loads
+        assert io._redumped_code_set(want) == cs
+        assert io._redumped_code_set(json.dumps(json.loads(want))) == cs
 
     def test_file_round_trip(self, tmp_path, quaternary_set):
         path = tmp_path / "set.json"
@@ -318,8 +320,17 @@ class TestLoaderFuzz:
 
 def _first_phase(digits):
     def edit(text):
-        return re.sub(r"(\n    \[\[)[0-9]+", lambda m: m.group(1) + digits, text, count=1)
+        return re.sub(r'("codes": \[\s*\[\[)[0-9]+', lambda m: m.group(1) + digits, text, count=1)
     return edit
+
+
+def _json_dumps(edit=lambda doc: None, **options):
+    """The text's document, edited, as json.dumps writes it with options."""
+    def render(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc, **options)
+    return render
 
 
 def _blank_codes(text):
@@ -350,6 +361,13 @@ TEXT_EDITS = {
     "json.dumps indent=2": lambda text: json.dumps(json.loads(text), indent=2),
     "trailing newline": lambda text: text + "\n",
     "trailing bytes": lambda text: text + "x",
+    "json.dumps default": _json_dumps(),
+    "json.dumps default, leading zero": lambda text: _first_phase("01")(_json_dumps()(text)),
+    "json.dumps compact": _json_dumps(separators=(",", ":")),
+    "json.dumps default, trailing newline": lambda text: _json_dumps()(text) + "\n",
+    "json.dumps default, codes key in a metadata string": _json_dumps(
+        lambda doc: doc["metadata"].update(construction=', "codes": [[[')
+    ),
 }
 
 TEXT_SETS = {
@@ -372,9 +390,9 @@ def _general_path(text):
 
 
 class TestLoadPaths:
-    """loads_code_set reads canonical text without json.loads, yet for every
-    text it gives what json.loads and code_set_from_document give, or an
-    exception of the same class."""
+    """loads_code_set reads canonical and json.dumps default text without
+    json.loads, yet for every text it gives what json.loads and
+    code_set_from_document give, or an exception of the same class."""
 
     @pytest.mark.parametrize("build", TEXT_SETS.values(), ids=TEXT_SETS.keys())
     @pytest.mark.parametrize("edit", TEXT_EDITS.values(), ids=TEXT_EDITS.keys())
@@ -395,13 +413,13 @@ class TestLoadPaths:
             d=1, deleted=(0,), beta1=5,
         )
         cs = theorem1_zccs(Theorem1Params(base, l=2, r=4))
-        text = dumps_code_set(cs)
-        tracemalloc.start()
-        try:
-            loaded = loads_code_set(text)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert cs.dims == (16, 4, 2560, 640)
-        assert loaded == cs
-        assert peak <= 4 * cs.phases.nbytes, peak / cs.phases.nbytes
+        for text in (dumps_code_set(cs), json.dumps(json.loads(dumps_code_set(cs)))):
+            tracemalloc.start()
+            try:
+                loaded = loads_code_set(text)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert loaded == cs
+            assert peak <= 4 * cs.phases.nbytes, peak / cs.phases.nbytes
