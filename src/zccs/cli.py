@@ -141,11 +141,11 @@ def _print_verification(report) -> None:
     print(f"zone checked: {report.z_checked} ({arithmetic})")
     print(f"expected peak {report.expected_peak}; measured zero zone {report.measured_zcz}")
     print(f"violations in zone: {report.violation_count}")
-    shown = report.violations[:10]
-    for v in shown:
-        print(f"  codes ({v.i}, {v.j}) shift {v.tau}: {v.value.as_complex()}")
-    if report.violation_count > len(shown):
-        print(f"  ... {report.violation_count - len(shown)} more")
+    shown = min(10, len(report.listed))
+    for i, j, tau, real, imag in report.listed_rows(shown):
+        print(f"  codes ({i}, {j}) shift {tau}: {complex(real, imag)}")
+    if report.violation_count > shown:
+        print(f"  ... {report.violation_count - shown} more")
     verdict = "PASS" if report.zccs_ok else "FAIL"
     optimality = "optimal" if report.optimal else "not optimal"
     print(f"{verdict}: zone holds: {'yes' if report.zccs_ok else 'no'}; {optimality}")

@@ -43,6 +43,7 @@ as nonzero, and the report says exact=False.  s = 1 for q in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -115,13 +116,17 @@ class CorrelationReport:
     A real or imaginary part beyond tolerance counts as nonzero, and exact
     says the verdict is certified: every zero part reads within tolerance
     and every nonzero one beyond it.  violation_count is the number of
-    in-zone violations; violations lists the first MAX_LISTED_VIOLATIONS
-    of them in (i, j, |tau|, tau) order.  first_nonzero holds, for each
-    code pair (i, j), i <= j, in the order of np.triu_indices(M), the
-    smallest |tau| at which the pair's sum is nonzero: L when it never is,
-    0 when the pair is (i, i) and its peak misses N * L.  measured_zcz is
-    its minimum, the widest zone the data actually support.  zccs_ok
-    refers to the zone that was checked, z_checked.
+    in-zone violations; listed holds the first MAX_LISTED_VIOLATIONS of
+    them in (i, j, |tau|, tau) order, as one read-only structured array
+    with the columns i, j, tau (int64), real and imag (int64 for q in
+    EXACT_MODULI, float64 otherwise).  The listing is that table alone:
+    violations, the same rows as Violation tuples, is built from it on
+    first access.  first_nonzero holds, for each code pair (i, j), i <= j,
+    in the order of np.triu_indices(M), the smallest |tau| at which the
+    pair's sum is nonzero: L when it never is, 0 when the pair is (i, i)
+    and its peak misses N * L.  measured_zcz is its minimum, the widest
+    zone the data actually support.  zccs_ok refers to the zone that was
+    checked, z_checked.
     """
 
     set_size: int
@@ -135,10 +140,21 @@ class CorrelationReport:
     peaks: tuple[CorrelationValue, ...]
     measured_zcz: int
     violation_count: int
-    violations: tuple[Violation, ...]
+    listed: np.ndarray
     first_nonzero: np.ndarray
     zccs_ok: bool
     optimal: bool
+
+    def listed_rows(self, stop: int | None = None) -> Iterator[tuple]:
+        """The first stop rows of listed (all by default) as tuples of Python scalars."""
+        return zip(*(self.listed[name][:stop].tolist() for name in self.listed.dtype.names))
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        return tuple(
+            Violation(i, j, tau, CorrelationValue(real, imag))
+            for i, j, tau, real, imag in self.listed_rows()
+        )
 
 
 def is_optimal(set_size: int, code_size: int, length: int, zone: int) -> bool:
@@ -401,7 +417,12 @@ def verify_zccs(code_set: CodeSet, z: int | None = None) -> CorrelationReport:
     taus[1::2], taus[2::2] = -np.arange(1, length), np.arange(1, length)
     columns = taus % n
     first_nonzero = np.empty(pairs, dtype=np.int64)
-    peaks, violations, count = [], [], 0
+    value_type = np.int64 if integer else np.float64
+    listing = np.dtype(
+        [("i", np.int64), ("j", np.int64), ("tau", np.int64)]
+        + [("real", value_type), ("imag", value_type)]
+    )
+    peaks, tables, count, room = [], [np.empty(0, listing)], 0, MAX_LISTED_VIOLATIONS
     for i, j0, block in _blocks(code_set):
         parts = np.abs(block.view(np.float64)) > tolerance
         if np.iscomplexobj(block):
@@ -420,16 +441,17 @@ def verify_zccs(code_set: CodeSet, z: int | None = None) -> CorrelationReport:
         )
         in_zone = nonzero[:, : 2 * zone - 1]
         count += int(np.count_nonzero(in_zone))
-        room = MAX_LISTED_VIOLATIONS - len(violations)
         if room > 0:
             row, position = (index[:room] for index in np.nonzero(in_zone))
-            values = block[row, columns[position]]
-            violations.extend(
-                Violation(i, j0 + j, tau, CorrelationValue(cast(real), cast(imag)))
-                for j, tau, real, imag in zip(
-                    row.tolist(), taus[position].tolist(), values.real, values.imag
-                )
-            )
+            if row.size:
+                values = block[row, columns[position]]
+                rows = np.empty(row.size, listing)
+                rows["i"], rows["j"], rows["tau"] = i, j0 + row, taus[position]
+                rows["real"], rows["imag"] = values.real, values.imag
+                tables.append(rows)
+                room -= row.size
+    listed = np.concatenate(tables)
+    listed.setflags(write=False)
     first_nonzero.setflags(write=False)
     ok = count == 0
     return CorrelationReport(
@@ -444,7 +466,7 @@ def verify_zccs(code_set: CodeSet, z: int | None = None) -> CorrelationReport:
         peaks=tuple(peaks),
         measured_zcz=int(first_nonzero.min()),
         violation_count=count,
-        violations=tuple(violations),
+        listed=listed,
         first_nonzero=first_nonzero,
         zccs_ok=ok,
         optimal=ok and is_optimal(set_size, code_size, length, zone),

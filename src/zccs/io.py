@@ -9,6 +9,9 @@ The code lines are built as bytes straight from the phase array, never
 through one Python int per phase.  Files contain integers only; phases are
 never converted to floating point.  Reports are compact JSON on one line,
 have their own REPORT_FORMAT_VERSION and carry no such guarantee.
+`dumps_report` alone defines their text: json.dumps writes the summary and
+peaks, and each listed violation is one %-template filled from the columns
+of the report's `listed` table, never through a dict per violation.
 
 Reading tries two layouts first, the canonical one and json.dumps' default
 (`_default_text`): json parses the header, numpy reads the digits below it,
@@ -243,38 +246,38 @@ def load_code_set(path) -> CodeSet:
     return loads_code_set(_read_text(path))
 
 
-def report_to_document(report: CorrelationReport) -> dict:
-    """summary.violation_count counts every in-zone violation; violations
-    lists the first summary.violations_listed of them."""
-    return {
-        "format_version": REPORT_FORMAT_VERSION,
-        "summary": {
-            "q": report.q,
-            "M": report.set_size,
-            "N": report.code_size,
-            "L": report.length,
-            "z_checked": report.z_checked,
-            "exact": report.exact,
-            "tolerance": report.tolerance,
-            "expected_peak": report.expected_peak,
-            "measured_zcz": report.measured_zcz,
-            "zccs_ok": report.zccs_ok,
-            "optimal": report.optimal,
-            "violation_count": report.violation_count,
-            "violations_listed": len(report.violations),
-        },
-        "peaks": [[v.real, v.imag] for v in report.peaks],
-        "violations": [
-            {"i": v.i, "j": v.j, "tau": v.tau, "value": [v.value.real, v.value.imag]}
-            for v in report.violations
-        ],
+def dumps_report(report: CorrelationReport) -> str:
+    """Compact one-line JSON plus a newline.  summary.violation_count counts
+    every in-zone violation; violations lists the first
+    summary.violations_listed of them, one entry per row of report.listed."""
+    summary = {
+        "q": report.q,
+        "M": report.set_size,
+        "N": report.code_size,
+        "L": report.length,
+        "z_checked": report.z_checked,
+        "exact": report.exact,
+        "tolerance": report.tolerance,
+        "expected_peak": report.expected_peak,
+        "measured_zcz": report.measured_zcz,
+        "zccs_ok": report.zccs_ok,
+        "optimal": report.optimal,
+        "violation_count": report.violation_count,
+        "violations_listed": len(report.listed),
     }
+    peaks = [[v.real, v.imag] for v in report.peaks]
+    head = json.dumps(
+        {"format_version": REPORT_FORMAT_VERSION, "summary": summary, "peaks": peaks},
+        separators=(",", ":"),
+    )
+    # %r of a finite float is its repr, which is what json writes
+    part = "%d" if report.listed["real"].dtype.kind == "i" else "%r"
+    entry = f'{{"i":%d,"j":%d,"tau":%d,"value":[{part},{part}]}}'
+    return f'{head[:-1]},"violations":[{",".join(map(entry.__mod__, report.listed_rows()))}]}}\n'
 
 
 def save_report(report: CorrelationReport, path) -> None:
-    """Compact JSON plus a newline: without indent, json uses its C encoder."""
-    text = json.dumps(report_to_document(report), separators=(",", ":"))
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    Path(path).write_text(dumps_report(report), encoding="utf-8")
 
 
 def export_csv(code_set: CodeSet, path) -> None:

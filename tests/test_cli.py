@@ -238,6 +238,26 @@ class TestVerify:
         assert "FAIL" in stdout
         assert "codes (" in stdout
 
+    @pytest.mark.parametrize("q, dims", [(2, (4, 2, 16)), (3, (4, 2, 16)), (8, None)])
+    def test_listed_lines_are_the_first_ten_violations(self, capsys, tmp_path, q, dims):
+        if dims is None:
+            code_set = q8_counterexample()  # one violation: no "more" line
+        else:
+            code_set = CodeSet(q, 8, np.random.default_rng(q).integers(0, q, dims))
+        path = tmp_path / "set.json"
+        save_code_set(code_set, path)
+        report = zccs.verify_zccs(code_set)
+        want = [f"violations in zone: {report.violation_count}"] + [
+            f"  codes ({v.i}, {v.j}) shift {v.tau}: {v.value.as_complex()}"
+            for v in report.violations[:10]
+        ]
+        if report.violation_count > 10:
+            want.append(f"  ... {report.violation_count - 10} more")
+        want.append("FAIL: zone holds: no; not optimal")
+        code, stdout, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert stdout.splitlines()[3:] == want
+
     def test_zone_override_out_of_range(self, capsys, stored_set):
         code, _, stderr = run(capsys, "verify", str(stored_set), "--z", "0")
         assert code == 2

@@ -1,5 +1,6 @@
 """Correlation engine against a from-the-definition reference."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -257,6 +258,16 @@ class TestVerify:
         report = verify_zccs(CodeSet(2, 2, np.array([[[0, 0]], [[0, 1]]])))
         cross = [(v.tau, v.value) for v in report.violations if (v.i, v.j) == (0, 1)]
         assert cross == [(-1, CorrelationValue(-1, 0)), (1, CorrelationValue(1, 0))]
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 8, 12])
+    def test_violation_parts_are_int_or_float(self, q):
+        report = verify_zccs(random_set(np.random.default_rng(q), q, 3, 2, 16), z=8)
+        assert report.violations
+        part = int if q in (1, 2, 4) else float
+        assert report.listed["real"].dtype == (np.int64 if part is int else np.float64)
+        for v in report.violations:
+            assert type(v.value.real) is part and type(v.value.imag) is part
+            assert all(type(index) is int for index in v[:3])
 
     def test_measure_zcz(self, small_ccc):
         assert verify_zccs(small_ccc, z=1).measured_zcz == small_ccc.length
@@ -528,9 +539,12 @@ class TestRoundingCertificate:
 
 
 def report_fields(report):
-    """Every field of a report, first_nonzero as a list."""
-    fields = dict(vars(report))
+    """Every field of a report; first_nonzero as a list, the listed table as
+    its dtype and its rows."""
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
     fields["first_nonzero"] = report.first_nonzero.tolist()
+    fields["listed"] = report.listed.tolist()
+    fields["listed_dtype"] = report.listed.dtype
     return fields
 
 
@@ -558,12 +572,12 @@ class TestBlocks:
             fields = report_fields(split)
             if q not in (1, 2, 4):
                 # float sums may round differently in another batching
-                got, want = fields.pop("violations"), default.pop("violations")
-                assert [v[:3] for v in got] == [v[:3] for v in want]
-                got = [v.value for v in got] + list(fields.pop("peaks"))
-                want = [v.value for v in want] + list(default.pop("peaks"))
+                got, want = fields.pop("listed"), default.pop("listed")
+                assert [row[:3] for row in got] == [row[:3] for row in want]
+                got = [row[3:] for row in got] + list(fields.pop("peaks"))
+                want = [row[3:] for row in want] + list(default.pop("peaks"))
                 assert np.allclose(
-                    [v.as_complex() for v in got], [v.as_complex() for v in want], rtol=0, atol=1e-9
+                    [complex(*v) for v in got], [complex(*v) for v in want], rtol=0, atol=1e-9
                 )
             assert fields == default
 
@@ -596,6 +610,9 @@ class TestBlocks:
         )
         assert len(violations) > MAX_LISTED_VIOLATIONS
         assert report.violation_count == len(violations)
+        assert report.listed.tolist() == [
+            (v.i, v.j, v.tau, *v.value) for v in violations[:MAX_LISTED_VIOLATIONS]
+        ]
         assert list(report.violations) == violations[:MAX_LISTED_VIOLATIONS]
         assert report.first_nonzero.tolist() == first_nonzero
         assert not report.zccs_ok and not report.optimal

@@ -17,12 +17,12 @@ from zccs import (
     Theorem1Params,
     code_set_from_document,
     dumps_code_set,
+    dumps_report,
     export_csv,
     lemma1_ccc,
     lemma2_ccc,
     load_code_set,
     loads_code_set,
-    report_to_document,
     save_code_set,
     save_report,
     theorem1_zccs,
@@ -162,10 +162,45 @@ class TestCanonicalText:
         assert path.read_text(encoding="utf-8") == dumps_code_set(quaternary_set)
 
 
+def reference_report_text(report):
+    """The report text built as one dict per listed violation, from
+    report.violations, through json.dumps: the writer's reference."""
+    doc = {
+        "format_version": 2,
+        "summary": {
+            "q": report.q,
+            "M": report.set_size,
+            "N": report.code_size,
+            "L": report.length,
+            "z_checked": report.z_checked,
+            "exact": report.exact,
+            "tolerance": report.tolerance,
+            "expected_peak": report.expected_peak,
+            "measured_zcz": report.measured_zcz,
+            "zccs_ok": report.zccs_ok,
+            "optimal": report.optimal,
+            "violation_count": report.violation_count,
+            "violations_listed": len(report.violations),
+        },
+        "peaks": [[v.real, v.imag] for v in report.peaks],
+        "violations": [
+            {"i": v.i, "j": v.j, "tau": v.tau, "value": [v.value.real, v.value.imag]}
+            for v in report.violations
+        ],
+    }
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def assert_saved_as_reference(report, tmp_path):
+    path = tmp_path / "report.json"
+    save_report(report, path)
+    assert path.read_text(encoding="utf-8") == reference_report_text(report)
+
+
 class TestReports:
     def test_document_fields(self, binary_set):
         report = verify_zccs(binary_set)
-        doc = report_to_document(report)
+        doc = json.loads(dumps_report(report))
         assert doc["summary"]["zccs_ok"] is True
         assert doc["summary"]["optimal"] is True
         assert doc["summary"]["M"] == binary_set.set_size
@@ -188,8 +223,7 @@ class TestReports:
         save_report(report, path)
         text = path.read_text(encoding="utf-8")
         assert text.endswith("}\n") and text.count("\n") == 1
-        assert json.loads(text) == report_to_document(report)
-
+        assert text == dumps_report(report) == reference_report_text(report)
 
     @pytest.mark.parametrize("q", [6, 8])
     def test_non_gaussian_reports_round_trip(self, tmp_path, q):
@@ -198,12 +232,36 @@ class TestReports:
         for cs in (code_set, mutate_one_phase(code_set, ci=1, ri=0, pos=2)):
             report = verify_zccs(cs)
             assert report.zccs_ok == (cs is code_set)
-            path = tmp_path / "report.json"
-            save_report(report, path)
-            parsed = json.loads(path.read_text(encoding="utf-8"))
-            assert parsed == report_to_document(report)
+            assert_saved_as_reference(report, tmp_path)
+            parsed = json.loads(dumps_report(report))
             assert parsed["summary"]["exact"] is True
             assert type(parsed["summary"]["tolerance"]) is float
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 8, 12])
+    def test_random_failing_reports_match_the_reference(self, tmp_path, q):
+        rng = np.random.default_rng(500 + q)
+        for dims in ((3, 2, 16), (2, 1, 7), (8, 2, 64)):
+            code_set = CodeSet(q, dims[2] // 2, rng.integers(0, q, dims))
+            for zone in (1, None):
+                report = verify_zccs(code_set, z=zone)
+                assert not report.zccs_ok
+                assert_saved_as_reference(report, tmp_path)
+
+    @pytest.mark.parametrize("q", [1, 3])
+    @pytest.mark.parametrize("zone", [500, 501, 502])
+    def test_reports_around_the_listing_cap_match_the_reference(self, tmp_path, q, zone):
+        # a constant sequence's autocorrelation L - |tau| is nonzero at
+        # every shift but the peak: 2 * (zone - 1) violations
+        report = verify_zccs(CodeSet(q, 1, np.zeros((1, 1, 512), np.int64)), z=zone)
+        assert report.violation_count == 2 * (zone - 1)
+        assert len(report.violations) == min(1000, report.violation_count)
+        assert_saved_as_reference(report, tmp_path)
+
+    def test_clean_reports_match_the_reference(self, tmp_path, binary_set, quaternary_set):
+        for code_set in (binary_set, quaternary_set):
+            report = verify_zccs(code_set)
+            assert report.zccs_ok
+            assert_saved_as_reference(report, tmp_path)
 
 
 class TestCsv:
