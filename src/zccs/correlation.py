@@ -14,21 +14,37 @@ integers for q in EXACT_MODULI, complex128 otherwise.
 One batched FFT engine, _blocks, computes every pair correlation.  It
 transforms the set's whole (M, N, L) value array once, zero-padded to the
 smallest n >= 2L - 1 of the form 2^a, 3 * 2^a or 5 * 2^a (_fft_length), at
-which circular correlation equals aperiodic correlation.  Then, for each
-code i and each chunk of the codes j >= i (about CHUNK_ENTRIES spectrum
-entries), it sums the cross-spectra over the rows and inverse-transforms
-them in one call, giving a circular block in which shift tau sits at
-index tau mod n.  Real value arrays (q <= 2) use rfft/irfft and give real
-blocks, complex ones fft/ifft.  verify_zccs reduces each block as it
-comes and drops it, so it keeps one number per pair and no profile;
-pair_profiles assembles the same blocks into whole profiles.  accs and
-set_accs compute one shift by direct dot products and share no code with
-the engine but unit_values, so the two check each other.
+which circular correlation equals aperiodic correlation.  Code pairs
+(i, j), i <= j, are numbered in the order of np.triu_indices(M), and a
+block is a chunk of consecutive pairs (about CHUNK_ENTRIES spectrum entries
+read): their cross-spectra, summed over the rows, go code by code into one
+buffer, and the pairs kept are inverse-transformed in one call, giving a
+circular block in which shift tau sits at index tau mod n.  Real value
+arrays (q <= 2) use rfft/irfft and give real blocks, complex ones
+fft/ifft.  verify_zccs reduces each block as it comes and drops it, so it
+keeps one number per pair and no profile; pair_profiles assembles the
+blocks into whole profiles and leaves no pair out.  accs and set_accs
+compute one shift by direct dot products and share no code with the
+engine but unit_values, so the two check each other.
+
+Most pairs of the paper's sets never correlate.  By Parseval a pair's
+circular sums have sum_tau |c(tau)|^2 = E / n, where E = sum_f |C(f)|^2
+is its cross-spectrum energy (at most twice the sum over the rfft bins),
+so every exact sum has modulus at most sqrt(E / n) + b, b =
+_rounding_bound.  Below tolerance every sum is zero, as a nonzero one is
+at least 1 for q in EXACT_MODULI, where tolerance is 1/4, and at least
+4 * tolerance for other q when exact; and the full path would read it as
+zero too, each computed value lying within b < tolerance of 0.  So
+verify_zccs passes the margin tolerance - b, and the engine leaves a pair
+with E < n * margin^2 out of the inverse transform: it gets
+first_nonzero = L and no listing.  A margin <= 0 (exact=False, or a failed
+bound) leaves nothing out, and diagonal pairs, with E / n >= (N * L)^2,
+are never left out.
 
 For q in EXACT_MODULI the values are the Gaussian integers +-1 and +-i.
 The engine rounds each block to integers and certifies the rounding:
 _rounding_bound and the largest observed distance to an integer must both
-stay below 1/4, or np.correlate recomputes the block.
+stay below 1/4, or np.correlate recomputes the block's pairs.
 
 One zero test serves every modulus: a nonzero sum in Z[zeta_q] has modulus
 at least s (_separation), so its real or imaginary part exceeds s / 2.  A
@@ -42,6 +58,7 @@ as nonzero, and the report says exact=False.  s = 1 for q in
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple
@@ -53,7 +70,7 @@ from .gbf import unit_values
 
 EXACT_MODULI = (1, 2, 4)
 
-# Spectrum entries (codes j times rows times frequencies) one chunk of the
+# Spectrum entries (pairs times rows times frequencies) one chunk of the
 # engine reads.  Blocks this small stay in cache between the einsum, the
 # inverse transform and their reduction; 2^20 made verify slower than
 # whole-row blocks, 2^15 to 2^16 faster.
@@ -265,8 +282,8 @@ def _round_certified(block: np.ndarray, bound: float, direct) -> np.ndarray:
     return direct()
 
 
-def _direct_block(values: np.ndarray, i: int, j0: int, j1: int) -> np.ndarray:
-    """The block of codes j0 <= j < j1 against code i, in integer arithmetic.
+def _direct_block(values: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The block of the code pairs (first[r], second[r]), in integer arithmetic.
 
     values is the set's exact (M, N, L) value array; its real and imaginary
     parts are integers, so every float partial sum below 2^53 is exact.
@@ -275,55 +292,76 @@ def _direct_block(values: np.ndarray, i: int, j0: int, j1: int) -> np.ndarray:
     """
     length = values.shape[2]
     n = _fft_length(length)
-    block = np.zeros((j1 - j0, n), dtype=values.dtype)
-    for j in range(j0, j1):
+    block = np.zeros((len(first), n), dtype=values.dtype)
+    for row, (i, j) in enumerate(zip(first.tolist(), second.tolist())):
         sums = sum(np.correlate(u, v, "full") for u, v in zip(values[i], values[j]))
-        block[j - j0, :length] = sums[length - 1 :]
-        block[j - j0, n - length + 1 :] = sums[: length - 1]
+        block[row, :length] = sums[length - 1 :]
+        block[row, n - length + 1 :] = sums[: length - 1]
     return block
 
 
-def _blocks(code_set: CodeSet) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(i, j0, block) for each code i and each chunk j0 <= j < j1 of codes j >= i.
+def _energy_limit(n: int, margin: float) -> float:
+    """Cross-spectrum energy E below which a pair's n circular sums are all
+    under margin: sum |c(tau)|^2 = E / n.  A margin <= 0 certifies nothing."""
+    return n * margin * margin if margin > 0 else 0.0
 
-    block is the (j1 - j0, n) circular correlation of the chunk against
-    code i: row j - j0 holds, at index tau mod n, the sum over rows of
-    codes i and j at shift tau.  It is real for q <= 2 and complex
-    otherwise, and for q in EXACT_MODULI rounded to certified integers.
+
+def _blocks(code_set: CodeSet, margin: float = 0.0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(pairs, block) for each chunk of consecutive code pairs.
+
+    Pairs are numbered in the order of np.triu_indices(M).  Row r of block
+    holds, at index tau mod n, the sum over rows of the codes of pair
+    pairs[r] at shift tau.  It is real for q <= 2 and complex otherwise,
+    and for q in EXACT_MODULI rounded to certified integers.  A pair below
+    _energy_limit(n, margin) is left out; margin 0 keeps every pair.
     """
     q, phases = code_set.q, code_set.phases
     set_size, code_size, length = phases.shape
     values = unit_values(q, phases)
     n = _fft_length(length)
-    if np.iscomplexobj(values):
-        forward, inverse = np.fft.fft, np.fft.ifft
-    else:
-        forward, inverse = np.fft.rfft, np.fft.irfft
+    real = not np.iscomplexobj(values)
+    forward, inverse = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
     spectra = forward(values, n)
     del values
-    # Kept conjugated, so each code's einsum conjugates a copy of its own
-    # (N, n) rows only, never the whole set.
+    # Kept conjugated, so each segment's einsum conjugates a copy of one
+    # code's (N, bins) rows only, never the whole set.
     np.conjugate(spectra, out=spectra)
-    rows = max(1, CHUNK_ENTRIES // spectra[0].size)
     bound = _rounding_bound(code_size, length)
-    for i in range(set_size):
-        own = spectra[i].conj()
-        for j0 in range(i, set_size, rows):
-            j1 = min(j0 + rows, set_size)
-            block = inverse(np.einsum("nf,jnf->jf", own, spectra[j0:j1]), n)
-            if q in EXACT_MODULI:
-                # real and imaginary parts rounded alike, through a float64 view
-                block = _round_certified(
-                    block.view(np.float64),
-                    bound,
-                    lambda: _direct_block(unit_values(q, phases), i, j0, j1).view(np.float64),
-                ).view(block.dtype)
-            yield i, j0, block
-
-
-def _pair_index(set_size: int, i: int, j: int) -> int:
-    """Position of the pair (i, j), i <= j, in the order of np.triu_indices(M)."""
-    return i * set_size - i * (i - 1) // 2 + j - i
+    # A real block's bins f and n - f have one modulus and rfft keeps
+    # f <= n / 2, so twice the energy of its bins bounds E.
+    limit = _energy_limit(n, margin) / (2 if real else 1)
+    # Code i's pairs (i, j >= i) are starts[i] <= p < starts[i + 1].
+    starts = [i * set_size - i * (i - 1) // 2 for i in range(set_size + 1)]
+    pairs = starts[-1]
+    chunk = max(1, CHUNK_ENTRIES // spectra[0].size)
+    cross = np.empty((min(chunk, pairs), spectra.shape[2]), spectra.dtype)
+    for p0 in range(0, pairs, chunk):
+        p1 = min(p0 + chunk, pairs)
+        # one einsum per code i with pairs in the chunk, over its codes j
+        for i in range(bisect_right(starts, p0) - 1, bisect_right(starts, p1 - 1)):
+            a, b = max(p0, starts[i]), min(p1, starts[i + 1])
+            j = i + a - starts[i]
+            out = cross[a - p0 : b - p0]
+            np.einsum("nf,jnf->jf", spectra[i].conj(), spectra[j : j + b - a], out=out)
+        rows, kept = cross[: p1 - p0], np.arange(p0, p1)
+        if limit > 0:
+            parts = rows.view(np.float64)
+            keep = np.einsum("pf,pf->p", parts, parts) >= limit
+            if not keep.all():
+                rows, kept = rows[keep], kept[keep]
+                if not kept.size:
+                    continue
+        block = inverse(rows, n)
+        if q in EXACT_MODULI:
+            # real and imaginary parts rounded alike, through a float64 view
+            block = _round_certified(
+                block.view(np.float64),
+                bound,
+                lambda: _direct_block(
+                    unit_values(q, phases), *(index[kept] for index in np.triu_indices(set_size))
+                ).view(np.float64),
+            ).view(block.dtype)
+        yield kept, block
 
 
 def _exact_dtype(code_size: int, length: int) -> type:
@@ -340,7 +378,9 @@ def pair_profiles(code_set: CodeSet) -> np.ndarray:
     profiles[p, t] holds the real and imaginary parts of the pair's sum at
     shift tau = t - (L - 1).  A set of more than MAX_PROFILE_ENTRIES
     profile entries raises ProfileSizeError, a ValueError, before anything
-    is allocated.
+    is allocated.  No pair is left out: the engine runs without a margin,
+    so this is the whole reference verify_zccs's reduction is tested
+    against.
     """
     set_size, code_size, length = code_set.phases.shape
     entries = set_size * (set_size + 1) // 2 * (2 * length - 1)
@@ -354,12 +394,10 @@ def pair_profiles(code_set: CodeSet) -> np.ndarray:
         dtype=_exact_dtype(code_size, length) if code_set.q in EXACT_MODULI else np.float64,
     )
     n = _fft_length(length)
-    for i, j0, block in _blocks(code_set):
-        start = _pair_index(set_size, i, j0)
-        pairs = profiles[start : start + len(block)]
+    for pairs, block in _blocks(code_set):
         for part, values in enumerate((block.real, block.imag)):
-            pairs[:, : length - 1, part] = values[:, n - length + 1 :]
-            pairs[:, length - 1 :, part] = values[:, :length]
+            profiles[pairs, : length - 1, part] = values[:, n - length + 1 :]
+            profiles[pairs, length - 1 :, part] = values[:, :length]
     return profiles
 
 
@@ -406,50 +444,67 @@ def verify_zccs(code_set: CodeSet, z: int | None = None) -> CorrelationReport:
         raise ValueError(f"zone {zone} out of range [1, {length}]")
     integer = code_set.q in EXACT_MODULI
     quarter = _separation(code_set.q, code_size, length) / 4
-    roundoff = 0.0 if integer else _rounding_bound(code_size, length)
+    bound = _rounding_bound(code_size, length)
+    roundoff = 0.0 if integer else bound
     tolerance, exact = max(quarter, roundoff), roundoff < quarter
     expected_peak = code_size * length
     cast = int if integer else float
 
-    # Block columns in listing order, shifts 0, -1, 1, -2, 2, ...: position
-    # p holds |tau| = (p + 1) // 2, and the zone is the first 2 * zone - 1.
-    taus = np.zeros(2 * length - 1, dtype=np.int64)
-    taus[1::2], taus[2::2] = -np.arange(1, length), np.arange(1, length)
+    # Zone columns in listing order, shifts 0, -1, 1, -2, 2, ...: position
+    # p holds |tau| = (p + 1) // 2.
+    taus = np.zeros(2 * zone - 1, dtype=np.int64)
+    taus[1::2], taus[2::2] = -np.arange(1, zone), np.arange(1, zone)
     columns = taus % n
-    first_nonzero = np.empty(pairs, dtype=np.int64)
+    first_code, second_code = np.triu_indices(set_size)
+    diagonal = first_code == second_code
+    first_nonzero = np.full(pairs, length, dtype=np.int64)
     value_type = np.int64 if integer else np.float64
     listing = np.dtype(
         [("i", np.int64), ("j", np.int64), ("tau", np.int64)]
         + [("real", value_type), ("imag", value_type)]
     )
     peaks, tables, count, room = [], [np.empty(0, listing)], 0, MAX_LISTED_VIOLATIONS
-    for i, j0, block in _blocks(code_set):
-        parts = np.abs(block.view(np.float64)) > tolerance
-        if np.iscomplexobj(block):
-            parts = parts[:, 0::2] | parts[:, 1::2]
-        nonzero = parts.take(columns, axis=1)
-        if j0 == i:
+    # A pair the engine leaves out has every exact sum below tolerance, so
+    # zero, and the rows below would have read it as zero throughout.
+    for kept, block in _blocks(code_set, tolerance - bound):
+        if integer:
+            nonzero = block != 0
+        else:
+            parts = np.abs(block.view(np.float64)) > tolerance
+            nonzero = parts[:, 0::2] | parts[:, 1::2]
+        diag = np.flatnonzero(diagonal[kept])
+        if diag.size:
             # A peak counts as nonzero where it misses N * L, so shift 0 of
             # a diagonal pair is a violation exactly when its peak is off.
-            peak = block[0, 0]
-            peaks.append(CorrelationValue(cast(peak.real), cast(peak.imag)))
-            nonzero[0, 0] = max(abs(peak.real - expected_peak), abs(peak.imag)) > tolerance
-        first = nonzero.argmax(axis=1)
-        start = _pair_index(set_size, i, j0)
-        first_nonzero[start : start + len(block)] = np.where(
-            nonzero[np.arange(len(block)), first], (first + 1) // 2, length
-        )
-        in_zone = nonzero[:, : 2 * zone - 1]
+            peak = block[diag, 0]
+            peaks += [CorrelationValue(cast(v.real), cast(v.imag)) for v in peak.tolist()]
+            miss = np.maximum(np.abs(peak.real - expected_peak), np.abs(peak.imag))
+            nonzero[diag, 0] = miss > tolerance
+        rows = np.arange(len(block))
+        ahead = nonzero[:, :length]
+        first = ahead.argmax(axis=1)
+        near = np.where(ahead[rows, first], first, length)
+        if length > 1:
+            # shifts -1, -2, ..., -(L - 1) at indices n - 1, n - 2, ...
+            behind = nonzero[:, n - 1 : n - length : -1]
+            last = behind.argmax(axis=1)
+            near = np.minimum(near, np.where(behind[rows, last], last + 1, length))
+        first_nonzero[kept] = near
+        hit = np.flatnonzero(near < zone)
+        if not hit.size:
+            continue
+        in_zone = nonzero[hit[:, None], columns]
         count += int(np.count_nonzero(in_zone))
         if room > 0:
             row, position = (index[:room] for index in np.nonzero(in_zone))
-            if row.size:
-                values = block[row, columns[position]]
-                rows = np.empty(row.size, listing)
-                rows["i"], rows["j"], rows["tau"] = i, j0 + row, taus[position]
-                rows["real"], rows["imag"] = values.real, values.imag
-                tables.append(rows)
-                room -= row.size
+            row = hit[row]
+            values = block[row, columns[position]]
+            found = np.empty(row.size, listing)
+            found["i"], found["j"] = first_code[kept[row]], second_code[kept[row]]
+            found["tau"] = taus[position]
+            found["real"], found["imag"] = values.real, values.imag
+            tables.append(found)
+            room -= row.size
     listed = np.concatenate(tables)
     listed.setflags(write=False)
     first_nonzero.setflags(write=False)

@@ -130,12 +130,17 @@ def _codes_text(phases: np.ndarray, sep: str = ",", brk: str = "\n    ") -> str:
     code_end = np.frombuffer(f"]{sep}{brk}".encode("ascii"), np.uint8)
     rows = np.zeros((m, n, 2 + length * (width + len(sep)) + code_end.size), np.uint8)
     cells = rows[:, :, 2:-code_end.size].reshape(m, n, length, width + len(sep))
-    rest = phases
     for k in range(width - 1):
         power = 10 ** (width - 1 - k)
-        digits, rest = np.divmod(rest, power)
-        cells[..., k] = np.where(phases >= power, digits + ord("0"), 0)
-    np.add(rest, ord("0"), out=cells[..., width - 1], casting="unsafe")
+        digit = phases // power  # the one int64 temporary of this digit
+        if k:
+            np.remainder(digit, 10, out=digit)
+        digit += ord("0")
+        digit *= phases >= power  # a leading zero stays NUL
+        cells[..., k] = digit
+        del digit
+    last = np.remainder(phases, 10) if width > 1 else phases
+    np.add(last, ord("0"), out=cells[..., width - 1], casting="unsafe")
     for k, byte in enumerate(sep.encode("ascii"), width):  # one byte at a time is faster
         cells[..., k] = byte
     cells[:, :, -1, width:] = (ord("]"), 0)[: len(sep)]
@@ -172,25 +177,31 @@ _DIGIT_VALUES = bytes((b - 48) % 256 for b in range(256))  # "0".."9" to 0..9
 
 def _read_phases(body: bytes, size: int) -> np.ndarray | None:
     """The size digit runs of body as int64, or None.  With exactly size digits
-    each is one run; otherwise runs are read from their last digit back, one
-    pass per digit, up to 18 digits.  The re-dump checks everything else."""
+    each is one run; otherwise runs are read from their first digit on, one
+    pass per digit, up to 18 digits, accumulated in place.  The re-dump
+    checks everything else."""
     digits = body.translate(_DIGIT_VALUES, _NON_DIGITS)
     if len(digits) == size:
         return np.frombuffer(digits, np.uint8).astype(np.int64)
     raw = np.frombuffer(body.translate(_DIGIT_VALUES), np.uint8)  # non-digits >= 10
     is_digit = raw < 10
-    last = np.flatnonzero(is_digit[:-1] > is_digit[1:])
-    if last.size != size:
+    # body starts with '"codes"', so no run starts at its first byte
+    start = np.flatnonzero(is_digit[1:] > is_digit[:-1])
+    del is_digit
+    if start.size != size:
         return None
-    phases = raw[last].astype(np.int64)
+    start += 1
+    phases = raw[start].astype(np.int64)
     more = np.ones(size, bool)
-    for k in range(1, 19):
-        last -= 1
-        digit = raw[last]
+    for _ in range(18):
+        start += 1
+        digit = raw.take(start, mode="clip")  # ended runs step on, maybe past the end
         more &= digit < 10
         if not more.any():
             return phases
-        phases += np.where(more, digit, 0) * np.int64(10**k)
+        digit *= more
+        phases *= more.view(np.uint8) * np.uint8(9) + np.uint8(1)  # 10 where more, else 1
+        phases += digit
     return None
 
 

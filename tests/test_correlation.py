@@ -18,9 +18,12 @@ from zccs import (
     Term,
     accs,
     is_optimal,
+    lemma1_ccc,
     lemma2_ccc,
     set_accs,
     theorem1_zccs,
+    theorem2_zccs,
+    theorem3_zccs,
     verify_zccs,
     z,
 )
@@ -374,7 +377,7 @@ class TestSizeGuard:
         class Admitted(Exception):
             pass
 
-        def admit(code_set):
+        def admit(code_set, margin):
             raise Admitted
 
         monkeypatch.setattr(correlation, "_blocks", admit)
@@ -458,56 +461,62 @@ class TestEngineDifferential:
                     assert got.as_complex() == pytest.approx(brute, abs=1e-9)
 
 
+def counted_direct_block(monkeypatch):
+    """Patch _direct_block to record, per call, the (i, j) pairs it computes."""
+    calls = []
+    direct = correlation._direct_block
+
+    def counted(values, first, second):
+        calls.append(list(zip(first.tolist(), second.tolist())))
+        return direct(values, first, second)
+
+    monkeypatch.setattr(correlation, "_direct_block", counted)
+    return calls
+
+
 class TestRoundingCertificate:
     @pytest.fixture()
     def exact_block(self):
         """A (3, 16) complex block as its (3, 32) float64 view of parts."""
         cs = random_set(np.random.default_rng(17), 4, 3, 2, 7)
-        return _direct_block(unit_values(4, cs.phases), 0, 0, 3).view(np.float64)
+        first, second = np.zeros(3, np.int64), np.arange(3)
+        return _direct_block(unit_values(4, cs.phases), first, second).view(np.float64)
 
     def test_direct_block_matches_set_accs(self):
         # L = 7 pads to n = 16: shift tau sits at index tau mod 16
         cs = random_set(np.random.default_rng(18), 4, 3, 2, 7)
-        for i in range(3):
-            block = _direct_block(unit_values(4, cs.phases), i, i, 3)
-            assert block.shape == (3 - i, 16)
-            assert not block[:, 7:10].any()
-            for j, tau in itertools.product(range(i, 3), range(-6, 7)):
-                want = set_accs(4, cs.phases[i], cs.phases[j], tau)
-                assert block[j - i, tau % 16] == want.as_complex()
+        first, second = np.array([2, 0, 1, 0]), np.array([2, 1, 1, 0])
+        block = _direct_block(unit_values(4, cs.phases), first, second)
+        assert block.shape == (4, 16)
+        assert not block[:, 7:10].any()
+        for row, tau in itertools.product(range(4), range(-6, 7)):
+            want = set_accs(4, cs.phases[first[row]], cs.phases[second[row]], tau)
+            assert block[row, tau % 16] == want.as_complex()
 
     @pytest.mark.parametrize("q", [2, 4])
     def test_forced_fallback_at_a_radix_5_length(self, monkeypatch, q):
         # L = 80 pads to n = 160 = 5 * 2^5
         cs = random_set(np.random.default_rng(22 + q), q, 3, 2, 80)
         values = unit_values(q, cs.phases)
-        block = _direct_block(values, 1, 1, 3)
+        block = _direct_block(values, np.array([1, 1]), np.array([1, 2]))
         assert block.shape == (2, 160)
         assert not block[:, 80:81].any()
         for j, tau in itertools.product(range(1, 3), range(-79, 80)):
             want = set_accs(q, cs.phases[1], cs.phases[j], tau)
             assert block[j - 1, tau % 160] == want.as_complex()
         default = pair_profiles(cs)
-        calls = []
-        direct = correlation._direct_block
-
-        def counted(values, i, j0, j1):
-            calls.append(i)
-            return direct(values, i, j0, j1)
-
         monkeypatch.setattr(correlation, "_rounding_bound", lambda code_size, length: 1.0)
-        monkeypatch.setattr(correlation, "_direct_block", counted)
+        calls = counted_direct_block(monkeypatch)
         assert np.array_equal(pair_profiles(cs), default)
-        assert calls == [0, 1, 2]
+        # all six pairs fit in one chunk
+        assert calls == [[(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]]
 
     def test_engine_matches_direct_block(self):
         cs = random_set(np.random.default_rng(19), 4, 3, 2, 7)
         profiles = pair_profiles(cs)
-        values = unit_values(4, cs.phases)
-        for i, pairs in ((0, slice(0, 3)), (1, slice(3, 5)), (2, slice(5, 6))):
-            block = _direct_block(values, i, i, 3)
-            linear = np.concatenate([block[:, 10:], block[:, :7]], axis=1)
-            assert np.array_equal(profiles[pairs], np.stack([linear.real, linear.imag], axis=-1))
+        block = _direct_block(unit_values(4, cs.phases), *np.triu_indices(3))
+        linear = np.concatenate([block[:, 10:], block[:, :7]], axis=1)
+        assert np.array_equal(profiles, np.stack([linear.real, linear.imag], axis=-1))
 
     def test_clean_block_is_rounded(self, exact_block):
         calls = []
@@ -548,6 +557,22 @@ def report_fields(report):
     return fields
 
 
+def assert_same_report(got, want, q):
+    """Reports agree field for field; for q outside (1, 2, 4) the float
+    parts of peaks and listed values may differ by 1e-9, as float sums may
+    round differently in another batching."""
+    got, want = report_fields(got), report_fields(want)
+    if q not in (1, 2, 4):
+        got_rows, want_rows = got.pop("listed"), want.pop("listed")
+        assert [row[:3] for row in got_rows] == [row[:3] for row in want_rows]
+        got_parts = [row[3:] for row in got_rows] + list(got.pop("peaks"))
+        want_parts = [row[3:] for row in want_rows] + list(want.pop("peaks"))
+        assert np.allclose(
+            [complex(*v) for v in got_parts], [complex(*v) for v in want_parts], rtol=0, atol=1e-9
+        )
+    assert got == want
+
+
 class TestBlocks:
     """verify_zccs reduces one engine block at a time; chunking changes nothing."""
 
@@ -557,7 +582,7 @@ class TestBlocks:
         for set_size, code_size, length in itertools.product((1, 3), (1, 2, 3), (1, 2, 7, 64)):
             cs = random_set(rng, q, set_size, code_size, length)
             zone = max(1, length // 2)
-            default = report_fields(verify_zccs(cs, z=zone))
+            default = verify_zccs(cs, z=zone)
             monkeypatch.setattr(correlation, "CHUNK_ENTRIES", 1)
             split = verify_zccs(cs, z=zone)
             profiles = pair_profiles(cs)
@@ -569,37 +594,22 @@ class TestBlocks:
             assert split.measured_zcz == min(first_nonzero)
             assert list(split.violations) == violations
             assert split.violation_count == len(violations)
-            fields = report_fields(split)
-            if q not in (1, 2, 4):
-                # float sums may round differently in another batching
-                got, want = fields.pop("listed"), default.pop("listed")
-                assert [row[:3] for row in got] == [row[:3] for row in want]
-                got = [row[3:] for row in got] + list(fields.pop("peaks"))
-                want = [row[3:] for row in want] + list(default.pop("peaks"))
-                assert np.allclose(
-                    [complex(*v) for v in got], [complex(*v) for v in want], rtol=0, atol=1e-9
-                )
-            assert fields == default
+            assert_same_report(split, default, q)
 
     @pytest.mark.parametrize("q", [1, 2, 4])
     def test_forced_fallback_in_split_chunks(self, monkeypatch, q):
         cs = random_set(np.random.default_rng(20 + q), q, 5, 2, 9)
         default = report_fields(verify_zccs(cs, z=5))
-        calls = []
-        direct = correlation._direct_block
-
-        def counted(values, i, j0, j1):
-            calls.append((i, j0, j1))
-            return direct(values, i, j0, j1)
-
-        # L = 9 pads to n = 20; two codes' spectra per chunk
+        # L = 9 pads to n = 20; two pairs' spectra per chunk
         n = _fft_length(9)
         bins = n // 2 + 1 if q <= 2 else n
         monkeypatch.setattr(correlation, "CHUNK_ENTRIES", 2 * 2 * bins)
         monkeypatch.setattr(correlation, "_rounding_bound", lambda code_size, length: 1.0)
-        monkeypatch.setattr(correlation, "_direct_block", counted)
+        calls = counted_direct_block(monkeypatch)
         forced = verify_zccs(cs, z=5)
-        assert calls == [(i, j0, min(j0 + 2, 5)) for i in range(5) for j0 in range(i, 5, 2)]
+        # a failed bound leaves no pair out: 15 pairs in chunks of two
+        pairs = list(zip(*(index.tolist() for index in np.triu_indices(5))))
+        assert calls == [pairs[p : p + 2] for p in range(0, 15, 2)]
         assert report_fields(forced) == default
 
     def test_listing_stops_at_the_cap(self):
@@ -616,6 +626,93 @@ class TestBlocks:
         assert list(report.violations) == violations[:MAX_LISTED_VIOLATIONS]
         assert report.first_nonzero.tolist() == first_nonzero
         assert not report.zccs_ok and not report.optimal
+
+
+def path_quadratic(nvars, q=2):
+    """Path 0-1-...-(nvars - 1) with every edge of weight q / 2."""
+    return GBF(nvars, q, tuple(Term(q // 2, (z(i), z(i + 1))) for i in range(nvars - 1)))
+
+
+def construction_sets():
+    """One small set of each construction: lemma1, thm1 and thm3 binary,
+    lemma2 and thm2 at q = 2, 4, 6 and 8."""
+    binary = Lemma1Params(6, path_quadratic(2), (0, 1), deleted=(0,), beta1=1)
+    sets = [lemma1_ccc(binary), theorem1_zccs(ChainParams(binary, l=1, r=2))]
+    sets.append(theorem3_zccs(binary))
+    for q in (2, 4, 6, 8):
+        base = Lemma2Params(q, 4, path_quadratic(4, q), deleted=(0,), beta1=1)
+        sets += [lemma2_ccc(base), theorem2_zccs(ChainParams(base, l=1, r=2))]
+    return sets
+
+
+class TestZeroPairCertificate:
+    """Pairs whose cross-spectrum energy certifies every sum zero are left
+    out of the inverse transform; nothing a report says may change."""
+
+    @staticmethod
+    def no_skip(monkeypatch):
+        monkeypatch.setattr(correlation, "_energy_limit", lambda n, margin: 0.0)
+
+    def test_skip_never_changes_a_report(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        sets = []
+        for cs in construction_sets():
+            m, n, length = cs.phases.shape
+            ci, ri, pos = (int(rng.integers(size)) for size in (m, n, length))
+            delta = int(rng.integers(1, cs.q))
+            sets += [cs, mutate_one_phase(cs, ci, ri, pos, delta)]
+        sets += [random_set(rng, q, 4, 2, 24) for q in (1, 2, 3, 4, 6, 8)]
+        skipped = 0
+        for cs in sets:
+            for zone in (None, 1):
+                fast = verify_zccs(cs, z=zone)
+                # one pair per chunk: whole chunks are left out
+                monkeypatch.setattr(correlation, "CHUNK_ENTRIES", 1)
+                split = verify_zccs(cs, z=zone)
+                self.no_skip(monkeypatch)
+                full = verify_zccs(cs, z=zone)
+                monkeypatch.undo()
+                assert_same_report(fast, full, cs.q)
+                assert_same_report(split, full, cs.q)
+                skipped += int(np.count_nonzero(fast.first_nonzero == cs.length))
+        # the construction sets are mostly uncorrelated pairs
+        assert skipped > len(sets)
+
+    @pytest.mark.parametrize("q", [2, 4])
+    @pytest.mark.parametrize("code_size", [1, 3, 5])
+    def test_a_unit_sum_at_one_shift_is_kept(self, q, code_size):
+        # Code 1's first row is phase 1 and its other rows cancel in pairs,
+        # so pair (0, 1) sums to -1 (q = 2) or -i (q = 4) at tau = 0, its
+        # only shift.  By Parseval its E / n is 1, over any limit n * margin^2
+        # with margin <= 1/4.
+        phases = np.zeros((2, code_size, 1), np.int64)
+        phases[1, 0, 0] = 1
+        phases[1, 2::2, 0] = q // 2
+        cs = CodeSet(q, 1, phases)
+        kept = [pair for pairs, _ in correlation._blocks(cs, 0.25) for pair in pairs.tolist()]
+        assert kept == [0, 1, 2]
+        report = verify_zccs(cs)
+        assert report.first_nonzero.tolist() == [1, 0, 1]
+        unit = CorrelationValue(-1, 0) if q == 2 else CorrelationValue(0, -1)
+        assert report.violations == (Violation(0, 1, 0, unit),)
+
+    def test_kept_rows_are_the_correlated_pairs(self, monkeypatch):
+        base = Lemma1Params(9, path_quadratic(5), (0,) * 5, deleted=(0,))
+        cs = theorem1_zccs(ChainParams(base, l=2, r=4))
+        assert cs.dims == (16, 4, 1280, 320)
+        rows = []
+        irfft = np.fft.irfft
+
+        def counted(spectra, n):
+            rows.append(len(spectra))
+            return irfft(spectra, n)
+
+        monkeypatch.setattr(np.fft, "irfft", counted)
+        report = verify_zccs(cs)
+        first, second = np.triu_indices(16)
+        correlated = (first == second) | (report.first_nonzero < cs.length)
+        assert report.zccs_ok and report.exact
+        assert sum(rows) == np.count_nonzero(correlated) == 40
 
 
 def test_thm1_32_4_10240_1280():

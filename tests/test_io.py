@@ -465,13 +465,19 @@ class TestLoadPaths:
         else:
             assert loads_code_set(text) == want
 
-    def test_load_peak_stays_within_four_phase_arrays(self):
-        base = Lemma1Params(
-            10, quadratic_gbf(6, [(i, i + 1) for i in range(5)]), (1, 0, 1, 1, 0, 1),
-            d=1, deleted=(0,), beta1=5,
-        )
-        cs = theorem1_zccs(Theorem1Params(base, l=2, r=4))
-        assert cs.dims == (16, 4, 2560, 640)
+    @pytest.mark.parametrize("multi_digit", [False, True], ids=["binary", "q=12"])
+    def test_load_peak_stays_within_four_phase_arrays(self, multi_digit):
+        if multi_digit:
+            # read by digit runs, proved by a width-2 re-dump
+            phases = np.random.default_rng(12).integers(0, 12, size=(16, 4, 1024))
+            cs = CodeSet(q=12, zcz=1, phases=phases)
+        else:
+            base = Lemma1Params(
+                10, quadratic_gbf(6, [(i, i + 1) for i in range(5)]), (1, 0, 1, 1, 0, 1),
+                d=1, deleted=(0,), beta1=5,
+            )
+            cs = theorem1_zccs(Theorem1Params(base, l=2, r=4))
+            assert cs.dims == (16, 4, 2560, 640)
         for text in (dumps_code_set(cs), json.dumps(json.loads(dumps_code_set(cs)))):
             tracemalloc.start()
             try:
