@@ -32,7 +32,6 @@ from .gbf import (
     bit_column,
     index_to_bits,
     resolve_bit_order,
-    substitute_complement,
     truth_table,
     z,
     zbar,
@@ -115,11 +114,11 @@ def _check_binary_entries(values, what: str) -> tuple[int, ...]:
 
 
 class SeedParams:
-    """All that row functions and assembly read of Lemma1Params and
-    Lemma2Params: the modulus q, the seed GBF seed() (build_g(self) or f),
-    the path end the row offsets toggle (pair_end or beta1), seed_length
-    (gamma or 2^m2: rows keep this prefix of their truth tables, partners
-    this suffix), k deleted vertices and the path certificate."""
+    """All that assembly reads of Lemma1Params and Lemma2Params: the
+    modulus q, the seed GBF seed() (build_g(self) or f), the path end the
+    row offsets toggle (pair_end or beta1), seed_length (gamma or 2^m2:
+    rows keep this prefix of their truth tables, partners this suffix), k
+    deleted vertices and the path certificate."""
 
     @property
     def path(self) -> PathCertificate:
@@ -276,6 +275,13 @@ class Lemma2Params(SeedParams):
                 f"f must map {{0,1}}^{self.m2} into Z_{self.q}, "
                 f"got m={self.f.m}, q={self.f.q}"
             )
+        # A phase sums fewer than q per f term, per deleted vertex, for the
+        # pair end and for the chain's flip before it is reduced mod q.
+        if self.q * (len(self.f.terms) + self.k + 2) >> 63:
+            raise ValueError(
+                f"modulus q = {self.q} overflows int64 with {len(self.f.terms)} terms of f "
+                f"and k = {self.k}: q * (terms + k + 2) must stay below 2^63"
+            )
         self._check_path(self.f, required_weight=self.q // 2)
 
     def seed(self) -> GBF:
@@ -356,35 +362,6 @@ def build_g(params: Lemma1Params) -> GBF:
     return GBF(m1, 2, tuple(terms))
 
 
-def _row_gbf(params: SeedParams, a_vec, n: int, bit_order, partner: bool) -> GBF:
-    a = _check_binary_entries(a_vec, "a_vec")
-    if len(a) != params.k + 1:
-        raise ValueError(f"a_vec must have {params.k + 1} entries, got {len(a)}")
-    if not 0 <= n < (1 << params.k):
-        raise ValueError(f"n={n} out of range for k={params.k}")
-    n_bits = index_to_bits(n, params.k, bit_order)
-    half = params.q // 2
-    seed = substitute_complement(params.seed()) if partner else params.seed()
-    lit = zbar if partner else z
-    terms = [Term(half * (ai + ni), (lit(p),)) for p, ai, ni in zip(params.deleted, a, n_bits)]
-    terms.append(Term(half * (1 - a[-1] if partner else a[-1]), (z(params.end),)))
-    return seed + GBF(seed.m, params.q, tuple(terms))
-
-
-def row_function(params: SeedParams, a_vec, n: int, bit_order: str | None = None) -> GBF:
-    """Row a of front code n: the seed plus (q/2)(a_i + n_i) z_{p_i} over the
-    deleted vertices p_i and (q/2) a_last z_end.  Its truth table's
-    seed_length-prefix is the row."""
-    return _row_gbf(params, a_vec, n, bit_order, partner=False)
-
-
-def partner_function(params: SeedParams, a_vec, n: int, bit_order: str | None = None) -> GBF:
-    """Partner of row_function: the complement-substituted seed, the deleted
-    offsets on complemented variables, and (q/2)(1 - a_last) z_end.  Row a
-    of back code n is the conjugate of its truth table's seed_length-suffix."""
-    return _row_gbf(params, a_vec, n, bit_order, partner=True)
-
-
 # ---------------------------------------------------------------------------
 # assembly
 
@@ -396,12 +373,14 @@ def _row_tables(base: SeedParams, order: str, rows: np.ndarray, partners: np.nda
     """Write the phase tables of every row function and its partner, mod q not yet taken.
 
     rows and partners are (2^k, 2^(k+1), seed_length) arrays or views: code
-    n, row a, the truth tables of row_function and partner_function cut to
-    their prefix and suffix.  Both share w, the seed plus the deleted-vertex
-    terms.  Row entry i is w(i) plus the end term q/2 * a_k * z_end(i).  A
-    partner complements every variable but the end's, which reverses the
-    table, so partner entry seed_length - 1 - i is w(i) plus
-    q/2 * (1 - a_k) * (1 - z_end(i)).  The indices go by in chunks of
+    n, row a.  A row function is the seed plus (q/2)(a_i + n_i) z_{p_i} over
+    the deleted vertices p_i and (q/2) a_k z_end; a row is the seed_length
+    prefix of its truth table.  Its partner complements every variable of
+    the seed and of the deleted terms and ends in (q/2)(1 - a_k) z_end; a
+    partner is the suffix.  With w the seed plus the deleted-vertex terms,
+    row entry i is w(i) plus q/2 * a_k * z_end(i), and, since complementing
+    every bit reverses the table, partner entry seed_length - 1 - i is w(i)
+    plus q/2 * (1 - a_k) * (1 - z_end(i)).  The indices go by in chunks of
     max(1024, seed_length / 32), written straight into rows and partners,
     so the work memory beside them is a few chunk-long arrays, and only the
     columns of the deleted vertices and of the end vertex are built.

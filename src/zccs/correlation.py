@@ -364,25 +364,19 @@ def _blocks(code_set: CodeSet, margin: float = 0.0) -> Iterator[tuple[np.ndarray
         yield kept, block
 
 
-def _exact_dtype(code_size: int, length: int) -> type:
-    """Narrowest of int32 and int64 that holds every sum; |sum| <= N * L."""
-    return np.int32 if code_size * length <= np.iinfo(np.int32).max else np.int64
-
-
 def pair_profiles(code_set: CodeSet) -> np.ndarray:
     """Every pair profile of the set, assembled from the blocks verify_zccs reduces.
 
     One (M(M+1)/2, 2L-1, 2) array, with one row per code pair (i, j),
-    i <= j, in the order of np.triu_indices(M).  It holds integers for q
-    in EXACT_MODULI (int32 unless N * L needs int64), float64 otherwise.
-    profiles[p, t] holds the real and imaginary parts of the pair's sum at
-    shift tau = t - (L - 1).  A set of more than MAX_PROFILE_ENTRIES
-    profile entries raises ProfileSizeError, a ValueError, before anything
-    is allocated.  No pair is left out: the engine runs without a margin,
-    so this is the whole reference verify_zccs's reduction is tested
-    against.
+    i <= j, in the order of np.triu_indices(M).  It holds int64 for q in
+    EXACT_MODULI, float64 otherwise.  profiles[p, t] holds the real and
+    imaginary parts of the pair's sum at shift tau = t - (L - 1).  A set
+    of more than MAX_PROFILE_ENTRIES profile entries raises
+    ProfileSizeError, a ValueError, before anything is allocated.  No pair
+    is left out: the engine runs without a margin, so this is the whole
+    reference verify_zccs's reduction is tested against.
     """
-    set_size, code_size, length = code_set.phases.shape
+    set_size, _, length = code_set.phases.shape
     entries = set_size * (set_size + 1) // 2 * (2 * length - 1)
     if entries > MAX_PROFILE_ENTRIES:
         raise ProfileSizeError(
@@ -391,7 +385,7 @@ def pair_profiles(code_set: CodeSet) -> np.ndarray:
         )
     profiles = np.zeros(
         (set_size * (set_size + 1) // 2, 2 * length - 1, 2),
-        dtype=_exact_dtype(code_size, length) if code_set.q in EXACT_MODULI else np.float64,
+        dtype=np.int64 if code_set.q in EXACT_MODULI else np.float64,
     )
     n = _fft_length(length)
     for pairs, block in _blocks(code_set):

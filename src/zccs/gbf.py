@@ -1,10 +1,10 @@
 """Generalized Boolean functions over Z_q and their phase-sequence realizations.
 
 A generalized Boolean function (GBF) maps {0,1}^m into Z_q.  It is stored
-symbolically as a sum of coefficient-weighted products of possibly
-complemented variables, so that complement substitutions stay exact and
-inspectable.  A GBF is realized as a length-2^m sequence of phases, its
-truth table; unit_values raises a primitive q-th root of unity to them.
+symbolically as a normalized sum of coefficient-weighted products of
+possibly complemented variables, and is evaluated only as a whole: its
+truth table, the length-2^m sequence of its phases, built array-wide.
+unit_values raises a primitive q-th root of unity to them.
 
 The mapping between a sequence index r in [0, 2^m) and an evaluation point
 (r_0, ..., r_{m-1}) needs a bit-order convention.  The default is "lsb"
@@ -44,9 +44,6 @@ class Literal:
         if self.var_index < 0:
             raise ValueError(f"variable index must be nonnegative, got {self.var_index}")
 
-    def complement(self) -> "Literal":
-        return Literal(self.var_index, not self.complemented)
-
 
 def z(i: int) -> Literal:
     return Literal(i, False)
@@ -76,13 +73,6 @@ class Term:
         plain = {l.var_index for l in self.literals if not l.complemented}
         comp = {l.var_index for l in self.literals if l.complemented}
         return bool(plain & comp)
-
-    def evaluate(self, point: tuple[int, ...]) -> int:
-        val = self.coefficient
-        for lit in self.literals:
-            b = point[lit.var_index]
-            val *= (1 - b) if lit.complemented else b
-        return val
 
 
 @dataclass(frozen=True)
@@ -121,32 +111,9 @@ class GBF:
         )
         object.__setattr__(self, "terms", normalized)
 
-    def __add__(self, other: "GBF") -> "GBF":
-        if not isinstance(other, GBF):
-            return NotImplemented
-        if (self.m, self.q) != (other.m, other.q):
-            raise ValueError(
-                f"cannot add GBFs over different domains: "
-                f"(m={self.m}, q={self.q}) vs (m={other.m}, q={other.q})"
-            )
-        return GBF(self.m, self.q, self.terms + other.terms)
-
     @property
     def degree(self) -> int:
         return max((t.degree for t in self.terms), default=0)
-
-    def evaluate(self, point: tuple[int, ...]) -> int:
-        return eval_gbf(self, point)
-
-
-def eval_gbf(f: GBF, point: tuple[int, ...]) -> int:
-    """Evaluate f at one point of {0,1}^m; result lies in [0, q)."""
-    if len(point) != f.m:
-        raise ValueError(f"point has {len(point)} coordinates, expected {f.m}")
-    for b in point:
-        if b not in (0, 1):
-            raise ValueError(f"point coordinates must be 0 or 1, got {b!r}")
-    return sum(t.evaluate(tuple(point)) for t in f.terms) % f.q
 
 
 def index_to_bits(r: int, m: int, order: str | None = None) -> tuple[int, ...]:
@@ -215,14 +182,3 @@ def unit_values(q: int, phases: np.ndarray) -> np.ndarray:
         return np.exp(2j * np.pi * phases / q)
     return np.exp(2j * np.pi * np.arange(q) / q)[phases]
 
-
-def substitute_complement(f: GBF) -> GBF:
-    """Replace every z_i by 1 - z_i and vice versa, symbolically.
-
-    Constants are untouched.  Applying twice gives back the original.
-    """
-    return GBF(
-        f.m,
-        f.q,
-        tuple(Term(t.coefficient, tuple(l.complement() for l in t.literals)) for t in f.terms),
-    )

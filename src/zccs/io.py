@@ -14,11 +14,13 @@ peaks, and each listed violation is one %-template filled from the columns
 of the report's `listed` table, never through a dict per violation.
 
 Reading tries two layouts first, the canonical one and json.dumps' default
-(`_default_text`): json parses the header, numpy reads the digits below it,
-and that set is accepted only when re-dumping it in the text's layout gives
-the text byte for byte.  Any other text, and every document a caller passes
-in, goes through `json.loads` and `code_set_from_document`, so both paths
-check the header with the same code and give the same set or the same error.
+(`_default_text`), when every phase is one digit: json parses the header,
+one `bytes.translate` reads the digits below it, and that set is accepted
+only when re-dumping it in the text's layout gives the text byte for byte.
+Any other text, multi-digit phases included, and every document a caller
+passes in, goes through `json.loads` and `code_set_from_document`, so both
+paths check the header with the same code and give the same set or the same
+error.
 """
 
 from __future__ import annotations
@@ -176,40 +178,19 @@ _DIGIT_VALUES = bytes((b - 48) % 256 for b in range(256))  # "0".."9" to 0..9
 
 
 def _read_phases(body: bytes, size: int) -> np.ndarray | None:
-    """The size digit runs of body as int64, or None.  With exactly size digits
-    each is one run; otherwise runs are read from their first digit on, one
-    pass per digit, up to 18 digits, accumulated in place.  The re-dump
-    checks everything else."""
+    """The digits of body as int64 when it holds exactly size of them, one
+    per phase, else None.  The re-dump checks everything else."""
     digits = body.translate(_DIGIT_VALUES, _NON_DIGITS)
-    if len(digits) == size:
-        return np.frombuffer(digits, np.uint8).astype(np.int64)
-    raw = np.frombuffer(body.translate(_DIGIT_VALUES), np.uint8)  # non-digits >= 10
-    is_digit = raw < 10
-    # body starts with '"codes"', so no run starts at its first byte
-    start = np.flatnonzero(is_digit[1:] > is_digit[:-1])
-    del is_digit
-    if start.size != size:
+    if len(digits) != size:
         return None
-    start += 1
-    phases = raw[start].astype(np.int64)
-    more = np.ones(size, bool)
-    for _ in range(18):
-        start += 1
-        digit = raw.take(start, mode="clip")  # ended runs step on, maybe past the end
-        more &= digit < 10
-        if not more.any():
-            return phases
-        digit *= more
-        phases *= more.view(np.uint8) * np.uint8(9) + np.uint8(1)  # 10 where more, else 1
-        phases += digit
-    return None
+    return np.frombuffer(digits, np.uint8).astype(np.int64)
 
 
 def _redumped_code_set(text: str) -> CodeSet | None:
     """The set that `dumps_code_set` or `_default_text` writes as exactly text,
-    or None.  Its phases are the digit runs after the last "codes" key (no
-    quote follows the real one); they alone size the array, the metadata's
-    M * N * L is only compared with their count."""
+    or None.  Its phases are the digits after the last "codes" key (no
+    quote follows the real one), one each; they alone size the array, the
+    metadata's M * N * L is only compared with their count."""
     cut = text.rfind('"codes": ')
     if cut < 0 or not text.isascii():
         return None

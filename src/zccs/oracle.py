@@ -276,11 +276,10 @@ def oracle_regenerate(code_set: CodeSet) -> CodeSet:
         # A phase adds fewer than q per f term, per deleted vertex, for the
         # pair end and for the chain's flip, so this bound keeps int64 exact.
         terms = len(doc["f_terms"]) + len(doc["deleted"]) + 2
-        if type(q) is not int or q != code_set.q or (q * terms) >> 63:
-            raise ValueError(
-                f"provenance record is incomplete: q = {q!r} is not the set's "
-                f"{code_set.q} or overflows int64"
-            )
+        if type(q) is not int or q != code_set.q:
+            raise ValueError(f"provenance record is incomplete: q = {q!r} is not the set's {code_set.q}")
+        if (q * terms) >> 63:
+            raise ValueError(f"provenance record is incomplete: q = {q} overflows int64")
         seed_length, fronts, backs = _qary_row_tables(doc, order)
     else:
         q = 2

@@ -64,6 +64,17 @@ def q8_counterexample():
     return CodeSet(8, 1, np.array([[u], [[0] * len(u)]]))
 
 
+def brute_gbf(f, point):
+    """f at one point of {0,1}^m, summed term by term over its literals."""
+    total = 0
+    for term in f.terms:
+        value = term.coefficient
+        for lit in term.literals:
+            value *= 1 - point[lit.var_index] if lit.complemented else point[lit.var_index]
+        total += value
+    return total % f.q
+
+
 def quadratic_gbf(nvars, edges, q=2, weight=1):
     """Quadratic form from an edge list; every edge gets the same weight."""
     return GBF(nvars, q, tuple(Term(weight, (z(i), z(j))) for i, j in edges))

@@ -111,6 +111,18 @@ class TestGenerate:
         assert stderr.startswith("error: set of M * N * L = ")
         assert len(stderr.encode()) < 1024
 
+    @pytest.mark.parametrize("q", [3 << 60, 1 << 63], ids=["3*2**60", "2**63"])
+    def test_modulus_that_overflows_int64_is_exit_2(self, capsys, tmp_path, q):
+        out = tmp_path / "set.json"
+        code, stdout, stderr = run(
+            capsys, "generate", "lemma2", "--m2", "3", "--q", str(q),
+            "--quadratic", f"0-1:{q // 2},1-2:{q // 2}", "--d-vec", ",".join([str(q - 1)] * 3),
+            "--d", str(q - 1), "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(f"error: modulus q = {q} overflows int64")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

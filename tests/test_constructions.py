@@ -16,11 +16,9 @@ from zccs import (
     Theorem1Params,
     Theorem2Params,
     build_g,
-    eval_gbf,
+    index_to_bits,
     lemma1_ccc,
     lemma2_ccc,
-    partner_function,
-    row_function,
     theorem1_zccs,
     theorem2_zccs,
     theorem3_zccs,
@@ -28,9 +26,16 @@ from zccs import (
     verify_zccs,
     z,
 )
-from zccs import constructions
+from zccs import constructions, oracle
 
-from conftest import quadratic_gbf
+from conftest import brute_gbf, quadratic_gbf
+
+
+def full_qary_seed(q):
+    """Weight-q/2 path 0-1-2 on m2 = 3 with every linear and the constant
+    coefficient q - 1: six terms, each near q."""
+    terms = [Term(q // 2, (z(0), z(1))), Term(q // 2, (z(1), z(2))), Term(q - 1)]
+    return GBF(3, q, (*terms, *(Term(q - 1, (z(i),)) for i in range(3))))
 
 
 def tiny_params(**overrides):
@@ -116,16 +121,16 @@ class TestSeedFunction:
         nv = m1 - 4
         edges = [(i, i + 1) for i in range(nv - 1)]
         p = Lemma1Params(m1, quadratic_gbf(nv, edges), tuple(i % 2 for i in range(nv)), d=1)
-        g = build_g(p)
+        table = truth_table(build_g(p))
         v1, v2, v3 = m1 - 1, m1 - 2, m1 - 3
 
         def base_part(point):
-            total = p.d + eval_gbf(p.quadratic, point[:nv])
+            total = p.d + brute_gbf(p.quadratic, point[:nv])
             total += sum(di * zi for di, zi in zip(p.d_vec, point))
             return total
 
-        for point in itertools.product((0, 1), repeat=m1):
-            got = eval_gbf(g, point)
+        for r, got in enumerate(table):
+            point = index_to_bits(r, m1)
             pinned = (point[v1], point[v2], point[v3])
             if pinned == (1, 0, 0):
                 assert got == (base_part(point) + point[p.beta1]) % 2
@@ -139,46 +144,6 @@ class TestSeedFunction:
         g0 = build_g(Lemma1Params(6, q, (0, 0), beta1=0))
         g1 = build_g(Lemma1Params(6, q, (0, 0), beta1=1))
         assert g0 != g1
-
-
-class TestRowFunctions:
-    def test_zero_labels_leave_seed_unchanged(self):
-        p = tiny_params()
-        assert row_function(p, (0,), 0) == build_g(p)
-
-    def test_unit_label_toggles_pair_end(self):
-        q = quadratic_gbf(2, [(0, 1)])
-        p = Lemma1Params(6, q, (0, 0), beta1=0)
-        g = build_g(p)
-        offset = row_function(p, (1,), 0) + g  # mod-2 difference
-        assert offset == GBF(6, 2, (Term(1, (z(p.pair_end),)),))
-
-    def test_mod2_cancellation_of_matching_labels(self):
-        q = quadratic_gbf(2, [(0, 1)])
-        p = Lemma1Params(7, quadratic_gbf(3, [(1, 2)]), (0, 0, 0), deleted=(0,), beta1=1)
-        # a_0 = n_0 = 1 cancels; only the tail label remains
-        assert row_function(p, (1, 1), 1) == row_function(p, (0, 1), 0)
-
-    def test_partner_uses_complemented_offsets(self):
-        p = Lemma1Params(7, quadratic_gbf(3, [(1, 2)]), (0, 0, 0), deleted=(0,), beta1=1)
-        g = build_g(p)
-        s = partner_function(p, (1, 1), 0)
-        # direct reconstruction from the definition
-        from zccs import substitute_complement, zbar
-
-        want = substitute_complement(g) + GBF(
-            7, 2, (Term(1, (zbar(0),)), Term(0, (z(p.pair_end),)))
-        )
-        assert s == want
-
-    def test_label_validation(self):
-        p = tiny_params()
-        with pytest.raises(ValueError):
-            row_function(p, (0, 1), 0)  # wrong arity
-        with pytest.raises(ValueError):
-            row_function(p, (2,), 0)  # not a bit
-        with pytest.raises(ValueError):
-            row_function(p, (0,), 1)  # n out of range for k=0
 
 
 class TestBlockParams:
@@ -341,33 +306,31 @@ class TestBinaryGenerators:
         assert np.array_equal(cs.phases[0, 0], truth_table(g)[: p.gamma])
 
     def test_row_order_is_lexicographic_in_labels(self):
-        # every code of both seed families against the symbolic row
-        # functions: front code n, row a is g^{a,n} (prefix) or f^{a,n};
-        # back code n, row a is the conjugate of s^{a,n} (suffix) or h^{a,n}
+        # every code of both seed families against the oracle's row tables,
+        # which take row a's label bits leftmost slowest: front code n, row a
+        # is g^{a,n} (prefix) or f^{a,n}; back code n, row a is the
+        # conjugate of s^{a,n} (suffix) or h^{a,n}
         path = quadratic_gbf(3, [(0, 1), (1, 2)])
         for (k, deleted), q, order in itertools.product(
             enumerate(((), (0,), (0, 1))), (4, 6), ("lsb", "msb")
         ):
             binary = Lemma1Params(7, path, (1, 0, 1), d=1, deleted=deleted)
-            gamma = binary.gamma
             half = q // 2
             f = GBF(3, q, (Term(half, (z(0), z(1))), Term(half, (z(1), z(2))),
                            Term(q - 1, (z(0),)), Term(1, (z(2),)), Term(1)))
             qary = Lemma2Params(q, 3, f, deleted=deleted)
             families = [
-                (lemma1_ccc(binary, order), 2,
-                 lambda a, n: truth_table(row_function(binary, a, n, order), order)[:gamma],
-                 lambda a, n: truth_table(partner_function(binary, a, n, order), order)[-gamma:]),
-                (lemma2_ccc(qary, order), q,
-                 lambda a, n: truth_table(row_function(qary, a, n, order), order),
-                 lambda a, n: truth_table(partner_function(qary, a, n, order), order)),
+                (lemma1_ccc(binary, order), 2, oracle._binary_row_tables),
+                (lemma2_ccc(qary, order), q, oracle._qary_row_tables),
             ]
-            for cs, modulus, row_fn, partner_fn in families:
+            for cs, modulus, tables in families:
+                _, fronts, backs = tables(cs.provenance["parameters"], order)
                 for row, a_vec in enumerate(itertools.product((0, 1), repeat=k + 1)):
+                    assert oracle._row_label(row, k + 1) == list(a_vec)
                     for n in range(1 << k):
                         back = cs.phases[(1 << k) + n, row]
-                        assert np.array_equal(cs.phases[n, row], row_fn(a_vec, n))
-                        assert np.array_equal(back, -partner_fn(a_vec, n) % modulus)
+                        assert np.array_equal(cs.phases[n, row], fronts[n][row])
+                        assert np.array_equal(back, -backs[n][row] % modulus)
 
     def test_all_zero_block_label_repeats_the_seed_code(self):
         base = Lemma1Params(6, quadratic_gbf(2, [(0, 1)]), (1, 1))
@@ -434,16 +397,19 @@ class TestQaryParamsAndGenerators:
         f = GBF(2, 2, (Term(1, (z(0), z(1))),))
         assert Lemma2Params(2, 2, f).beta1 == 0
 
-    def test_row_offsets_scale_with_half_modulus(self):
-        f = GBF(2, 4, (Term(2, (z(0), z(1))),))
-        p = Lemma2Params(4, 2, f, beta1=0)
-        fa = row_function(p, (1,), 0)
-        assert fa == f + GBF(2, 4, (Term(2, (z(0),)),))
-        # partner with a=1 drops its tail term entirely
-        ha = partner_function(p, (1,), 0)
-        from zccs import substitute_complement
+    @pytest.mark.parametrize("q", [1 << 60, 3 << 60, 1 << 63], ids=["2**60", "3*2**60", "2**63"])
+    def test_modulus_that_overflows_int64_is_refused(self, q):
+        # six terms of f and k = 0: q * 8 must stay below 2^63
+        with pytest.raises(ValueError, match=f"modulus q = {q} overflows int64"):
+            Lemma2Params(q, 3, full_qary_seed(q))
 
-        assert ha == substitute_complement(f)
+    def test_largest_modulus_within_int64_generates_exactly(self):
+        q = (1 << 60) - 2
+        f = full_qary_seed(q)
+        cs = lemma2_ccc(Lemma2Params(q, 3, f))
+        # code 0, row 0 is the seed itself, against Python-int arithmetic
+        assert cs.phases[0, 0].tolist() == [brute_gbf(f, index_to_bits(r, 3)) for r in range(8)]
+        assert oracle.oracle_regenerate(cs) == cs
 
     def test_full_length_ccc_dimensions(self):
         f = GBF(3, 4, (Term(2, (z(0), z(1))), Term(2, (z(1), z(2))), Term(1, ())))

@@ -12,23 +12,21 @@ from zccs import (
     Literal,
     Term,
     accs,
-    eval_gbf,
     index_to_bits,
     resolve_bit_order,
-    substitute_complement,
     truth_table,
     z,
     zbar,
 )
 from zccs.gbf import unit_values
 
+from conftest import brute_gbf
+
 
 class TestLiteralsAndTerms:
     def test_literal_helpers(self):
         assert z(3) == Literal(3, False)
         assert zbar(3) == Literal(3, True)
-        assert z(3).complement() == zbar(3)
-        assert zbar(3).complement() == z(3)
 
     def test_literal_rejects_negative_index(self):
         with pytest.raises(ValueError):
@@ -42,12 +40,6 @@ class TestLiteralsAndTerms:
     def test_term_with_contradictory_literals_is_zero(self):
         assert Term(1, (z(0), zbar(0))).is_always_zero()
         assert not Term(1, (z(0), zbar(1))).is_always_zero()
-
-    def test_term_evaluate(self):
-        t = Term(3, (z(0), zbar(2)))
-        assert t.evaluate((1, 0, 0)) == 3
-        assert t.evaluate((1, 0, 1)) == 0
-        assert t.evaluate((0, 1, 0)) == 0
 
 
 class TestGBFNormalization:
@@ -79,35 +71,10 @@ class TestGBFNormalization:
         with pytest.raises(ValueError):
             GBF(1, 1, ())  # modulus below 2
 
-    def test_add_requires_matching_shape(self):
-        with pytest.raises(ValueError):
-            GBF(2, 2) + GBF(3, 2)
-        with pytest.raises(ValueError):
-            GBF(2, 2) + GBF(2, 4)
-
-    def test_add(self):
-        f = GBF(2, 4, (Term(1, (z(0),)),))
-        g = GBF(2, 4, (Term(2, (z(0),)), Term(1, (z(1),))))
-        assert (f + g).evaluate((1, 1)) == (3 + 1) % 4
-
     def test_degree(self):
         assert GBF(3, 2).degree == 0
         f = GBF(3, 2, (Term(1, (z(0), z(1), z(2))),))
         assert f.degree == 3
-
-
-class TestEvaluation:
-    def test_eval_matches_manual_arithmetic(self):
-        # f = 2 z0 z1 + z2 + 3 over Z_4
-        f = GBF(3, 4, (Term(2, (z(0), z(1))), Term(1, (z(2),)), Term(3, ())))
-        for point in itertools.product((0, 1), repeat=3):
-            expected = (2 * point[0] * point[1] + point[2] + 3) % 4
-            assert eval_gbf(f, point) == expected
-            assert f.evaluate(point) == expected
-
-    def test_eval_rejects_wrong_arity(self):
-        with pytest.raises(ValueError):
-            GBF(3, 2).evaluate((0, 1))
 
 
 class TestBitOrders:
@@ -152,7 +119,15 @@ class TestTruthTable:
         table = truth_table(f, order)
         assert table.dtype == np.int64
         for r in range(16):
-            assert table[r] == eval_gbf(f, index_to_bits(r, 4, order))
+            assert table[r] == brute_gbf(f, index_to_bits(r, 4, order))
+
+    def test_table_matches_manual_arithmetic(self):
+        # f = 2 z0 z1 + z2 + 3 over Z_4, read at each point's lsb index
+        f = GBF(3, 4, (Term(2, (z(0), z(1))), Term(1, (z(2),)), Term(3, ())))
+        table = truth_table(f)
+        for point in itertools.product((0, 1), repeat=3):
+            index = sum(b << i for i, b in enumerate(point))
+            assert table[index] == (2 * point[0] * point[1] + point[2] + 3) % 4
 
     @pytest.mark.parametrize("order", BIT_ORDERS)
     def test_values_at_given_indices(self, order):
@@ -207,19 +182,3 @@ class TestPhaseSequence:
             phases = np.arange(q)
             assert np.allclose(unit_values(q, (phases + q // 2) % q), -unit_values(q, phases))
 
-
-class TestComplementSubstitution:
-    def test_pointwise_identity(self):
-        f = GBF(3, 4, (Term(2, (z(0), z(1))), Term(3, (zbar(2),)), Term(1, ())))
-        g = substitute_complement(f)
-        for point in itertools.product((0, 1), repeat=3):
-            flipped = tuple(1 - b for b in point)
-            assert eval_gbf(g, point) == eval_gbf(f, flipped)
-
-    def test_involution(self):
-        f = GBF(3, 2, (Term(1, (z(0), zbar(1))), Term(1, (z(2),))))
-        assert substitute_complement(substitute_complement(f)) == f
-
-    def test_constants_untouched(self):
-        f = GBF(2, 4, (Term(3),))
-        assert substitute_complement(f) == f

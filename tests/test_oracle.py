@@ -298,13 +298,13 @@ class TestForgedIntegers:
     @pytest.mark.parametrize("q", [2**70, 8, 4.0, "4"], ids=["2**70", "8", "4.0", "str 4"])
     def test_record_q_must_be_the_sets(self, q):
         cs = lemma2_ccc(qary_base())
-        with pytest.raises(ValueError, match="provenance record is incomplete"):
+        with pytest.raises(ValueError, match="provenance record is incomplete: .* is not the set's 4"):
             oracle_regenerate(forge(cs, ("q",), lambda _: q))
 
     def test_q_beyond_int64_refused(self):
         cs = lemma2_ccc(qary_base())
         huge = dataclasses.replace(forge(cs, ("q",), lambda _: 2**70), q=2**70)
-        with pytest.raises(ValueError, match="provenance record is incomplete"):
+        with pytest.raises(ValueError, match=f"incomplete: q = {2**70} overflows int64"):
             oracle_regenerate(huge)
 
     def test_large_q_within_int64_regenerates(self):
