@@ -25,6 +25,7 @@ from zccs import (
     truth_table,
     verify_zccs,
     z,
+    zbar,
 )
 from zccs import constructions, oracle
 
@@ -36,6 +37,14 @@ def full_qary_seed(q):
     coefficient q - 1: six terms, each near q."""
     terms = [Term(q // 2, (z(0), z(1))), Term(q // 2, (z(1), z(2))), Term(q - 1)]
     return GBF(3, q, (*terms, *(Term(q - 1, (z(i),)) for i in range(3))))
+
+
+def row_tables(p, order="lsb"):
+    """Rows and partners as the generators write them, mod q: [code n, row a]."""
+    shape = (1 << p.k, 2 << p.k, p.seed_length)
+    rows, partners = np.empty(shape, np.int64), np.empty(shape, np.int64)
+    constructions._row_tables(p, order, rows, partners)
+    return rows % p.q, partners % p.q
 
 
 def tiny_params(**overrides):
@@ -144,6 +153,38 @@ class TestSeedFunction:
         g0 = build_g(Lemma1Params(6, q, (0, 0), beta1=0))
         g1 = build_g(Lemma1Params(6, q, (0, 0), beta1=1))
         assert g0 != g1
+
+
+class TestRowFunctions:
+    # row a of code n keeps the seed_length prefix of its row function, its
+    # partner the suffix; rows go by label a, last coordinate fastest
+
+    def test_zero_labels_leave_seed_unchanged(self):
+        p = tiny_params()
+        rows, _ = row_tables(p)
+        assert np.array_equal(rows[0, 0], truth_table(build_g(p))[: p.gamma])
+
+    def test_unit_label_toggles_pair_end(self):
+        p = Lemma1Params(6, quadratic_gbf(2, [(0, 1)]), (0, 0), beta1=0)
+        rows, _ = row_tables(p)
+        toggle = truth_table(GBF(6, 2, (Term(1, (z(p.pair_end),)),)))[: p.gamma]
+        assert np.array_equal((rows[0, 1] - rows[0, 0]) % 2, toggle)
+
+    def test_mod2_cancellation_of_matching_labels(self):
+        p = Lemma1Params(7, quadratic_gbf(3, [(1, 2)]), (0, 0, 0), deleted=(0,), beta1=1)
+        rows, _ = row_tables(p)
+        # a_0 = n_0 = 1 cancels; only the tail label remains
+        assert np.array_equal(rows[1, 0b11], rows[0, 0b01])
+        assert not np.array_equal(rows[1, 0b11], rows[0, 0b11])
+
+    def test_partner_uses_complemented_offsets(self):
+        p = Lemma1Params(7, quadratic_gbf(3, [(1, 2)]), (0, 0, 0), deleted=(0,), beta1=1)
+        _, partners = row_tables(p)
+        # from the definition, for a = (1, 1) and n = 0: the complemented
+        # seed, whose table is the seed's reversed, plus zbar_0 and 0 * z_end
+        offsets = GBF(7, 2, (Term(1, (zbar(0),)), Term(0, (z(p.pair_end),))))
+        want = (truth_table(build_g(p))[::-1] + truth_table(offsets)) % 2
+        assert np.array_equal(partners[0, 0b11], want[-p.gamma :])
 
 
 class TestBlockParams:
@@ -410,6 +451,18 @@ class TestQaryParamsAndGenerators:
         # code 0, row 0 is the seed itself, against Python-int arithmetic
         assert cs.phases[0, 0].tolist() == [brute_gbf(f, index_to_bits(r, 3)) for r in range(8)]
         assert oracle.oracle_regenerate(cs) == cs
+
+    def test_row_offsets_scale_with_half_modulus(self):
+        f = GBF(2, 4, (Term(2, (z(0), z(1))),))
+        p = Lemma2Params(4, 2, f, beta1=0)
+        rows, partners = row_tables(p)
+        shifted = GBF(2, 4, (*f.terms, Term(2, (z(0),))))
+        assert np.array_equal(rows[0, 1], truth_table(shifted))
+        # partner with a = 1 drops its tail term: the complemented f alone
+        assert np.array_equal(partners[0, 1], truth_table(f)[::-1])
+        # with a = 0 it ends in (q/2) z_end, on the uncomplemented variable
+        tail = truth_table(GBF(2, 4, (Term(2, (z(0),)),)))
+        assert np.array_equal(partners[0, 0], (truth_table(f)[::-1] + tail) % 4)
 
     def test_full_length_ccc_dimensions(self):
         f = GBF(3, 4, (Term(2, (z(0), z(1))), Term(2, (z(1), z(2))), Term(1, ())))

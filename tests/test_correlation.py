@@ -460,6 +460,14 @@ class TestEngineDifferential:
                         assert got.as_complex() == pytest.approx(direct.as_complex(), abs=1e-9)
                     assert got.as_complex() == pytest.approx(brute, abs=1e-9)
 
+    @pytest.mark.parametrize("q", [1, 2, 4])
+    def test_exact_profiles_are_int64(self, q):
+        # small sets too, whose sums would fit a narrower integer
+        cs = random_set(np.random.default_rng(q), q, 2, 2, 3)
+        profiles = pair_profiles(cs)
+        assert profiles.dtype == np.int64
+        assert profiles[0, 2].tolist() == [6, 0]  # code 0 against itself at tau = 0
+
 
 def counted_direct_block(monkeypatch):
     """Patch _direct_block to record, per call, the (i, j) pairs it computes."""

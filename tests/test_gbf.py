@@ -130,6 +130,15 @@ class TestTruthTable:
             assert table[index] == (2 * point[0] * point[1] + point[2] + 3) % 4
 
     @pytest.mark.parametrize("order", BIT_ORDERS)
+    def test_complemented_point_reads_the_reversed_table(self, order):
+        # the identity partners are built on: f at 1 - x is entry 2^m - 1 - r
+        f = GBF(3, 4, (Term(2, (z(0), z(1))), Term(3, (zbar(2),)), Term(1, ())))
+        reversed_table = truth_table(f, order)[::-1]
+        for r in range(8):
+            flipped = [1 - b for b in index_to_bits(r, 3, order)]
+            assert reversed_table[r] == brute_gbf(f, flipped)
+
+    @pytest.mark.parametrize("order", BIT_ORDERS)
     def test_values_at_given_indices(self, order):
         f = GBF(4, 4, (Term(2, (z(0), z(3))), Term(1, (zbar(2),)), Term(3, (z(1),))))
         index = np.array([15, 0, 6, 6, 9], dtype=np.int64)
