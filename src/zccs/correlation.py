@@ -22,10 +22,9 @@ buffer, and the pairs kept are inverse-transformed in one call, giving a
 circular block in which shift tau sits at index tau mod n.  Real value
 arrays (q <= 2) use rfft/irfft and give real blocks, complex ones
 fft/ifft.  verify_zccs reduces each block as it comes and drops it, so it
-keeps one number per pair and no profile; pair_profiles assembles the
-blocks into whole profiles and leaves no pair out.  accs and set_accs
-compute one shift by direct dot products and share no code with the
-engine but unit_values, so the two check each other.
+keeps one number per pair and no profile.  accs and set_accs compute one
+shift by direct dot products and share no code with the engine but
+unit_values, so the two check each other.
 
 Most pairs of the paper's sets never correlate.  By Parseval a pair's
 circular sums have sum_tau |c(tau)|^2 = E / n, where E = sum_f |C(f)|^2
@@ -38,8 +37,12 @@ zero too, each computed value lying within b < tolerance of 0.  So
 verify_zccs passes the margin tolerance - b, and the engine leaves a pair
 with E < n * margin^2 out of the inverse transform: it gets
 first_nonzero = L and no listing.  A margin <= 0 (exact=False, or a failed
-bound) leaves nothing out, and diagonal pairs, with E / n >= (N * L)^2,
-are never left out.
+bound) leaves nothing out.  For q in EXACT_MODULI a diagonal pair is
+tested alike on C_ii(f) - N * L, the spectrum of the real c - N * L * delta:
+below the limit its sums are exactly N * L at shift 0 and zero elsewhere,
+as in every complete complementary code, so it gets peak (N * L, 0) and
+first_nonzero = L, the integers its rounded block gives.  Other q keep
+every diagonal pair, whose float peak would not read exactly N * L.
 
 For q in EXACT_MODULI the values are the Gaussian integers +-1 and +-i.
 The engine rounds each block to integers and certifies the rounding:
@@ -58,9 +61,9 @@ as nonzero, and the report says exact=False.  s = 1 for q in
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -90,14 +93,15 @@ MAX_SPECTRUM_ENTRIES = 1 << 23
 MAX_TRANSFORM_WORK = 1 << 29
 MAX_PAIRS = 1 << 22
 
-# The most profile entries M(M+1)/2 * (2L - 1) pair_profiles allocates, 1.55
-# times the 10.8M of the (32, 4, 10240) thm1 set; as float64 pairs they
-# take 268 MB.
-MAX_PROFILE_ENTRIES = 1 << 24
+# verify_zccs's listing dtypes, for integer and for float parts.
+_LISTINGS = {
+    exact: np.dtype([(name, np.int64) for name in "i j tau".split()] + [("real", t), ("imag", t)])
+    for exact, t in ((True, np.int64), (False, np.float64))
+}
 
 
 class ProfileSizeError(ValueError):
-    """The set is over a size limit of verify_zccs or pair_profiles."""
+    """The set is over a size limit of verify_zccs."""
 
 
 class CorrelationValue(NamedTuple):
@@ -224,6 +228,7 @@ def set_accs(q: int, code_u, code_v, tau: int) -> CorrelationValue:
     return CorrelationValue(sum(p.real for p in parts), sum(p.imag for p in parts))
 
 
+@lru_cache(maxsize=256)
 def _fft_length(length: int) -> int:
     """Smallest n >= 2L - 1 of the form 2^a, 3 * 2^a or 5 * 2^a.
 
@@ -236,6 +241,7 @@ def _fft_length(length: int) -> int:
     return min(r << ((2 * length - 2) // r).bit_length() for r in (1, 3, 5))
 
 
+@lru_cache(maxsize=256)
 def _rounding_bound(code_size: int, length: int) -> float:
     """A-priori bound on |FFT value - exact sum| for any entry of a block.
 
@@ -306,6 +312,17 @@ def _energy_limit(n: int, margin: float) -> float:
     return n * margin * margin if margin > 0 else 0.0
 
 
+def _pair_starts(set_size: int) -> np.ndarray:
+    """Pair (i, i)'s number, for i = 0..M; code i's pairs (i, j >= i) follow."""
+    return np.array([i * set_size - i * (i - 1) // 2 for i in range(set_size + 1)])
+
+
+def _pair_codes(starts: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes (i, j) of the numbered pairs."""
+    first = np.searchsorted(starts, pairs, side="right") - 1
+    return first, first + pairs - starts[first]
+
+
 def _blocks(code_set: CodeSet, margin: float = 0.0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(pairs, block) for each chunk of consecutive code pairs.
 
@@ -313,7 +330,8 @@ def _blocks(code_set: CodeSet, margin: float = 0.0) -> Iterator[tuple[np.ndarray
     holds, at index tau mod n, the sum over rows of the codes of pair
     pairs[r] at shift tau.  It is real for q <= 2 and complex otherwise,
     and for q in EXACT_MODULI rounded to certified integers.  A pair below
-    _energy_limit(n, margin) is left out; margin 0 keeps every pair.
+    _energy_limit(n, margin) is left out, and for q in EXACT_MODULI so is a
+    diagonal pair whose deviation from N * L * delta is; margin 0 keeps all.
     """
     q, phases = code_set.q, code_set.phases
     set_size, code_size, length = phases.shape
@@ -331,7 +349,7 @@ def _blocks(code_set: CodeSet, margin: float = 0.0) -> Iterator[tuple[np.ndarray
     # f <= n / 2, so twice the energy of its bins bounds E.
     limit = _energy_limit(n, margin) / (2 if real else 1)
     # Code i's pairs (i, j >= i) are starts[i] <= p < starts[i + 1].
-    starts = [i * set_size - i * (i - 1) // 2 for i in range(set_size + 1)]
+    starts = _pair_starts(set_size).tolist()
     pairs = starts[-1]
     chunk = max(1, CHUNK_ENTRIES // spectra[0].size)
     cross = np.empty((min(chunk, pairs), spectra.shape[2]), spectra.dtype)
@@ -346,7 +364,12 @@ def _blocks(code_set: CodeSet, margin: float = 0.0) -> Iterator[tuple[np.ndarray
         rows, kept = cross[: p1 - p0], np.arange(p0, p1)
         if limit > 0:
             parts = rows.view(np.float64)
-            keep = np.einsum("pf,pf->p", parts, parts) >= limit
+            energy = np.einsum("pf,pf->p", parts, parts)
+            if q in EXACT_MODULI:  # diagonal pairs: C_ii(f) - N * L is c - N * L * delta's spectrum
+                for s in starts[bisect_left(starts, p0) : bisect_left(starts, p1)]:
+                    deviation = rows[s - p0] - code_size * length
+                    energy[s - p0] = np.vdot(deviation, deviation).real
+            keep = energy >= limit
             if not keep.all():
                 rows, kept = rows[keep], kept[keep]
                 if not kept.size:
@@ -358,43 +381,13 @@ def _blocks(code_set: CodeSet, margin: float = 0.0) -> Iterator[tuple[np.ndarray
                 block.view(np.float64),
                 bound,
                 lambda: _direct_block(
-                    unit_values(q, phases), *(index[kept] for index in np.triu_indices(set_size))
+                    unit_values(q, phases), *_pair_codes(_pair_starts(set_size), kept)
                 ).view(np.float64),
             ).view(block.dtype)
         yield kept, block
 
 
-def pair_profiles(code_set: CodeSet) -> np.ndarray:
-    """Every pair profile of the set, assembled from the blocks verify_zccs reduces.
-
-    One (M(M+1)/2, 2L-1, 2) array, with one row per code pair (i, j),
-    i <= j, in the order of np.triu_indices(M).  It holds int64 for q in
-    EXACT_MODULI, float64 otherwise.  profiles[p, t] holds the real and
-    imaginary parts of the pair's sum at shift tau = t - (L - 1).  A set
-    of more than MAX_PROFILE_ENTRIES profile entries raises
-    ProfileSizeError, a ValueError, before anything is allocated.  No pair
-    is left out: the engine runs without a margin, so this is the whole
-    reference verify_zccs's reduction is tested against.
-    """
-    set_size, _, length = code_set.phases.shape
-    entries = set_size * (set_size + 1) // 2 * (2 * length - 1)
-    if entries > MAX_PROFILE_ENTRIES:
-        raise ProfileSizeError(
-            f"(M, L) = ({set_size}, {length}) needs {entries} profile entries, "
-            f"over the limit {MAX_PROFILE_ENTRIES}"
-        )
-    profiles = np.zeros(
-        (set_size * (set_size + 1) // 2, 2 * length - 1, 2),
-        dtype=np.int64 if code_set.q in EXACT_MODULI else np.float64,
-    )
-    n = _fft_length(length)
-    for pairs, block in _blocks(code_set):
-        for part, values in enumerate((block.real, block.imag)):
-            profiles[pairs, : length - 1, part] = values[:, n - length + 1 :]
-            profiles[pairs, length - 1 :, part] = values[:, :length]
-    return profiles
-
-
+@lru_cache(maxsize=256)
 def _separation(q: int, code_size: int, length: int) -> float:
     """Lower bound s on |S| for a nonzero sum or peak difference S in Z[zeta_q].
 
@@ -449,29 +442,28 @@ def verify_zccs(code_set: CodeSet, z: int | None = None) -> CorrelationReport:
     taus = np.zeros(2 * zone - 1, dtype=np.int64)
     taus[1::2], taus[2::2] = -np.arange(1, zone), np.arange(1, zone)
     columns = taus % n
-    first_code, second_code = np.triu_indices(set_size)
-    diagonal = first_code == second_code
+    starts = _pair_starts(set_size)
     first_nonzero = np.full(pairs, length, dtype=np.int64)
-    value_type = np.int64 if integer else np.float64
-    listing = np.dtype(
-        [("i", np.int64), ("j", np.int64), ("tau", np.int64)]
-        + [("real", value_type), ("imag", value_type)]
-    )
-    peaks, tables, count, room = [], [np.empty(0, listing)], 0, MAX_LISTED_VIOLATIONS
+    listing = _LISTINGS[integer]
+    tables, count, room = [np.empty(0, listing)], 0, MAX_LISTED_VIOLATIONS
     # A pair the engine leaves out has every exact sum below tolerance, so
-    # zero, and the rows below would have read it as zero throughout.
+    # zero, and the rows below would have read it as zero throughout; a
+    # diagonal one has its exact peak and zero elsewhere.
+    peaks = [CorrelationValue(expected_peak, 0)] * set_size
     for kept, block in _blocks(code_set, tolerance - bound):
         if integer:
             nonzero = block != 0
         else:
             parts = np.abs(block.view(np.float64)) > tolerance
             nonzero = parts[:, 0::2] | parts[:, 1::2]
-        diag = np.flatnonzero(diagonal[kept])
+        first_code, second_code = _pair_codes(starts, kept)
+        diag = np.flatnonzero(first_code == second_code)
         if diag.size:
             # A peak counts as nonzero where it misses N * L, so shift 0 of
             # a diagonal pair is a violation exactly when its peak is off.
             peak = block[diag, 0]
-            peaks += [CorrelationValue(cast(v.real), cast(v.imag)) for v in peak.tolist()]
+            for i, v in zip(first_code[diag].tolist(), peak.tolist()):
+                peaks[i] = CorrelationValue(cast(v.real), cast(v.imag))
             miss = np.maximum(np.abs(peak.real - expected_peak), np.abs(peak.imag))
             nonzero[diag, 0] = miss > tolerance
         rows = np.arange(len(block))
@@ -494,7 +486,7 @@ def verify_zccs(code_set: CodeSet, z: int | None = None) -> CorrelationReport:
             row = hit[row]
             values = block[row, columns[position]]
             found = np.empty(row.size, listing)
-            found["i"], found["j"] = first_code[kept[row]], second_code[kept[row]]
+            found["i"], found["j"] = first_code[row], second_code[row]
             found["tau"] = taus[position]
             found["real"], found["imag"] = values.real, values.imag
             tables.append(found)

@@ -144,23 +144,22 @@ def truth_table(f: GBF, order: str | None = None, index: np.ndarray | None = Non
     """Values of f at the m-bit indices in index, all 2^m by default.
 
     Returns an int64 array t with t[r] = f(index_to_bits(index[r], m,
-    order)).  Each literal's bit column is shifted into a reused buffer, so
+    order)).  A term is nonzero at r exactly when r's bits under its
+    literals read 1 for plain and 0 for complemented ones, one mask test, so
     the work memory is three arrays of the index's length for any m.
     """
     order = resolve_bit_order(order)
     if index is None:
         index = np.arange(1 << f.m, dtype=np.int64)
     acc = np.zeros_like(index)
-    prod, bit = np.empty_like(index), np.empty_like(index)
+    masked, hit = np.empty_like(index), np.empty(index.shape, bool)
     for t in f.terms:
-        prod.fill(t.coefficient)
-        for lit in t.literals:
-            np.right_shift(index, _bit_shift(lit.var_index, f.m, order), out=bit)
-            bit &= 1
-            if lit.complemented:
-                bit ^= 1
-            prod *= bit
-        acc += prod
+        mask = plain = 0
+        for l in t.literals:
+            bit = 1 << _bit_shift(l.var_index, f.m, order)
+            mask, plain = mask | bit, plain if l.complemented else plain | bit
+        np.equal(np.bitwise_and(index, mask, out=masked), plain, out=hit)
+        np.add(acc, t.coefficient, out=acc, where=hit)
     acc %= f.q
     return acc
 

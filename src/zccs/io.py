@@ -3,7 +3,8 @@
 Code-set files are written in a canonical layout so that serialize -> parse
 -> serialize is byte-identical.  `dumps_code_set` alone defines it: the keys
 format_version, metadata, codes in that order; the metadata object as
-json.dumps(indent=2) writes it; one code per line,
+json.dumps(indent=2) writes it (`_json_block` writes it, as that encoder is
+pure Python and a certified set is dumped three times); one code per line,
 `    [[p,...,p],...,[p,...,p]]`, lines joined by ",\n"; a trailing newline.
 The code lines are built as bytes straight from the phase array, never
 through one Python int per phase.  Files contain integers only; phases are
@@ -26,6 +27,7 @@ error.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,10 @@ from .correlation import CorrelationReport
 FORMAT_VERSION = 1
 REPORT_FORMAT_VERSION = 2
 
+# The metadata keys: the set's dims, then its provenance record's.
+_DIMS = ("q", "M", "N", "L", "Z")
+_PROVENANCE = ("construction", "bit_order", "parameters")
+
 
 class CodeSetFormatError(Exception):
     """The file exists but does not parse as a code-set document."""
@@ -43,16 +49,8 @@ class CodeSetFormatError(Exception):
 
 def _metadata(code_set: CodeSet) -> dict:
     prov = code_set.provenance or {}
-    return {
-        "q": code_set.q,
-        "M": code_set.set_size,
-        "N": code_set.code_size,
-        "L": code_set.length,
-        "Z": code_set.zcz,
-        "construction": prov.get("construction"),
-        "bit_order": prov.get("bit_order"),
-        "parameters": prov.get("parameters"),
-    }
+    dims = zip(_DIMS, (code_set.q, *code_set.dims))
+    return {**dict(dims), **{key: prov.get(key) for key in _PROVENANCE}}
 
 
 def _header(doc) -> tuple[dict, dict | None]:
@@ -67,19 +65,14 @@ def _header(doc) -> tuple[dict, dict | None]:
     if not isinstance(meta, dict):
         raise CodeSetFormatError("missing metadata object")
     dims = {}
-    for key in ("q", "M", "N", "L", "Z"):
+    for key in _DIMS:
         value = meta.get(key)
         if not isinstance(value, int) or isinstance(value, bool):
             raise CodeSetFormatError(f"metadata field {key} must be an integer")
         dims[key] = value
-    provenance = None
-    if meta.get("construction") is not None:
-        provenance = {
-            "construction": meta.get("construction"),
-            "bit_order": meta.get("bit_order"),
-            "parameters": meta.get("parameters"),
-        }
-    return dims, provenance
+    if meta.get("construction") is None:
+        return dims, None
+    return dims, {key: meta.get(key) for key in _PROVENANCE}
 
 
 def code_set_from_document(doc) -> CodeSet:
@@ -154,9 +147,30 @@ def _codes_text(phases: np.ndarray, sep: str = ",", brk: str = "\n    ") -> str:
     return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
+def _json_block(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2) with pad for each newline: value's text
+    nested at pad's depth.  Dicts with str keys, lists, ints, strs, bools
+    and None are written here; anything else is left to json.dumps(indent=2),
+    at its depth."""
+    kind, inner = type(value), pad + "  "
+    if kind is int:
+        return repr(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is bool or value is None:
+        return json.dumps(value)
+    if kind is list:
+        items = [_json_block(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{pad}]" if items else "[]"
+    if kind is dict and all([type(key) is str for key in value]):
+        items = [f"{encode_basestring_ascii(k)}: {_json_block(v, inner)}" for k, v in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}" if items else "{}"
+    return json.dumps(value, indent=2).replace("\n", pad)
+
+
 def dumps_code_set(code_set: CodeSet) -> str:
     """Canonical text form: metadata indented, one code per line."""
-    meta_block = json.dumps(_metadata(code_set), indent=2).replace("\n", "\n  ")
+    meta_block = _json_block(_metadata(code_set), "\n  ")
     return (
         f'{{\n  "format_version": {FORMAT_VERSION},\n  "metadata": {meta_block},\n'
         f'  "codes": [\n    {_codes_text(code_set.phases)}\n  ]\n}}\n'
@@ -278,14 +292,8 @@ def export_csv(code_set: CodeSet, path) -> None:
     Binary sets export as +-1 values; other moduli export raw phases.
     """
     prov = code_set.provenance or {}
-    lines = [
-        f"# q={code_set.q}",
-        f"# M={code_set.set_size}",
-        f"# N={code_set.code_size}",
-        f"# L={code_set.length}",
-        f"# Z={code_set.zcz}",
-        f"# values={'signs' if code_set.q == 2 else 'phases'}",
-    ]
+    lines = [f"# {key}={value}" for key, value in zip(_DIMS, (code_set.q, *code_set.dims))]
+    lines.append(f"# values={'signs' if code_set.q == 2 else 'phases'}")
     if prov.get("construction"):
         lines.append(f"# construction={prov['construction']}")
         lines.append(f"# bit_order={prov['bit_order']}")

@@ -36,7 +36,6 @@ from zccs.correlation import (
     _fft_length,
     _round_certified,
     _rounding_bound,
-    pair_profiles,
 )
 from zccs.gbf import unit_values
 
@@ -46,6 +45,7 @@ from conftest import (
     brute_set_accs,
     brute_values,
     mutate_one_phase,
+    quadratic_gbf,
     q8_counterexample,
 )
 
@@ -59,8 +59,43 @@ def random_set(rng, q, set_size, code_size, length):
     return CodeSet(q, 1, rng.integers(0, q, size=(set_size, code_size, length)))
 
 
+def assembled_profiles(code_set, blocks):
+    """Whole pair profiles from (pairs, block) items in the engine's layout.
+
+    One (M(M+1)/2, 2L-1, 2) array, one row per code pair (i, j), i <= j, in
+    the order of np.triu_indices(M), int64 for q in (1, 2, 4) and float64
+    otherwise: profiles[p, t] holds the real and imaginary parts of the
+    pair's sum at shift tau = t - (L - 1).
+    """
+    set_size, _, length = code_set.phases.shape
+    n = _fft_length(length)
+    profiles = np.zeros(
+        (set_size * (set_size + 1) // 2, 2 * length - 1, 2),
+        dtype=np.int64 if code_set.q in (1, 2, 4) else np.float64,
+    )
+    for pairs, block in blocks:
+        for part, values in enumerate((block.real, block.imag)):
+            profiles[pairs, : length - 1, part] = values[:, n - length + 1 :]
+            profiles[pairs, length - 1 :, part] = values[:, :length]
+    return profiles
+
+
+def engine_profiles(code_set):
+    """Every pair profile from the FFT engine, which without a margin leaves no pair out."""
+    return assembled_profiles(code_set, correlation._blocks(code_set))
+
+
+def direct_profiles(code_set):
+    """Every pair profile from _direct_block: np.correlate, which shares
+    nothing with the FFT, so it is the reference the reductions are tested
+    against."""
+    first, second = np.triu_indices(code_set.set_size)
+    block = _direct_block(unit_values(code_set.q, code_set.phases), first, second)
+    return assembled_profiles(code_set, [(np.arange(len(first)), block)])
+
+
 def profile_value(profiles, set_size, i, j, tau):
-    """Pair (i, j)'s sum at tau, read from a pair_profiles array."""
+    """Pair (i, j)'s sum at tau, read from a whole-profile array."""
     first, second = np.triu_indices(set_size)
     pair = np.flatnonzero((first == i) & (second == j))[0]
     return CorrelationValue(*profiles[pair, tau + profiles.shape[1] // 2].tolist())
@@ -216,7 +251,7 @@ class TestVerify:
         assert report.tolerance == 0.25
 
     def test_profiles_match_brute_force(self, quaternary_ccc):
-        profiles = pair_profiles(quaternary_ccc)
+        profiles = engine_profiles(quaternary_ccc)
         set_size, length = quaternary_ccc.set_size, quaternary_ccc.length
         assert profiles.shape == (set_size * (set_size + 1) // 2, 2 * length - 1, 2)
         for (i, j) in ((0, 0), (0, 1), (1, 3), (2, 2)):
@@ -332,7 +367,7 @@ class TestDerivedZeroTest:
                 phases[ci, ri, pos] = (phases[ci, ri, pos] + int(rng.integers(1, q))) % q
             report = verify_zccs(CodeSet(q, 1, phases))
             assert report.exact
-            profiles = pair_profiles(CodeSet(q, 1, phases))
+            profiles = engine_profiles(CodeSet(q, 1, phases))
             peak = code_size * length
             for i, j in itertools.combinations_with_replacement(range(3), 2):
                 for tau in range(1 - length, length):
@@ -353,16 +388,6 @@ class TestDerivedZeroTest:
 
 
 class TestSizeGuard:
-    def test_oversized_set_is_refused(self, monkeypatch):
-        # 3 pairs * (2 * 4 - 1) shifts = 21 profile entries against a limit of 20
-        monkeypatch.setattr(correlation, "MAX_PROFILE_ENTRIES", 20)
-        cs = random_set(np.random.default_rng(1), 2, 2, 1, 4)
-        with pytest.raises(ProfileSizeError, match="21 profile entries") as info:
-            pair_profiles(cs)
-        assert isinstance(info.value, ValueError)
-        monkeypatch.setattr(correlation, "MAX_PROFILE_ENTRIES", 21)
-        assert pair_profiles(cs).shape == (3, 7, 2)
-
     @pytest.mark.parametrize("q, entries", [(2, 3 * 2 * 9), (4, 3 * 2 * 16)])
     def test_verify_counts_real_and_complex_spectra(self, monkeypatch, q, entries):
         # L = 7 pads to n = 16: rfft keeps 9 bins, fft all 16
@@ -442,7 +467,7 @@ class TestEngineDifferential:
         for set_size, code_size, length in itertools.product((1, 3), (1, 2, 3), lengths):
             cs = random_set(rng, q, set_size, code_size, length)
             assert verify_zccs(cs).exact
-            profiles = pair_profiles(cs)
+            profiles = engine_profiles(cs)
             assert np.issubdtype(profiles.dtype, np.integer) == exact
             # brute_set_accs with each code's brute_values computed once
             values = [[brute_values(q, row) for row in code] for code in cs.phases]
@@ -462,11 +487,14 @@ class TestEngineDifferential:
 
     @pytest.mark.parametrize("q", [1, 2, 4])
     def test_exact_profiles_are_int64(self, q):
-        # small sets too, whose sums would fit a narrower integer
+        # small sets too, whose sums would fit a narrower integer: verify
+        # keeps the engine's sums as int64 listings and int peaks
         cs = random_set(np.random.default_rng(q), q, 2, 2, 3)
-        profiles = pair_profiles(cs)
-        assert profiles.dtype == np.int64
-        assert profiles[0, 2].tolist() == [6, 0]  # code 0 against itself at tau = 0
+        report = verify_zccs(cs, z=3)
+        assert report.listed.size
+        assert report.listed["real"].dtype == report.listed["imag"].dtype == np.int64
+        assert report.peaks[0] == (6, 0)  # code 0 against itself at tau = 0
+        assert type(report.peaks[0].real) is int and type(report.peaks[0].imag) is int
 
 
 def counted_direct_block(monkeypatch):
@@ -512,19 +540,20 @@ class TestRoundingCertificate:
         for j, tau in itertools.product(range(1, 3), range(-79, 80)):
             want = set_accs(q, cs.phases[1], cs.phases[j], tau)
             assert block[j - 1, tau % 160] == want.as_complex()
-        default = pair_profiles(cs)
+        default = engine_profiles(cs)
         monkeypatch.setattr(correlation, "_rounding_bound", lambda code_size, length: 1.0)
         calls = counted_direct_block(monkeypatch)
-        assert np.array_equal(pair_profiles(cs), default)
+        assert np.array_equal(engine_profiles(cs), default)
         # all six pairs fit in one chunk
         assert calls == [[(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]]
 
     def test_engine_matches_direct_block(self):
         cs = random_set(np.random.default_rng(19), 4, 3, 2, 7)
-        profiles = pair_profiles(cs)
+        profiles = engine_profiles(cs)
         block = _direct_block(unit_values(4, cs.phases), *np.triu_indices(3))
         linear = np.concatenate([block[:, 10:], block[:, :7]], axis=1)
         assert np.array_equal(profiles, np.stack([linear.real, linear.imag], axis=-1))
+        assert np.array_equal(profiles, direct_profiles(cs))
 
     def test_clean_block_is_rounded(self, exact_block):
         calls = []
@@ -568,8 +597,9 @@ def report_fields(report):
 def assert_same_report(got, want, q):
     """Reports agree field for field; for q outside (1, 2, 4) the float
     parts of peaks and listed values may differ by 1e-9, as float sums may
-    round differently in another batching."""
+    round differently in another batching; their types must agree."""
     got, want = report_fields(got), report_fields(want)
+    assert [tuple(map(type, v)) for v in got["peaks"]] == [tuple(map(type, v)) for v in want["peaks"]]
     if q not in (1, 2, 4):
         got_rows, want_rows = got.pop("listed"), want.pop("listed")
         assert [row[:3] for row in got_rows] == [row[:3] for row in want_rows]
@@ -579,6 +609,18 @@ def assert_same_report(got, want, q):
             [complex(*v) for v in got_parts], [complex(*v) for v in want_parts], rtol=0, atol=1e-9
         )
     assert got == want
+
+
+def assert_same_violations(got, want, q):
+    """The same (i, j, tau) rows; their values equal for q in (1, 2, 4) and
+    within 1e-9 otherwise, as np.correlate and the FFT round float sums
+    differently."""
+    assert [v[:3] for v in got] == [v[:3] for v in want]
+    if q in (1, 2, 4):
+        assert list(got) == want
+    else:
+        values = [[v.value.as_complex() for v in rows] for rows in (got, want)]
+        assert np.allclose(*values, rtol=0, atol=1e-9)
 
 
 class TestBlocks:
@@ -593,14 +635,14 @@ class TestBlocks:
             default = verify_zccs(cs, z=zone)
             monkeypatch.setattr(correlation, "CHUNK_ENTRIES", 1)
             split = verify_zccs(cs, z=zone)
-            profiles = pair_profiles(cs)
             monkeypatch.undo()
+            profiles = direct_profiles(cs)
             first_nonzero, violations = reduce_profiles(
                 profiles, set_size, split.expected_peak, split.tolerance, zone
             )
             assert split.first_nonzero.tolist() == first_nonzero
             assert split.measured_zcz == min(first_nonzero)
-            assert list(split.violations) == violations
+            assert_same_violations(split.violations, violations, q)
             assert split.violation_count == len(violations)
             assert_same_report(split, default, q)
 
@@ -624,7 +666,7 @@ class TestBlocks:
         cs = random_set(np.random.default_rng(21), 2, 8, 2, 64)
         report = verify_zccs(cs, z=64)
         first_nonzero, violations = reduce_profiles(
-            pair_profiles(cs), 8, report.expected_peak, report.tolerance, 64
+            direct_profiles(cs), 8, report.expected_peak, report.tolerance, 64
         )
         assert len(violations) > MAX_LISTED_VIOLATIONS
         assert report.violation_count == len(violations)
@@ -653,9 +695,39 @@ def construction_sets():
     return sets
 
 
+def ccc_sets():
+    """Complete complementary codes, whose every code has autocorrelation
+    N * L * delta: lemma1 on the README base and on a path, and lemma2 at
+    q = 2 and 4 in both bit orders."""
+    readme = quadratic_gbf(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    sets = [
+        lemma1_ccc(Lemma1Params(8, readme, (1, 1, 1, 1), deleted=(0, 1), beta1=2)),
+        lemma1_ccc(Lemma1Params(6, path_quadratic(2), (0, 1), deleted=(0,), beta1=1)),
+    ]
+    for q in (2, 4):
+        sets.append(lemma2_ccc(Lemma2Params(q, 4, path_quadratic(4, q), deleted=(0,), beta1=1)))
+        sets.append(lemma2_ccc(Lemma2Params(q, 3, path_quadratic(3, q)), "msb"))
+    return sets
+
+
+def counted_inverse_rows(monkeypatch):
+    """Patch the inverse transforms to record how many rows each call gets."""
+    rows = []
+    for name in ("irfft", "ifft"):
+
+        def counted(spectra, n, inverse=getattr(np.fft, name)):
+            rows.append(len(spectra))
+            return inverse(spectra, n)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return rows
+
+
 class TestZeroPairCertificate:
-    """Pairs whose cross-spectrum energy certifies every sum zero are left
-    out of the inverse transform; nothing a report says may change."""
+    """Pairs whose cross-spectrum energy certifies every sum zero, and for
+    q in (1, 2, 4) diagonal pairs whose autocorrelation it certifies to be
+    N * L * delta, are left out of the inverse transform; nothing a report
+    says may change."""
 
     @staticmethod
     def no_skip(monkeypatch):
@@ -664,7 +736,7 @@ class TestZeroPairCertificate:
     def test_skip_never_changes_a_report(self, monkeypatch):
         rng = np.random.default_rng(23)
         sets = []
-        for cs in construction_sets():
+        for cs in construction_sets() + ccc_sets():
             m, n, length = cs.phases.shape
             ci, ri, pos = (int(rng.integers(size)) for size in (m, n, length))
             delta = int(rng.integers(1, cs.q))
@@ -698,11 +770,50 @@ class TestZeroPairCertificate:
         phases[1, 2::2, 0] = q // 2
         cs = CodeSet(q, 1, phases)
         kept = [pair for pairs, _ in correlation._blocks(cs, 0.25) for pair in pairs.tolist()]
-        assert kept == [0, 1, 2]
+        # at L = 1 either code's autocorrelation is N * L * delta
+        assert kept == [1]
         report = verify_zccs(cs)
         assert report.first_nonzero.tolist() == [1, 0, 1]
         unit = CorrelationValue(-1, 0) if q == 2 else CorrelationValue(0, -1)
         assert report.violations == (Violation(0, 1, 0, unit),)
+
+    def test_complete_complementary_codes_run_no_inverse_transform(self, monkeypatch):
+        rows = counted_inverse_rows(monkeypatch)
+        for cs in ccc_sets():
+            report = verify_zccs(cs)
+            assert report.zccs_ok and report.optimal and report.exact
+            assert report.peaks == (CorrelationValue(cs.code_size * cs.length, 0),) * cs.set_size
+            assert report.first_nonzero.tolist() == [cs.length] * len(report.first_nonzero)
+        assert rows == []
+
+    @pytest.mark.parametrize("q", [6, 8])
+    def test_other_moduli_keep_every_diagonal_pair(self, monkeypatch, q):
+        # a float peak need not read exactly N * L, so only the cross pairs
+        # are left out, and the peaks stay the transform's floats
+        rows = counted_inverse_rows(monkeypatch)
+        cs = lemma2_ccc(Lemma2Params(q, 4, path_quadratic(4, q), deleted=(0,), beta1=1))
+        report = verify_zccs(cs)
+        assert report.zccs_ok and report.exact
+        assert sum(rows) == cs.set_size
+        assert all(type(part) is float for peak in report.peaks for part in peak)
+
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_a_broken_diagonal_pair_is_kept_and_listed(self, monkeypatch, q):
+        # One phase of code 2 moved by q / 2: its autocorrelation at shifts
+        # 6 to 10, which meet the moved phase once, changes by 2 in modulus.
+        cs = lemma2_ccc(Lemma2Params(q, 4, path_quadratic(4, q), deleted=(0,), beta1=1))
+        bad = mutate_one_phase(cs, ci=2, ri=1, pos=5, delta=q // 2)
+        margin = 0.25 - _rounding_bound(bad.code_size, bad.length)
+        kept = [pair for pairs, _ in correlation._blocks(bad, margin) for pair in pairs.tolist()]
+        diagonal = 2 * 4 - 2 * 1 // 2  # pair (2, 2) of 4 codes
+        assert diagonal in kept
+        report = verify_zccs(bad)
+        assert report.first_nonzero[diagonal] < bad.length
+        assert report.peaks[2] == (64, 0)
+        own = [v.tau for v in report.violations if v.i == v.j == 2]
+        assert set(range(6, 11)) <= {abs(tau) for tau in own}
+        self.no_skip(monkeypatch)
+        assert_same_report(report, verify_zccs(bad), q)
 
     def test_kept_rows_are_the_correlated_pairs(self, monkeypatch):
         base = Lemma1Params(9, path_quadratic(5), (0,) * 5, deleted=(0,))

@@ -1,6 +1,7 @@
 """Boolean-function layer: terms, truth tables, realizations, bit orders."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -143,6 +144,29 @@ class TestTruthTable:
         f = GBF(4, 4, (Term(2, (z(0), z(3))), Term(1, (zbar(2),)), Term(3, (z(1),))))
         index = np.array([15, 0, 6, 6, 9], dtype=np.int64)
         assert np.array_equal(truth_table(f, order, index), truth_table(f, order)[index])
+
+    @pytest.mark.parametrize("order", BIT_ORDERS)
+    def test_random_functions_match_brute_force_at_any_indices(self, order):
+        # complemented literals, terms of every degree, constant terms, and
+        # index arrays unsorted and with repeats
+        rng = random.Random(41)
+        for _ in range(60):
+            m, q = rng.randrange(1, 8), rng.choice([2, 3, 4, 8, 12, 2**40])
+            terms = [
+                Term(
+                    rng.randrange(1, q),
+                    tuple(Literal(v, rng.random() < 0.5) for v in rng.sample(range(m), degree)),
+                )
+                for degree in (rng.randrange(m + 1) for _ in range(rng.randrange(6)))
+            ]
+            f = GBF(m, q, tuple(terms))
+            index = np.array([rng.randrange(1 << m) for _ in range(3 << m)], dtype=np.int64)
+            table = truth_table(f, order, index)
+            assert table.dtype == np.int64
+            want = [brute_gbf(f, index_to_bits(r, m, order)) for r in index.tolist()]
+            assert table.tolist() == want
+            whole = [brute_gbf(f, index_to_bits(r, m, order)) for r in range(1 << m)]
+            assert truth_table(f, order).tolist() == whole
 
     def test_orders_differ_for_asymmetric_function(self):
         f = GBF(3, 2, (Term(1, (z(0),)),))

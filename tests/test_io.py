@@ -1,6 +1,7 @@
 """Serialization: canonical JSON files, reports, CSV export."""
 
 import json
+import random
 import re
 import tracemalloc
 
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from zccs import (
+    BIT_ORDERS,
+    ChainParams,
     CodeSet,
     CodeSetFormatError,
     GBF,
@@ -26,8 +29,11 @@ from zccs import (
     save_code_set,
     save_report,
     theorem1_zccs,
+    theorem2_zccs,
+    theorem3_zccs,
     verify_zccs,
     z,
+    zbar,
 )
 from zccs import io
 from zccs.cli import main
@@ -164,6 +170,71 @@ class TestCanonicalText:
         save_code_set(quaternary_set, path)
         assert load_code_set(path) == quaternary_set
         assert path.read_text(encoding="utf-8") == dumps_code_set(quaternary_set)
+
+
+def assert_metadata_as_json_writes_it(code_set):
+    """dumps_code_set's metadata block is json.dumps(indent=2)'s, indented."""
+    meta = io._metadata(code_set)
+    block = json.dumps(meta, indent=2).replace("\n", "\n  ")
+    head = f'{{\n  "format_version": 1,\n  "metadata": {block},\n  "codes": [\n    [['
+    assert dumps_code_set(code_set).startswith(head)
+
+
+class IntSubclass(int):
+    pass
+
+
+# quotes, backslashes, control characters, non-ASCII and astral characters
+CHARACTERS = 'ab"\\/\n\t\x00\x1f\x7f\u00e9\u20ac\U0001f600 '
+
+
+def random_document(rng, depth):
+    """A random JSON-encodable value: nested and empty containers, escaped
+    and non-ASCII strings, floats (nan, inf, -0.0), bools, None, int
+    subclasses, tuples and dicts with non-str keys."""
+    text = lambda: "".join(rng.choice(CHARACTERS) for _ in range(rng.randrange(5)))
+    items = lambda: [random_document(rng, depth - 1) for _ in range(rng.randrange(4))]
+    kinds = [
+        lambda: rng.choice([0, -1, 7, rng.randrange(-(10**30), 10**30)]),
+        text,
+        lambda: rng.choice([0.5, -0.0, 1e300, float("nan"), float("inf"), -float("inf")]),
+        lambda: rng.random() < 0.5,
+        lambda: None,
+        lambda: IntSubclass(rng.randrange(-9, 9)),
+    ]
+    if depth:
+        kinds += [
+            items,
+            lambda: tuple(items()),
+            lambda: {text(): v for v in items()},
+            lambda: {rng.choice([1, 2.5, True, None, "k"]): v for v in items()},
+        ]
+    return rng.choice(kinds)()
+
+
+class TestMetadataWriter:
+    """The canonical metadata block is byte for byte json.dumps(indent=2)'s."""
+
+    @pytest.mark.parametrize("q", [2, 4, 6, 8, 12])
+    @pytest.mark.parametrize("order", BIT_ORDERS)
+    def test_every_generator(self, order, q):
+        # f_terms hold dicts, bools and nested lists
+        f = GBF(3, q, (Term(q // 2, (z(0), z(1))), Term(q // 2, (z(1), z(2))), Term(1, (zbar(2),))))
+        base = Lemma2Params(q, 3, f, deleted=(0,), beta1=1)
+        sets = [lemma2_ccc(base, order), theorem2_zccs(ChainParams(base, 1, 2), order)]
+        if q == 2:
+            binary = Lemma1Params(7, quadratic_gbf(3, [(0, 1), (1, 2)]), (1, 0, 1), deleted=(0,), beta1=1)
+            sets += [lemma1_ccc(binary, order), theorem3_zccs(binary, order)]
+            sets.append(theorem1_zccs(ChainParams(binary, 2, 4), order))
+        for code_set in sets:
+            assert_metadata_as_json_writes_it(code_set)
+
+    def test_random_provenance_documents(self):
+        rng = random.Random(5)
+        phases = np.zeros((1, 1, 1), np.int64)
+        for _ in range(300):
+            provenance = {key: random_document(rng, 4) for key in ("construction", "bit_order", "parameters")}
+            assert_metadata_as_json_writes_it(CodeSet(2, 1, phases, provenance))
 
 
 def reference_report_text(report):
