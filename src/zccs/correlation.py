@@ -15,15 +15,17 @@ One batched FFT engine, _blocks, computes every pair correlation.  It
 transforms the set's whole (M, N, L) value array once, zero-padded to the
 smallest n >= 2L - 1 of the form 2^a, 3 * 2^a or 5 * 2^a (_fft_length), at
 which circular correlation equals aperiodic correlation.  Code pairs
-(i, j), i <= j, are numbered in the order of np.triu_indices(M), and a
-block is a chunk of consecutive pairs (about CHUNK_ENTRIES spectrum entries
-read): their cross-spectra, summed over the rows, go code by code into one
-buffer, and the pairs kept are inverse-transformed in one call, giving a
-circular block in which shift tau sits at index tau mod n.  Real value
-arrays (q <= 2) use rfft/irfft and give real blocks, complex ones
-fft/ifft.  verify_zccs reduces each block as it comes and drops it, so it
-keeps one number per pair and no profile.  accs and set_accs compute one
-shift by direct dot products and share no code with the engine but
+(i, j), i <= j, are numbered in the order of np.triu_indices(M).  The
+engine computes rows, one per pair (i, j) in that order, or, packed
+(below), one per two pairs; a block is a chunk of consecutive rows (about
+CHUNK_ENTRIES spectrum entries read): their cross-spectra, summed over the
+rows, go code by code into one buffer, and the rows kept are
+inverse-transformed in one call, giving a circular block in which shift
+tau sits at index tau mod n.  Real value arrays (q <= 2) use rfft/irfft
+and give real blocks, complex ones fft/ifft.  Blocks reach verify_zccs one
+row per pair, in pair order; it reduces each as it comes and drops it, so
+it keeps one number per pair and no profile.  accs and set_accs compute
+one shift by direct dot products and share no code with the engine but
 unit_values, so the two check each other.
 
 Most pairs of the paper's sets never correlate.  By Parseval a pair's
@@ -47,7 +49,22 @@ every diagonal pair, whose float peak would not read exactly N * L.
 For q in EXACT_MODULI the values are the Gaussian integers +-1 and +-i.
 The engine rounds each block to integers and certifies the rounding:
 _rounding_bound and the largest observed distance to an integer must both
-stay below 1/4, or np.correlate recomputes the block's pairs.
+stay below 1/4, or np.correlate recomputes the block's pairs one by one.
+
+For q in EXACT_MODULI two codes also share rows.  Every sum has
+|Re|, |Im| <= N * L; let B be the smallest power of two above 2 * N * L
+(_pack_base).  For even a, (X_a + B * X_(a+1)) * conj(X_j), X the
+spectra, is the spectrum of C_(a,j) + B * C_(a+1,j) for each j > a, so one
+row carries pair (a, j) and pair (a + 1, j), and the diagonal pair (a, a)
+keeps a row of its own: about half as many rows are transformed.  Packed
+rows are certified as above under the bound (1 + B) * b, with the margin
+tolerance - (1 + B) * b, so only a packed sum of 0 leaves both pairs out;
+row (a, a + 1) is tested on its deviation from B * N * L * delta.  The
+rounded x splits back exactly into high = rint(x / B) and low = x - B *
+high: B is a power of two, |x| < 2^53 and |low| <= N * L < B / 2.  Packing
+is used where (1 + B) * b < 1/4: 1.7e-4 for N = 4, L = 1280 and 0.037 for
+N = 4, L = 10240, but 5.25 for N = 4, L = 65536, which keeps one row per
+pair.
 
 One zero test serves every modulus: a nonzero sum in Z[zeta_q] has modulus
 at least s (_separation), so its real or imaginary part exceeds s / 2.  A
@@ -61,9 +78,10 @@ as nonzero, and the report says exact=False.  s = 1 for q in
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -268,6 +286,16 @@ def _rounding_bound(code_size: int, length: int) -> float:
     <= P: the bound is the one padding to P had.  The real-input transforms
     are not plain radix-2; the factor 16 in place of 12 is a margin for
     them, not a proof, and the observed-residual check does not rest on it.
+
+    A packed row (_pack_base) is the product of X_a + B * X_(a+1) with a
+    code's conjugate spectrum: the transform of x_a + B * x_(a+1), whose
+    entries have modulus at most 1 + B, so every term above scales by
+    1 + B, and (1 + B) times this bound bounds its entries.  The packed
+    spectrum is formed from the two transforms; multiplying by the power of
+    two B is exact, so its error is X_a's plus B times X_(a+1)'s, and the
+    addition rounds once more, relative eps: a quarter of one radix-2
+    stage's eta, so 12 log2(n) becomes 12 log2(n) + 1, charged to the same
+    margin of 16 over 12.
     """
     log_n = (_fft_length(length) - 1).bit_length()
     eps = float(np.finfo(np.float64).eps)
@@ -323,15 +351,39 @@ def _pair_codes(starts: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.n
     return first, first + pairs - starts[first]
 
 
-def _blocks(code_set: CodeSet, margin: float = 0.0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(pairs, block) for each chunk of consecutive code pairs.
+def _pack_base(code_size: int, length: int) -> int:
+    """B, the power of two by which code a + 1 rides on code a's rows, or 0
+    to pack nothing.
 
-    Pairs are numbered in the order of np.triu_indices(M).  Row r of block
-    holds, at index tau mod n, the sum over rows of the codes of pair
-    pairs[r] at shift tau.  It is real for q <= 2 and complex otherwise,
-    and for q in EXACT_MODULI rounded to certified integers.  A pair below
+    B is the smallest power of two above 2 * N * L.  Every sum of two codes
+    has parts |Re|, |Im| <= N * L < B / 2, so a packed sum x = c + B * d
+    splits back exactly: d = rint(x / B), c = x - B * d.  Packing scales
+    the round-off bound by 1 + B (see _rounding_bound) and is used only
+    where that stays below 1/4.
+    """
+    base = 1 << (2 * code_size * length).bit_length()
+    return base if (1 + base) * _rounding_bound(code_size, length) < 0.25 else 0
+
+
+def _blocks(code_set: CodeSet, margin: float = 0.0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(pairs, block) for each chunk of the engine's rows.
+
+    Pairs are numbered in the order of np.triu_indices(M), and each pair
+    kept is yielded once, in that order.  Row r of block holds, at index
+    tau mod n, the sum over rows of the codes of pair pairs[r] at shift
+    tau.  It is real for q <= 2 and complex otherwise, and for q in
+    EXACT_MODULI rounded to certified integers.  A pair below
     _energy_limit(n, margin) is left out, and for q in EXACT_MODULI so is a
     diagonal pair whose deviation from N * L * delta is; margin 0 keeps all.
+
+    The engine's rows come in groups.  A group is one code a, or for q in
+    EXACT_MODULI, where _pack_base gives B > 0, the codes a and a + 1 for
+    even a.  Its rows are j = a..M-1: row a is pair (a, a), and a packed
+    row j > a is (X_a + B * X_(a+1)) times X_j's conjugate, the spectrum of
+    pair (a, j)'s sums plus B times pair (a + 1, j)'s.  Packed rows are
+    tested and rounded with the margin less B * b and the bound
+    (1 + B) * b, and row a + 1 is tested on its deviation from
+    B * N * L * delta.  Code a + 1's pairs wait until code a's are out.
     """
     q, phases = code_set.q, code_set.phases
     set_size, code_size, length = phases.shape
@@ -345,46 +397,107 @@ def _blocks(code_set: CodeSet, margin: float = 0.0) -> Iterator[tuple[np.ndarray
     # code's (N, bins) rows only, never the whole set.
     np.conjugate(spectra, out=spectra)
     bound = _rounding_bound(code_size, length)
+    base = _pack_base(code_size, length) if q in EXACT_MODULI else 0
+    if base:
+        margin -= base * bound
+        bound *= 1 + base
     # A real block's bins f and n - f have one modulus and rfft keeps
     # f <= n / 2, so twice the energy of its bins bounds E.
     limit = _energy_limit(n, margin) / (2 if real else 1)
-    # Code i's pairs (i, j >= i) are starts[i] <= p < starts[i + 1].
-    starts = _pair_starts(set_size).tolist()
-    pairs = starts[-1]
+    peak = code_size * length
+    # Code i's pairs (i, j >= i) are starts[i] <= p < starts[i + 1]; group
+    # g's rows, led by code leads[g], are row_starts[g] <= r < row_starts[g + 1].
+    starts = _pair_starts(set_size)
+    lead_list = list(range(0, set_size, 2 if base else 1))
+    row_list = list(accumulate((set_size - a for a in lead_list), initial=0))
+    start_list, total = starts.tolist(), row_list[-1]
+    leads, row_starts = np.array(lead_list), np.array(row_list)
     chunk = max(1, CHUNK_ENTRIES // spectra[0].size)
-    cross = np.empty((min(chunk, pairs), spectra.shape[2]), spectra.dtype)
-    for p0 in range(0, pairs, chunk):
-        p1 = min(p0 + chunk, pairs)
-        # one einsum per code i with pairs in the chunk, over its codes j
-        for i in range(bisect_right(starts, p0) - 1, bisect_right(starts, p1 - 1)):
-            a, b = max(p0, starts[i]), min(p1, starts[i + 1])
-            j = i + a - starts[i]
-            out = cross[a - p0 : b - p0]
-            np.einsum("nf,jnf->jf", spectra[i].conj(), spectra[j : j + b - a], out=out)
-        rows, kept = cross[: p1 - p0], np.arange(p0, p1)
+    cross = np.empty((min(chunk, total), spectra.shape[2]), spectra.dtype)
+    held = []  # (pairs, block) pieces of code a + 1 while code a's rows run on
+    for r0 in range(0, total, chunk):
+        r1 = min(r0 + chunk, total)
+        # one einsum per group with rows in the chunk, over its codes j, and
+        # one more for a packed group's row a; centres are the rows holding
+        # a diagonal pair, with the value its shift 0 has in a complete code
+        centres = []
+        for g in range(bisect_right(row_list, r0) - 1, bisect_right(row_list, r1 - 1)):
+            a, s0, s1 = lead_list[g], max(r0, row_list[g]), min(r1, row_list[g + 1])
+            j0, j1 = a + s0 - row_list[g], a + s1 - row_list[g]
+            out = cross[s0 - r0 : s1 - r0]
+            if j0 == a:
+                centres.append((s0 - r0, peak))
+            if base and j0 <= a + 1 < j1:
+                centres.append((s0 - r0 + a + 1 - j0, base * peak))
+            lead = spectra[a].conj()
+            if base and j0 == a:
+                np.einsum("nf,jnf->jf", lead, spectra[a : a + 1], out=out[:1])
+                j0, out = a + 1, out[1:]
+            if j0 < j1:
+                if base:
+                    lead += base * spectra[a + 1].conj()
+                np.einsum("nf,jnf->jf", lead, spectra[j0:j1], out=out)
+        rows, kept = cross[: r1 - r0], np.arange(r0, r1)
         if limit > 0:
             parts = rows.view(np.float64)
             energy = np.einsum("pf,pf->p", parts, parts)
-            if q in EXACT_MODULI:  # diagonal pairs: C_ii(f) - N * L is c - N * L * delta's spectrum
-                for s in starts[bisect_left(starts, p0) : bisect_left(starts, p1)]:
-                    deviation = rows[s - p0] - code_size * length
-                    energy[s - p0] = np.vdot(deviation, deviation).real
+            if q in EXACT_MODULI:  # C_aa(f) - N * L is c - N * L * delta's spectrum
+                for row, value in centres:
+                    deviation = rows[row] - value
+                    energy[row] = np.vdot(deviation, deviation).real
             keep = energy >= limit
             if not keep.all():
                 rows, kept = rows[keep], kept[keep]
-                if not kept.size:
-                    continue
-        block = inverse(rows, n)
-        if q in EXACT_MODULI:
-            # real and imaginary parts rounded alike, through a float64 view
-            block = _round_certified(
-                block.view(np.float64),
-                bound,
-                lambda: _direct_block(
-                    unit_values(q, phases), *_pair_codes(_pair_starts(set_size), kept)
-                ).view(np.float64),
-            ).view(block.dtype)
-        yield kept, block
+        # The pairs below row r1's first pair are complete: code a + 1's
+        # pairs wait while the group of code a runs on.
+        if r1 < total:
+            g = bisect_right(row_list, r1) - 1
+            due = start_list[lead_list[g]] + r1 - row_list[g]
+        else:
+            due = start_list[-1]
+        ready, held = (held, []) if held and held[0][0][0] < due else ([], held)
+        if kept.size:
+            group = np.searchsorted(row_starts, kept, "right") - 1
+            offset = kept - row_starts[group]  # j - a
+            low = starts[leads[group]] + offset
+            packed = (offset > 0) & (base > 0)
+            high = starts[leads[group[packed]] + 1] + offset[packed] - 1
+            block = inverse(rows, n)
+            top = block[:0]
+            if q in EXACT_MODULI:
+
+                def direct():
+                    """The pairs' sums, packed as the rows are; exact below 2^53."""
+                    first, second = _pair_codes(starts, np.append(low, high))
+                    sums = _direct_block(unit_values(q, phases), first, second)
+                    sums[: low.size][packed] += base * sums[low.size :]
+                    return sums[: low.size].view(np.float64)
+
+                # real and imaginary parts rounded alike, through a float64 view
+                parts = _round_certified(block.view(np.float64), bound, direct)
+                if high.size:
+                    top = np.rint(parts[packed] / base)
+                    parts[packed] -= base * top
+                    top = top.view(block.dtype)
+                block = parts.view(block.dtype)
+            cut = np.searchsorted(high, due)
+            ready += [(low, block), (high[:cut], top[:cut])]
+            if cut < high.size:
+                held.append((high[cut:], top[cut:]))
+        # Only the rows yielded stay alive while the caller reduces them,
+        # and they are merged into pair order with one copy.
+        ready = [piece for piece in ready if piece[0].size]
+        lead = rows = parts = block = top = None
+        if len(ready) > 1:
+            pairs = np.concatenate([piece[0] for piece in ready])
+            place = np.argsort(pairs).argsort()  # where each piece row goes
+            merged, start = np.empty((pairs.size, n), ready[0][1].dtype), 0
+            for piece_pairs, piece_rows in ready:
+                merged[place[start : start + piece_pairs.size]] = piece_rows
+                start += piece_pairs.size
+            ready = [(np.sort(pairs), merged)]
+        if ready:
+            yield ready.pop()
 
 
 @lru_cache(maxsize=256)

@@ -7,8 +7,11 @@ json.dumps(indent=2) writes it (`_json_block` writes it, as that encoder is
 pure Python and a certified set is dumped three times); one code per line,
 `    [[p,...,p],...,[p,...,p]]`, lines joined by ",\n"; a trailing newline.
 The code lines are built as bytes straight from the phase array, never
-through one Python int per phase.  Files contain integers only; phases are
-never converted to floating point.  Reports are compact JSON on one line,
+through one Python int per phase, in one byte array with no gap between
+the brackets, separators and line breaks: only the leading zeros of
+multi-digit phases leave NULs to squeeze out, so single-digit phases are
+written with no pass over the text.  Files contain integers only; phases
+are never converted to floating point.  Reports are compact JSON on one line,
 have their own REPORT_FORMAT_VERSION and carry no such guarantee.
 `dumps_report` alone defines their text: json.dumps writes the summary and
 peaks, and each listed violation is one %-template filled from the columns
@@ -115,16 +118,21 @@ def _checked_code_set(data, dims: dict, provenance: dict | None) -> CodeSet:
 
 def _codes_text(phases: np.ndarray, sep: str = ",", brk: str = "\n    ") -> str:
     """Each code as "[[p,...,p],...,[p,...,p]]" with sep for ",", codes joined
-    by sep + brk: by default the canonical code lines.  One byte row per
-    sequence: a 2-byte lead, a cell per phase (its digits right-aligned, then
-    sep, or "]" after the last) and a tail, sep or, where a code ends, "]" +
-    sep + brk.  Unused bytes, leading zeros included, stay NUL and go in one pass.
+    by sep + brk: by default the canonical code lines.  The text is laid out
+    gap-free in one byte array: per code a "[", its sequences and a tail
+    "]" + sep + brk; per sequence a "[", a cell per phase (its digits
+    right-aligned, then sep) and one more byte, the last cell's sep and that
+    byte being "]" + sep.  The last code's sep + brk is cut off.  Only the
+    leading zeros of multi-digit cells stay NUL, removed in one pass.
     """
     m, n, length = phases.shape
     width = len(str(phases.max()))
-    code_end = np.frombuffer(f"]{sep}{brk}".encode("ascii"), np.uint8)
-    rows = np.zeros((m, n, 2 + length * (width + len(sep)) + code_end.size), np.uint8)
-    cells = rows[:, :, 2:-code_end.size].reshape(m, n, length, width + len(sep))
+    close, code_end = (np.frombuffer(f"]{sep}{end}".encode("ascii"), np.uint8) for end in ("", brk))
+    row_size = 1 + length * (width + len(sep)) + 1
+    text = np.empty(m * (1 + n * row_size + 1 + len(brk)), np.uint8)
+    codes = text.reshape(m, -1)
+    rows = codes[:, 1 : 1 + n * row_size].reshape(m, n, row_size)
+    cells = rows[:, :, 1:-1].reshape(m, n, length, width + len(sep))
     for k in range(width - 1):
         power = 10 ** (width - 1 - k)
         digit = phases // power  # the one int64 temporary of this digit
@@ -138,13 +146,11 @@ def _codes_text(phases: np.ndarray, sep: str = ",", brk: str = "\n    ") -> str:
     np.add(last, ord("0"), out=cells[..., width - 1], casting="unsafe")
     for k, byte in enumerate(sep.encode("ascii"), width):  # one byte at a time is faster
         cells[..., k] = byte
-    cells[:, :, -1, width:] = (ord("]"), 0)[: len(sep)]
-    rows[:, :, 1] = ord("[")
-    rows[:, 0, 0] = ord("[")
-    rows[:, :-1, -code_end.size : len(sep) - code_end.size] = code_end[1 : 1 + len(sep)]
-    rows[:, -1, -code_end.size :] = code_end
-    rows[-1, -1, 1 - code_end.size :] = 0
-    return rows.tobytes().translate(None, b"\0").decode("ascii")
+    codes[:, 0] = rows[:, :, 0] = ord("[")
+    rows[:, :, -close.size :] = close
+    codes[:, -code_end.size :] = code_end
+    data = text[: text.size + 1 - code_end.size].tobytes()
+    return (data.translate(None, b"\0") if width > 1 else data).decode("ascii")
 
 
 def _json_block(value, pad: str = "\n") -> str:
@@ -157,8 +163,10 @@ def _json_block(value, pad: str = "\n") -> str:
         return repr(value)
     if kind is str:
         return encode_basestring_ascii(value)
-    if kind is bool or value is None:
-        return json.dumps(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
     if kind is list:
         items = [_json_block(v, inner) for v in value]
         return f"[{inner}{(',' + inner).join(items)}{pad}]" if items else "[]"

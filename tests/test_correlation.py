@@ -662,11 +662,52 @@ class TestBlocks:
         assert calls == [pairs[p : p + 2] for p in range(0, 15, 2)]
         assert report_fields(forced) == default
 
-    def test_listing_stops_at_the_cap(self):
-        cs = random_set(np.random.default_rng(21), 2, 8, 2, 64)
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_forced_residual_failure_of_packed_chunks(self, monkeypatch, q):
+        cs = random_set(np.random.default_rng(20 + q), q, 5, 2, 9)
+        default = report_fields(verify_zccs(cs, z=5))
+        # two rows per chunk; every inverse transform is off by 0.3 at one
+        # entry, so no chunk's rounding is certified
+        n = _fft_length(9)
+        bins = n // 2 + 1 if q <= 2 else n
+        monkeypatch.setattr(correlation, "CHUNK_ENTRIES", 2 * 2 * bins)
+        for name in ("irfft", "ifft"):
+
+            def perturbed(spectra, n, inverse=getattr(np.fft, name)):
+                block = inverse(spectra, n)
+                block[0, 1] += 0.3
+                return block
+
+            monkeypatch.setattr(np.fft, name, perturbed)
+        calls = counted_direct_block(monkeypatch)
+        forced = verify_zccs(cs, z=5)
+        # Packed, 5 codes make 9 rows: code 0 with code 1 on rows j = 0..4,
+        # codes 2 and 3 on j = 2..4, code 4 on j = 4.  Each chunk's pairs
+        # are recomputed one by one, code a's before code a + 1's.
+        assert correlation._pack_base(2, 9) == 64
+        assert calls == [
+            [(0, 0), (0, 1), (1, 1)],
+            [(0, 2), (0, 3), (1, 2), (1, 3)],
+            [(0, 4), (2, 2), (1, 4)],
+            [(2, 3), (2, 4), (3, 3), (3, 4)],
+            [(4, 4)],
+        ]
+        assert report_fields(forced) == default
+
+    @pytest.mark.parametrize("rows_per_chunk", [None, 1, 3])
+    @pytest.mark.parametrize("q, set_size", [(2, 8), (2, 7), (4, 7)])
+    def test_listing_stops_at_the_cap(self, monkeypatch, q, set_size, rows_per_chunk):
+        # With an odd M the last packing group is one code; chunks of one
+        # and three rows end inside groups, so code a + 1's pairs are held
+        # across chunks before they are yielded in pair order.
+        cs = random_set(np.random.default_rng(21), q, set_size, 2, 64)
+        if rows_per_chunk:
+            bins = _fft_length(64) // 2 + 1 if q <= 2 else _fft_length(64)
+            monkeypatch.setattr(correlation, "CHUNK_ENTRIES", rows_per_chunk * 2 * bins)
+        assert correlation._pack_base(2, 64)
         report = verify_zccs(cs, z=64)
         first_nonzero, violations = reduce_profiles(
-            direct_profiles(cs), 8, report.expected_peak, report.tolerance, 64
+            direct_profiles(cs), set_size, report.expected_peak, report.tolerance, 64
         )
         assert len(violations) > MAX_LISTED_VIOLATIONS
         assert report.violation_count == len(violations)
@@ -770,14 +811,21 @@ class TestZeroPairCertificate:
         phases[1, 2::2, 0] = q // 2
         cs = CodeSet(q, 1, phases)
         kept = [pair for pairs, _ in correlation._blocks(cs, 0.25) for pair in pairs.tolist()]
-        # at L = 1 either code's autocorrelation is N * L * delta
-        assert kept == [1]
+        # At L = 1 either code's autocorrelation is N * L * delta, so pair
+        # (0, 0) is left out; pairs (0, 1) and (1, 1) share a packed row,
+        # which is kept and yields both.
+        assert kept == [1, 2]
         report = verify_zccs(cs)
         assert report.first_nonzero.tolist() == [1, 0, 1]
         unit = CorrelationValue(-1, 0) if q == 2 else CorrelationValue(0, -1)
         assert report.violations == (Violation(0, 1, 0, unit),)
 
-    def test_complete_complementary_codes_run_no_inverse_transform(self, monkeypatch):
+    @pytest.mark.parametrize("chunk_entries", [None, 1])
+    def test_complete_complementary_codes_run_no_inverse_transform(self, monkeypatch, chunk_entries):
+        # in one-row chunks too, where a packed row (a, a + 1) holding the
+        # diagonal pair (a + 1, a + 1) starts a chunk
+        if chunk_entries:
+            monkeypatch.setattr(correlation, "CHUNK_ENTRIES", chunk_entries)
         rows = counted_inverse_rows(monkeypatch)
         for cs in ccc_sets():
             report = verify_zccs(cs)
@@ -831,7 +879,80 @@ class TestZeroPairCertificate:
         first, second = np.triu_indices(16)
         correlated = (first == second) | (report.first_nonzero < cs.length)
         assert report.zccs_ok and report.exact
-        assert sum(rows) == np.count_nonzero(correlated) == 40
+        # two pairs per packed row: 24 rows carry the 40 correlated pairs
+        assert sum(rows) == 24
+        margin = report.tolerance - _rounding_bound(cs.code_size, cs.length)
+        kept = [pair for pairs, _ in correlation._blocks(cs, margin) for pair in pairs.tolist()]
+        assert kept == np.flatnonzero(correlated).tolist()
+        assert len(kept) == 40
+
+
+def antipodal_set(q, set_size, code_size, length):
+    """Codes u, -u, u, -u, ... of one random code u: every sum of a pair is
+    +-u's autocorrelation, N * L or -N * L at shift 0."""
+    code = np.random.default_rng(q + length).integers(0, q, (code_size, length))
+    flips = (np.arange(set_size) % 2 * (q // 2))[:, None, None]
+    return CodeSet(q, 1, (code + flips) % q)
+
+
+class TestPacking:
+    """For q in (1, 2, 4) codes a and a + 1 share one inverse-transformed
+    row, X_a + B * X_(a+1) against X_j, where (1 + B) * _rounding_bound
+    stays below 1/4; nothing a report says may change."""
+
+    @staticmethod
+    def unpacked(monkeypatch):
+        monkeypatch.setattr(correlation, "_pack_base", lambda code_size, length: 0)
+
+    def test_packing_never_changes_a_report(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        sets = []
+        for cs in construction_sets() + ccc_sets():
+            if cs.q not in (1, 2, 4):
+                continue
+            m, n, length = cs.phases.shape
+            ci, ri, pos = (int(rng.integers(size)) for size in (m, n, length))
+            sets += [cs, mutate_one_phase(cs, ci, ri, pos, int(rng.integers(1, cs.q)))]
+        for q in (1, 2, 4):
+            sets += [random_set(rng, q, m, n, length) for m, n, length in ((5, 2, 24), (4, 3, 7))]
+        for cs in sets:
+            assert correlation._pack_base(cs.code_size, cs.length)
+            for zone in (None, 1):
+                packed = verify_zccs(cs, z=zone)
+                monkeypatch.setattr(correlation, "CHUNK_ENTRIES", 1)
+                split = verify_zccs(cs, z=zone)
+                self.unpacked(monkeypatch)
+                split_unpacked = verify_zccs(cs, z=zone)
+                monkeypatch.undo()
+                self.unpacked(monkeypatch)
+                full = verify_zccs(cs, z=zone)
+                monkeypatch.undo()
+                for got in (packed, split, split_unpacked):
+                    assert_same_report(got, full, cs.q)
+
+    @pytest.mark.parametrize("q", [2, 4])
+    @pytest.mark.parametrize("set_size", [4, 5])
+    def test_extreme_sums_unpack_exactly(self, q, set_size):
+        # each packed row's low half reaches +-N * L at shift 0, next to a
+        # high half of the opposite sign
+        cs = antipodal_set(q, set_size, 3, 10)
+        assert correlation._pack_base(3, 10) == 64
+        profiles = engine_profiles(cs)
+        assert np.array_equal(profiles, direct_profiles(cs))
+        first, second = np.triu_indices(set_size)
+        assert np.array_equal(profiles[:, 9, 0], 30 * (-1) ** (second - first))
+        assert not profiles[:, 9, 1].any()
+
+    def test_refused_where_the_bound_would_fail(self):
+        # (4, 4, 65536) has (1 + B) * b = 5.25 for B = 2^20: one code per row
+        assert correlation._pack_base(4, 65536) == 0
+        assert (1 + (1 << 20)) * _rounding_bound(4, 65536) > 5
+        base = Lemma2Params(2, 16, path_quadratic(16), deleted=(0,))
+        cs = lemma2_ccc(base)
+        assert cs.dims == (4, 4, 65536, 65536)
+        report = verify_zccs(cs)
+        assert report.exact and report.zccs_ok and report.optimal
+        assert report.violation_count == 0
 
 
 def test_thm1_32_4_10240_1280():
@@ -840,6 +961,8 @@ def test_thm1_32_4_10240_1280():
     base = Lemma1Params(11, quad, (1,) * 7, deleted=(0,))
     code_set = theorem1_zccs(ChainParams(base, l=3, r=8))
     assert code_set.dims == (32, 4, 10240, 1280)
+    # two codes per row: (1 + B) * b = 0.0367 with B = 2^17
+    assert correlation._pack_base(4, 10240) == 1 << 17
     report = verify_zccs(code_set)
     assert report.exact
     assert report.zccs_ok and report.optimal

@@ -145,8 +145,8 @@ class TestCanonicalText:
         code_lines = [ln for ln in text.splitlines() if ln.startswith("    [")]
         assert len(code_lines) == binary_set.set_size
 
-    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 3, 4), (3, 2, 5), (2, 3, 1)])
-    @pytest.mark.parametrize("q", [1, 2, 10, 11, 16, 1000, 2**40])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 3, 4), (3, 2, 5), (2, 3, 1), (4, 1, 3)])
+    @pytest.mark.parametrize("q", [1, 2, 4, 8, 10, 11, 12, 16, 1000, 2**40])
     def test_layout_matches_per_code_json(self, q, shape):
         rng = np.random.default_rng(q * 1000 + sum(shape))
         # mixed digit counts, and the widest phase q - 1 somewhere
@@ -156,6 +156,7 @@ class TestCanonicalText:
         # the metadata as dumped, the codes straight from the array
         want = canonical_layout({**json.loads(dumps_code_set(cs)), "codes": cs.phases.tolist()})
         assert dumps_code_set(cs) == want
+        assert io._default_text(cs) == json.dumps(json.loads(want))
         # both layouts load; single-digit ones are read without json.loads,
         # multi-digit ones through it
         for text in (want, json.dumps(json.loads(want))):
