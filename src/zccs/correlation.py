@@ -16,15 +16,17 @@ transforms the set's whole (M, N, L) value array once, zero-padded to the
 smallest n >= 2L - 1 of the form 2^a, 3 * 2^a or 5 * 2^a (_fft_length), at
 which circular correlation equals aperiodic correlation.  Code pairs
 (i, j), i <= j, are numbered in the order of np.triu_indices(M).  The
-engine computes rows, one per pair (i, j) in that order, or, packed
-(below), one per two pairs; a block is a chunk of consecutive rows (about
-CHUNK_ENTRIES spectrum entries read): their cross-spectra, summed over the
-rows, go code by code into one buffer, and the rows kept are
-inverse-transformed in one call, giving a circular block in which shift
-tau sits at index tau mod n.  Real value arrays (q <= 2) use rfft/irfft
-and give real blocks, complex ones fft/ifft.  Blocks reach verify_zccs one
-row per pair, in pair order; it reduces each as it comes and drops it, so
-it keeps one number per pair and no profile.  accs and set_accs compute
+engine computes rows code by code: code i's spectrum times a partner, the
+conjugate spectrum of a code j >= i, or, packed (below), of two codes, so
+the rows hold one pair or two in pair order.  A block is a chunk of
+consecutive rows (about CHUNK_ENTRIES spectrum entries read): their
+cross-spectra, summed over the rows of the codes, go code by code into one
+buffer, and the rows kept are inverse-transformed in one call, giving a
+circular block in which shift tau sits at index tau mod n.  Real value
+arrays (q <= 2) use rfft/irfft and give real blocks, complex ones
+fft/ifft.  Blocks reach verify_zccs one row per pair, in pair order, as
+the rows give them; it reduces each as it comes and drops it, so it keeps
+one number per pair and no profile.  accs and set_accs compute
 one shift by direct dot products and share no code with the engine but
 unit_values, so the two check each other.
 
@@ -51,20 +53,24 @@ The engine rounds each block to integers and certifies the rounding:
 _rounding_bound and the largest observed distance to an integer must both
 stay below 1/4, or np.correlate recomputes the block's pairs one by one.
 
-For q in EXACT_MODULI two codes also share rows.  Every sum has
+For q in EXACT_MODULI two codes also share a partner.  Every sum has
 |Re|, |Im| <= N * L; let B be the smallest power of two above 2 * N * L
-(_pack_base).  For even a, (X_a + B * X_(a+1)) * conj(X_j), X the
-spectra, is the spectrum of C_(a,j) + B * C_(a+1,j) for each j > a, so one
-row carries pair (a, j) and pair (a + 1, j), and the diagonal pair (a, a)
-keeps a row of its own: about half as many rows are transformed.  Packed
-rows are certified as above under the bound (1 + B) * b, with the margin
-tolerance - (1 + B) * b, so only a packed sum of 0 leaves both pairs out;
-row (a, a + 1) is tested on its deviation from B * N * L * delta.  The
+(_pack_base).  With X the spectra and X_M = 0, the partner of codes 2g and
+2g + 1 is P_g = conj(X_2g) + B * conj(X_(2g+1)), and X_a * P_g is the
+spectrum of C_(a,2g) + B * C_(a,2g+1): one row carries pairs (a, 2g) and
+(a, 2g + 1), which are consecutive in pair order, so code a's rows, g =
+a // 2 .. ceil(M / 2) - 1, give its pairs in order, and about half as many
+rows are transformed.  Two halves are dropped: (a, a - 1), the low half
+of row 0 of an odd code a, and, for odd M, (a, M), the high half of code
+a's last row.  Packed rows are certified as above under the bound
+(1 + B) * b, with the margin tolerance - (1 + B) * b, so only a packed sum
+of 0 leaves both pairs out; row 0 of an odd code a, whose high half is its
+diagonal pair, is tested on its deviation from B * N * L * delta.  The
 rounded x splits back exactly into high = rint(x / B) and low = x - B *
-high: B is a power of two, |x| < 2^53 and |low| <= N * L < B / 2.  Packing
-is used where (1 + B) * b < 1/4: 1.7e-4 for N = 4, L = 1280 and 0.037 for
-N = 4, L = 10240, but 5.25 for N = 4, L = 65536, which keeps one row per
-pair.
+high: B is a power of two, |x| < 2^53 and |low| <= N * L < B / 2.
+Packing is used where (1 + B) * b < 1/4: 1.7e-4 for N = 4, L = 1280 and
+0.037 for N = 4, L = 10240, but 5.25 for N = 4, L = 65536, which keeps
+one row per pair.
 
 One zero test serves every modulus: a nonzero sum in Z[zeta_q] has modulus
 at least s (_separation), so its real or imaginary part exceeds s / 2.  A
@@ -78,7 +84,7 @@ as nonzero, and the report says exact=False.  s = 1 for q in
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -106,7 +112,9 @@ MAX_LISTED_VIOLATIONS = 1000
 # limits admit three times that work and, for a complex set of those dims
 # (5.2M entries), 2^23 entries.  The pair limit bounds first_nonzero (8
 # bytes a pair) and the per-code loop where n is too small for the work
-# limit to: a (32767, 1, 1) file is 360 KB.
+# limit to: a (32767, 1, 1) file is 360 KB.  The spectrum count is of the M
+# codes; packed (q in EXACT_MODULI), the engine holds their ceil(M / 2)
+# partners in the same allocation, up to 1.5 times the entries counted.
 MAX_SPECTRUM_ENTRIES = 1 << 23
 MAX_TRANSFORM_WORK = 1 << 29
 MAX_PAIRS = 1 << 22
@@ -287,15 +295,15 @@ def _rounding_bound(code_size: int, length: int) -> float:
     are not plain radix-2; the factor 16 in place of 12 is a margin for
     them, not a proof, and the observed-residual check does not rest on it.
 
-    A packed row (_pack_base) is the product of X_a + B * X_(a+1) with a
-    code's conjugate spectrum: the transform of x_a + B * x_(a+1), whose
-    entries have modulus at most 1 + B, so every term above scales by
-    1 + B, and (1 + B) times this bound bounds its entries.  The packed
-    spectrum is formed from the two transforms; multiplying by the power of
-    two B is exact, so its error is X_a's plus B times X_(a+1)'s, and the
-    addition rounds once more, relative eps: a quarter of one radix-2
-    stage's eta, so 12 log2(n) becomes 12 log2(n) + 1, charged to the same
-    margin of 16 over 12.
+    A packed row (_pack_base) is the product of a code's spectrum with a
+    partner conj(X_2g) + B * conj(X_(2g+1)): the conjugate transform of
+    x_2g + B * x_(2g+1), whose entries have modulus at most 1 + B, so every
+    term above scales by 1 + B, and (1 + B) times this bound bounds its
+    entries.  The partner is formed from the two transforms; conjugating
+    and multiplying by the power of two B are exact, so its error is
+    X_2g's plus B times X_(2g+1)'s, and the addition rounds once more,
+    relative eps: a quarter of one radix-2 stage's eta, so 12 log2(n)
+    becomes 12 log2(n) + 1, charged to the same margin of 16 over 12.
     """
     log_n = (_fft_length(length) - 1).bit_length()
     eps = float(np.finfo(np.float64).eps)
@@ -352,8 +360,8 @@ def _pair_codes(starts: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _pack_base(code_size: int, length: int) -> int:
-    """B, the power of two by which code a + 1 rides on code a's rows, or 0
-    to pack nothing.
+    """B, the power of two by which code 2g + 1 rides on code 2g in the
+    partner they share, or 0 to pack nothing.
 
     B is the smallest power of two above 2 * N * L.  Every sum of two codes
     has parts |Re|, |Im| <= N * L < B / 2, so a packed sum x = c + B * d
@@ -376,14 +384,17 @@ def _blocks(code_set: CodeSet, margin: float = 0.0) -> Iterator[tuple[np.ndarray
     _energy_limit(n, margin) is left out, and for q in EXACT_MODULI so is a
     diagonal pair whose deviation from N * L * delta is; margin 0 keeps all.
 
-    The engine's rows come in groups.  A group is one code a, or for q in
-    EXACT_MODULI, where _pack_base gives B > 0, the codes a and a + 1 for
-    even a.  Its rows are j = a..M-1: row a is pair (a, a), and a packed
-    row j > a is (X_a + B * X_(a+1)) times X_j's conjugate, the spectrum of
-    pair (a, j)'s sums plus B times pair (a + 1, j)'s.  Packed rows are
-    tested and rounded with the margin less B * b and the bound
-    (1 + B) * b, and row a + 1 is tested on its deviation from
-    B * N * L * delta.  Code a + 1's pairs wait until code a's are out.
+    The engine's rows run code by code.  The partners are the codes'
+    conjugate spectra, or, for q in EXACT_MODULI where _pack_base gives
+    B > 0, P_g = conj(X_2g) + B * conj(X_(2g+1)), X the spectra and
+    X_M = 0, one for every two codes; w is the number of codes per partner.
+    Code a's rows are X_a times the partners g >= a // w: packed, row g is
+    the spectrum of pair (a, 2g)'s sums plus B times pair (a, 2g + 1)'s.
+    Row after row, the pairs come in pair order.  Packed rows are tested
+    and rounded with the margin less B * b and the bound (1 + B) * b, and
+    the halves (a, a - 1) and (a, M) are dropped.  Row 0 of code a holds
+    its diagonal pair and is tested on its deviation from N * L * delta,
+    or, for odd a packed, from B * N * L * delta.
     """
     q, phases = code_set.q, code_set.phases
     set_size, code_size, length = phases.shape
@@ -391,113 +402,90 @@ def _blocks(code_set: CodeSet, margin: float = 0.0) -> Iterator[tuple[np.ndarray
     n = _fft_length(length)
     real = not np.iscomplexobj(values)
     forward, inverse = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-    spectra = forward(values, n)
-    del values
-    # Kept conjugated, so each segment's einsum conjugates a copy of one
-    # code's (N, bins) rows only, never the whole set.
-    np.conjugate(spectra, out=spectra)
     bound = _rounding_bound(code_size, length)
     base = _pack_base(code_size, length) if q in EXACT_MODULI else 0
+    width = 2 if base else 1
+    # Spectra and partners share one allocation, the transform written into
+    # its head: a second array, or a copy of a returned one, costs fresh
+    # pages that outweigh the einsum work packing saves.
+    bins = n // 2 + 1 if real else n
+    buffer = np.empty((set_size + (set_size + 1) // 2 if base else set_size, code_size, bins), complex)
+    spectra = forward(values, n, out=buffer[:set_size])
+    del values
+    # Kept conjugated, so each code's einsum conjugates a copy of its own
+    # (N, bins) rows only, never the whole set.
+    np.conjugate(spectra, out=spectra)
+    partners = spectra
     if base:
+        partners, half = buffer[set_size:], set_size // 2
+        np.multiply(spectra[1::2], base, out=partners[:half])
+        partners[:half] += spectra[: 2 * half : 2]
+        partners[half:] = spectra[2 * half :]
         margin -= base * bound
         bound *= 1 + base
     # A real block's bins f and n - f have one modulus and rfft keeps
     # f <= n / 2, so twice the energy of its bins bounds E.
     limit = _energy_limit(n, margin) / (2 if real else 1)
-    peak = code_size * length
-    # Code i's pairs (i, j >= i) are starts[i] <= p < starts[i + 1]; group
-    # g's rows, led by code leads[g], are row_starts[g] <= r < row_starts[g + 1].
+    # Code a's rows are row_starts[a] <= r < row_starts[a + 1].
     starts = _pair_starts(set_size)
-    lead_list = list(range(0, set_size, 2 if base else 1))
-    row_list = list(accumulate((set_size - a for a in lead_list), initial=0))
-    start_list, total = starts.tolist(), row_list[-1]
-    leads, row_starts = np.array(lead_list), np.array(row_list)
+    row_list = list(accumulate((len(partners) - a // width for a in range(set_size)), initial=0))
+    row_starts, total = np.array(row_list), row_list[-1]
     chunk = max(1, CHUNK_ENTRIES // spectra[0].size)
-    cross = np.empty((min(chunk, total), spectra.shape[2]), spectra.dtype)
-    held = []  # (pairs, block) pieces of code a + 1 while code a's rows run on
+    cross = np.empty((min(chunk, total), bins), complex)
     for r0 in range(0, total, chunk):
         r1 = min(r0 + chunk, total)
-        # one einsum per group with rows in the chunk, over its codes j, and
-        # one more for a packed group's row a; centres are the rows holding
-        # a diagonal pair, with the value its shift 0 has in a complete code
-        centres = []
-        for g in range(bisect_right(row_list, r0) - 1, bisect_right(row_list, r1 - 1)):
-            a, s0, s1 = lead_list[g], max(r0, row_list[g]), min(r1, row_list[g + 1])
-            j0, j1 = a + s0 - row_list[g], a + s1 - row_list[g]
-            out = cross[s0 - r0 : s1 - r0]
-            if j0 == a:
-                centres.append((s0 - r0, peak))
-            if base and j0 <= a + 1 < j1:
-                centres.append((s0 - r0 + a + 1 - j0, base * peak))
-            lead = spectra[a].conj()
-            if base and j0 == a:
-                np.einsum("nf,jnf->jf", lead, spectra[a : a + 1], out=out[:1])
-                j0, out = a + 1, out[1:]
-            if j0 < j1:
-                if base:
-                    lead += base * spectra[a + 1].conj()
-                np.einsum("nf,jnf->jf", lead, spectra[j0:j1], out=out)
         rows, kept = cross[: r1 - r0], np.arange(r0, r1)
+        # one einsum per code with rows in the chunk
+        for a in range(bisect_right(row_list, r0) - 1, bisect_left(row_list, r1)):
+            s0, s1 = max(r0, row_list[a]) - r0, min(r1, row_list[a + 1]) - r0
+            g0 = a // width + s0 + r0 - row_list[a]
+            np.einsum("nf,gnf->gf", spectra[a].conj(), partners[g0 : g0 + s1 - s0], out=rows[s0:s1])
         if limit > 0:
             parts = rows.view(np.float64)
             energy = np.einsum("pf,pf->p", parts, parts)
-            if q in EXACT_MODULI:  # C_aa(f) - N * L is c - N * L * delta's spectrum
-                for row, value in centres:
-                    deviation = rows[row] - value
-                    energy[row] = np.vdot(deviation, deviation).real
+            if q in EXACT_MODULI:
+                # Row 0 of code a holds c_aa, alone, as c_aa + B * c_(a,a+1),
+                # or, for odd a packed, as c_(a,a-1) + B * c_aa: it is tested
+                # on its deviation from N * L * delta or B * N * L * delta,
+                # whose spectrum is that constant.
+                for a in range(bisect_left(row_list, r0), bisect_left(row_list, r1)):
+                    deviation = rows[row_list[a] - r0] - code_size * length * (base if a % width else 1)
+                    energy[row_list[a] - r0] = np.vdot(deviation, deviation).real
             keep = energy >= limit
             if not keep.all():
                 rows, kept = rows[keep], kept[keep]
-        # The pairs below row r1's first pair are complete: code a + 1's
-        # pairs wait while the group of code a runs on.
-        if r1 < total:
-            g = bisect_right(row_list, r1) - 1
-            due = start_list[lead_list[g]] + r1 - row_list[g]
-        else:
-            due = start_list[-1]
-        ready, held = (held, []) if held and held[0][0][0] < due else ([], held)
-        if kept.size:
-            group = np.searchsorted(row_starts, kept, "right") - 1
-            offset = kept - row_starts[group]  # j - a
-            low = starts[leads[group]] + offset
-            packed = (offset > 0) & (base > 0)
-            high = starts[leads[group[packed]] + 1] + offset[packed] - 1
-            block = inverse(rows, n)
-            top = block[:0]
-            if q in EXACT_MODULI:
+        if not kept.size:
+            continue
+        # Row r of code a is partner g = a // w + r - row_starts[a]: its halves
+        # are pairs (a, w * g .. w * g + w - 1), and a half is dropped unless
+        # its number lies in code a's range starts[a] <= p < starts[a + 1].
+        code = np.searchsorted(row_starts, kept, "right") - 1
+        low = starts[code] - code + width * (code // width + kept - row_starts[code])
+        pairs = (low[:, None] + np.arange(width)).ravel()
+        code = np.repeat(code, width)
+        halves = (starts[code] <= pairs) & (pairs < starts[code + 1])
+        block = inverse(rows, n)
+        if q in EXACT_MODULI:
 
-                def direct():
-                    """The pairs' sums, packed as the rows are; exact below 2^53."""
-                    first, second = _pair_codes(starts, np.append(low, high))
-                    sums = _direct_block(unit_values(q, phases), first, second)
-                    sums[: low.size][packed] += base * sums[low.size :]
-                    return sums[: low.size].view(np.float64)
+            def direct():
+                """The rows' sums, packed as the rows are; exact below 2^53."""
+                sums = np.zeros((pairs.size, n), block.dtype)
+                sums[halves] = _direct_block(unit_values(q, phases), *_pair_codes(starts, pairs[halves]))
+                return np.dot((1, base)[:width], sums.reshape(-1, width, n)).view(np.float64)
 
-                # real and imaginary parts rounded alike, through a float64 view
-                parts = _round_certified(block.view(np.float64), bound, direct)
-                if high.size:
-                    top = np.rint(parts[packed] / base)
-                    parts[packed] -= base * top
-                    top = top.view(block.dtype)
-                block = parts.view(block.dtype)
-            cut = np.searchsorted(high, due)
-            ready += [(low, block), (high[:cut], top[:cut])]
-            if cut < high.size:
-                held.append((high[cut:], top[cut:]))
-        # Only the rows yielded stay alive while the caller reduces them,
-        # and they are merged into pair order with one copy.
-        ready = [piece for piece in ready if piece[0].size]
-        lead = rows = parts = block = top = None
-        if len(ready) > 1:
-            pairs = np.concatenate([piece[0] for piece in ready])
-            place = np.argsort(pairs).argsort()  # where each piece row goes
-            merged, start = np.empty((pairs.size, n), ready[0][1].dtype), 0
-            for piece_pairs, piece_rows in ready:
-                merged[place[start : start + piece_pairs.size]] = piece_rows
-                start += piece_pairs.size
-            ready = [(np.sort(pairs), merged)]
-        if ready:
-            yield ready.pop()
+            # real and imaginary parts rounded alike, through a float64 view
+            parts = _round_certified(block.view(np.float64), bound, direct)
+            if base:  # row r's low half to row 2r, its high half to row 2r + 1
+                split = np.empty((len(parts), 2, parts.shape[1]))
+                np.rint(np.divide(parts, base, out=split[:, 1]), out=split[:, 1])
+                np.subtract(parts, base * split[:, 1], out=split[:, 0])
+                parts = split
+            block = parts.view(block.dtype).reshape(-1, n)
+        if not halves.all():
+            pairs, block = pairs[halves], block[halves]
+        # only the rows yielded stay alive while the caller reduces them
+        rows = parts = split = None
+        yield pairs, block
 
 
 @lru_cache(maxsize=256)
@@ -579,15 +567,12 @@ def verify_zccs(code_set: CodeSet, z: int | None = None) -> CorrelationReport:
                 peaks[i] = CorrelationValue(cast(v.real), cast(v.imag))
             miss = np.maximum(np.abs(peak.real - expected_peak), np.abs(peak.imag))
             nonzero[diag, 0] = miss > tolerance
-        rows = np.arange(len(block))
         ahead = nonzero[:, :length]
-        first = ahead.argmax(axis=1)
-        near = np.where(ahead[rows, first], first, length)
+        near = np.where(ahead.any(axis=1), ahead.argmax(axis=1), length)
         if length > 1:
             # shifts -1, -2, ..., -(L - 1) at indices n - 1, n - 2, ...
             behind = nonzero[:, n - 1 : n - length : -1]
-            last = behind.argmax(axis=1)
-            near = np.minimum(near, np.where(behind[rows, last], last + 1, length))
+            near = np.minimum(near, np.where(behind.any(axis=1), behind.argmax(axis=1) + 1, length))
         first_nonzero[kept] = near
         hit = np.flatnonzero(near < zone)
         if not hit.size:

@@ -681,15 +681,18 @@ class TestBlocks:
             monkeypatch.setattr(np.fft, name, perturbed)
         calls = counted_direct_block(monkeypatch)
         forced = verify_zccs(cs, z=5)
-        # Packed, 5 codes make 9 rows: code 0 with code 1 on rows j = 0..4,
-        # codes 2 and 3 on j = 2..4, code 4 on j = 4.  Each chunk's pairs
-        # are recomputed one by one, code a's before code a + 1's.
+        # Packed, 5 codes make 11 rows, each code against the partners of
+        # codes (0, 1), (2, 3) and (4, -): codes 0 and 1 on all three,
+        # codes 2 and 3 on the last two, code 4 on the last.  Each chunk's
+        # pairs are recomputed one by one, in pair order, without the
+        # dropped halves (1, 0), (3, 2) and (a, 5).
         assert correlation._pack_base(2, 9) == 64
         assert calls == [
-            [(0, 0), (0, 1), (1, 1)],
-            [(0, 2), (0, 3), (1, 2), (1, 3)],
-            [(0, 4), (2, 2), (1, 4)],
-            [(2, 3), (2, 4), (3, 3), (3, 4)],
+            [(0, 0), (0, 1), (0, 2), (0, 3)],
+            [(0, 4), (1, 1)],
+            [(1, 2), (1, 3), (1, 4)],
+            [(2, 2), (2, 3), (2, 4)],
+            [(3, 3), (3, 4)],
             [(4, 4)],
         ]
         assert report_fields(forced) == default
@@ -697,9 +700,9 @@ class TestBlocks:
     @pytest.mark.parametrize("rows_per_chunk", [None, 1, 3])
     @pytest.mark.parametrize("q, set_size", [(2, 8), (2, 7), (4, 7)])
     def test_listing_stops_at_the_cap(self, monkeypatch, q, set_size, rows_per_chunk):
-        # With an odd M the last packing group is one code; chunks of one
-        # and three rows end inside groups, so code a + 1's pairs are held
-        # across chunks before they are yielded in pair order.
+        # With an odd M the last partner holds one code; chunks of one and
+        # three rows end inside a code's rows and split the cap across
+        # chunks.
         cs = random_set(np.random.default_rng(21), q, set_size, 2, 64)
         if rows_per_chunk:
             bins = _fft_length(64) // 2 + 1 if q <= 2 else _fft_length(64)
@@ -801,7 +804,7 @@ class TestZeroPairCertificate:
 
     @pytest.mark.parametrize("q", [2, 4])
     @pytest.mark.parametrize("code_size", [1, 3, 5])
-    def test_a_unit_sum_at_one_shift_is_kept(self, q, code_size):
+    def test_a_unit_sum_at_one_shift_is_kept(self, monkeypatch, q, code_size):
         # Code 1's first row is phase 1 and its other rows cancel in pairs,
         # so pair (0, 1) sums to -1 (q = 2) or -i (q = 4) at tau = 0, its
         # only shift.  By Parseval its E / n is 1, over any limit n * margin^2
@@ -810,11 +813,19 @@ class TestZeroPairCertificate:
         phases[1, 0, 0] = 1
         phases[1, 2::2, 0] = q // 2
         cs = CodeSet(q, 1, phases)
-        kept = [pair for pairs, _ in correlation._blocks(cs, 0.25) for pair in pairs.tolist()]
-        # At L = 1 either code's autocorrelation is N * L * delta, so pair
-        # (0, 0) is left out; pairs (0, 1) and (1, 1) share a packed row,
-        # which is kept and yields both.
-        assert kept == [1, 2]
+
+        def kept():
+            return [pair for pairs, _ in correlation._blocks(cs, 0.25) for pair in pairs.tolist()]
+
+        # Packed, pair (0, 0) shares code 0's row with pair (0, 1), which
+        # keeps the row and yields both; code 1's row holds (1, 0), dropped,
+        # and (1, 1), whose deviation from N * L * delta is (1, 0)'s sum.
+        assert kept() == [0, 1, 2]
+        # One pair per row: at L = 1 either code's autocorrelation is
+        # N * L * delta, so pairs (0, 0) and (1, 1) are left out.
+        monkeypatch.setattr(correlation, "_pack_base", lambda code_size, length: 0)
+        assert kept() == [1]
+        monkeypatch.undo()
         report = verify_zccs(cs)
         assert report.first_nonzero.tolist() == [1, 0, 1]
         unit = CorrelationValue(-1, 0) if q == 2 else CorrelationValue(0, -1)
@@ -822,8 +833,8 @@ class TestZeroPairCertificate:
 
     @pytest.mark.parametrize("chunk_entries", [None, 1])
     def test_complete_complementary_codes_run_no_inverse_transform(self, monkeypatch, chunk_entries):
-        # in one-row chunks too, where a packed row (a, a + 1) holding the
-        # diagonal pair (a + 1, a + 1) starts a chunk
+        # in one-row chunks too, where row 0 of an odd code, holding its
+        # diagonal pair in the high half, starts a chunk
         if chunk_entries:
             monkeypatch.setattr(correlation, "CHUNK_ENTRIES", chunk_entries)
         rows = counted_inverse_rows(monkeypatch)
@@ -896,9 +907,10 @@ def antipodal_set(q, set_size, code_size, length):
 
 
 class TestPacking:
-    """For q in (1, 2, 4) codes a and a + 1 share one inverse-transformed
-    row, X_a + B * X_(a+1) against X_j, where (1 + B) * _rounding_bound
-    stays below 1/4; nothing a report says may change."""
+    """For q in (1, 2, 4) pairs (a, 2g) and (a, 2g + 1) share one
+    inverse-transformed row, X_a against the partner conj(X_2g) + B *
+    conj(X_(2g+1)), where (1 + B) * _rounding_bound stays below 1/4;
+    nothing a report says may change."""
 
     @staticmethod
     def unpacked(monkeypatch):
@@ -942,6 +954,30 @@ class TestPacking:
         first, second = np.triu_indices(set_size)
         assert np.array_equal(profiles[:, 9, 0], 30 * (-1) ** (second - first))
         assert not profiles[:, 9, 1].any()
+
+    @pytest.mark.parametrize("rows_per_chunk", [None, 1, 3])
+    @pytest.mark.parametrize("q", [1, 2, 4, 6])
+    @pytest.mark.parametrize("set_size", [4, 5])
+    def test_pairs_come_once_in_pair_order(self, monkeypatch, q, set_size, rows_per_chunk):
+        # Packed for q in (1, 2, 4), one pair per row for q = 6.  A dropped
+        # half (a, a - 1) or (a, M) that leaked would be numbered as pair
+        # (a - 1, M - 1) or (a + 1, a + 1), or past the last pair: out of
+        # order, twice, or out of range, and its sums would not be theirs.
+        cs = random_set(np.random.default_rng(37 + q), q, set_size, 2, 9)
+        if rows_per_chunk:
+            bins = _fft_length(9) // 2 + 1 if q <= 2 else _fft_length(9)
+            monkeypatch.setattr(correlation, "CHUNK_ENTRIES", rows_per_chunk * 2 * bins)
+        values = unit_values(q, cs.phases)
+        first, second = np.triu_indices(set_size)
+        seen = []
+        for pairs, block in correlation._blocks(cs):
+            assert len(block) == len(pairs) > 0
+            assert pairs.min() >= 0 and pairs.max() < len(first)
+            want = _direct_block(values, first[pairs], second[pairs])
+            assert np.allclose(block, want, rtol=0, atol=1e-9)
+            seen += pairs.tolist()
+        # margin 0 keeps every pair: each once, strictly increasing
+        assert seen == list(range(len(first)))
 
     def test_refused_where_the_bound_would_fail(self):
         # (4, 4, 65536) has (1 + B) * b = 5.25 for B = 2^20: one code per row
