@@ -15,7 +15,7 @@ One batched FFT engine, _blocks, computes every pair correlation.  It
 transforms the set's whole (M, N, L) value array once, zero-padded to the
 smallest n >= 2L - 1 of the form 2^a, 3 * 2^a or 5 * 2^a (_fft_length), at
 which circular correlation equals aperiodic correlation.  Code pairs
-(i, j), i <= j, are numbered in the order of np.triu_indices(M).  The
+(i, j), i <= j, are in pair order, the order of np.triu_indices(M).  The
 engine computes rows code by code: code i's spectrum times a partner, the
 conjugate spectrum of a code j >= i, or, packed (below), of two codes, so
 the rows hold one pair or two in pair order.  A block is a chunk of
@@ -25,10 +25,11 @@ buffer, and the rows kept are inverse-transformed in one call, giving a
 circular block in which shift tau sits at index tau mod n.  Real value
 arrays (q <= 2) use rfft/irfft and give real blocks, complex ones
 fft/ifft.  Blocks reach verify_zccs one row per pair, in pair order, as
-the rows give them; it reduces each as it comes and drops it, so it keeps
-one number per pair and no profile.  accs and set_accs compute
-one shift by direct dot products and share no code with the engine but
-unit_values, so the two check each other.
+the rows give them, with the codes (i, j) of each row; it reduces each
+as it comes and drops it, so it keeps one number per pair and no
+profile.  accs and set_accs compute one shift by direct dot products and
+share no code with the engine but unit_values, so the two check each
+other.
 
 Most pairs of the paper's sets never correlate.  By Parseval a pair's
 circular sums have sum_tau |c(tau)|^2 = E / n, where E = sum_f |C(f)|^2
@@ -41,12 +42,18 @@ zero too, each computed value lying within b < tolerance of 0.  So
 verify_zccs passes the margin tolerance - b, and the engine leaves a pair
 with E < n * margin^2 out of the inverse transform: it gets
 first_nonzero = L and no listing.  A margin <= 0 (exact=False, or a failed
-bound) leaves nothing out.  For q in EXACT_MODULI a diagonal pair is
-tested alike on C_ii(f) - N * L, the spectrum of the real c - N * L * delta:
-below the limit its sums are exactly N * L at shift 0 and zero elsewhere,
-as in every complete complementary code, so it gets peak (N * L, 0) and
-first_nonzero = L, the integers its rounded block gives.  Other q keep
-every diagonal pair, whose float peak would not read exactly N * L.
+bound) leaves nothing out.
+
+A code's autocorrelation at shift 0 is sum_t |u_t|^2 = N * L for every
+modulus, as every value has modulus 1, so the peak is an identity, not a
+measurement.  Row 0 of code i holds the diagonal pair (i, i), and the
+engine takes the spectrum of N * L * delta, the constant N * L in every
+bin, off it right after the cross-spectra: the energy test, the inverse
+transform and the rounding all see c_ii - N * L * delta, and one zero test
+serves every pair.  A diagonal pair below the limit is N * L * delta
+exactly, as every code of a complete complementary code, and gets
+first_nonzero = L; a complete complementary code runs no inverse
+transform.  verify_zccs reports the peaks (N * L, 0) by the identity.
 
 For q in EXACT_MODULI the values are the Gaussian integers +-1 and +-i.
 The engine rounds each block to integers and certifies the rounding:
@@ -65,9 +72,9 @@ of row 0 of an odd code a, and, for odd M, (a, M), the high half of code
 a's last row.  Packed rows are certified as above under the bound
 (1 + B) * b, with the margin tolerance - (1 + B) * b, so only a packed sum
 of 0 leaves both pairs out; row 0 of an odd code a, whose high half is its
-diagonal pair, is tested on its deviation from B * N * L * delta.  The
-rounded x splits back exactly into high = rint(x / B) and low = x - B *
-high: B is a power of two, |x| < 2^53 and |low| <= N * L < B / 2.
+diagonal pair, has B * N * L * delta taken off.  The rounded x splits
+back exactly into high = rint(x / B) and low = x - B * high: B is a power
+of two, |x| < 2^53 and |low| <= N * L < B / 2.
 Packing is used where (1 + B) * b < 1/4: 1.7e-4 for N = 4, L = 1280 and
 0.037 for N = 4, L = 10240, but 5.25 for N = 4, L = 65536, which keeps
 one row per pair.
@@ -146,8 +153,9 @@ class CorrelationValue(NamedTuple):
 class Violation(NamedTuple):
     """Nonzero correlation where the zone demands zero.
 
-    A violation at (i, i, 0) means the autocorrelation peak missed its
-    expected value; everywhere else it is a plain nonzero sum in the zone.
+    Its value is the pair's sum at tau.  An (i, i, 0) entry, which no set of
+    unit-modulus values produces, would carry the peak's deviation from
+    N * L.
     """
 
     i: int
@@ -170,10 +178,11 @@ class CorrelationReport:
     violations, the same rows as Violation tuples, is built from it on
     first access.  first_nonzero holds, for each code pair (i, j), i <= j,
     in the order of np.triu_indices(M), the smallest |tau| at which the
-    pair's sum is nonzero: L when it never is, 0 when the pair is (i, i)
-    and its peak misses N * L.  measured_zcz is its minimum, the widest
-    zone the data actually support.  zccs_ok refers to the zone that was
-    checked, z_checked.
+    pair's sum, less N * L at shift 0 of a diagonal pair, is nonzero: L
+    when it never is.  measured_zcz is its minimum, the widest zone the
+    data actually support.  peaks are (N * L, 0) for every code, as
+    sum_t |u_t|^2 = N * L for unit values.  zccs_ok refers to the zone that
+    was checked, z_checked.
     """
 
     set_size: int
@@ -304,6 +313,12 @@ def _rounding_bound(code_size: int, length: int) -> float:
     X_2g's plus B times X_(2g+1)'s, and the addition rounds once more,
     relative eps: a quarter of one radix-2 stage's eta, so 12 log2(n)
     becomes 12 log2(n) + 1, charged to the same margin of 16 over 12.
+
+    Row 0 of each code has the spectrum of K * delta, the exact integer K =
+    N * L (B * N * L for the high half of a packed row) in every bin, taken
+    off.  K is exact in float64, so the subtraction rounds once, relative
+    eps, like the partner addition: 12 log2(n) + 2, charged to the same
+    margin.  The observed-residual check of _round_certified backs it.
     """
     log_n = (_fft_length(length) - 1).bit_length()
     eps = float(np.finfo(np.float64).eps)
@@ -327,18 +342,21 @@ def _round_certified(block: np.ndarray, bound: float, direct) -> np.ndarray:
 def _direct_block(values: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """The block of the code pairs (first[r], second[r]), in integer arithmetic.
 
-    values is the set's exact (M, N, L) value array; its real and imaginary
-    parts are integers, so every float partial sum below 2^53 is exact.
+    It is the block the engine gives: a diagonal pair (i, i) has N * L taken
+    off at shift 0, where every code's autocorrelation is N * L.  values is
+    the set's exact (M, N, L) value array; its real and imaginary parts are
+    integers, so every float partial sum below 2^53 is exact.
     np.correlate(a, v, "full") lists sum_t a[t + tau] * conj(v[t]) for tau
     from -(L - 1) to L - 1 in ascending order; tau goes to index tau mod n.
     """
-    length = values.shape[2]
+    _, code_size, length = values.shape
     n = _fft_length(length)
     block = np.zeros((len(first), n), dtype=values.dtype)
     for row, (i, j) in enumerate(zip(first.tolist(), second.tolist())):
         sums = sum(np.correlate(u, v, "full") for u, v in zip(values[i], values[j]))
         block[row, :length] = sums[length - 1 :]
         block[row, n - length + 1 :] = sums[: length - 1]
+    block[first == second, 0] -= code_size * length
     return block
 
 
@@ -351,12 +369,6 @@ def _energy_limit(n: int, margin: float) -> float:
 def _pair_starts(set_size: int) -> np.ndarray:
     """Pair (i, i)'s number, for i = 0..M; code i's pairs (i, j >= i) follow."""
     return np.array([i * set_size - i * (i - 1) // 2 for i in range(set_size + 1)])
-
-
-def _pair_codes(starts: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Codes (i, j) of the numbered pairs."""
-    first = np.searchsorted(starts, pairs, side="right") - 1
-    return first, first + pairs - starts[first]
 
 
 def _pack_base(code_size: int, length: int) -> int:
@@ -373,16 +385,15 @@ def _pack_base(code_size: int, length: int) -> int:
     return base if (1 + base) * _rounding_bound(code_size, length) < 0.25 else 0
 
 
-def _blocks(code_set: CodeSet, margin: float = 0.0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(pairs, block) for each chunk of the engine's rows.
+def _blocks(code_set: CodeSet, margin: float = 0.0) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(first, second, block) for each chunk of the engine's rows.
 
-    Pairs are numbered in the order of np.triu_indices(M), and each pair
-    kept is yielded once, in that order.  Row r of block holds, at index
-    tau mod n, the sum over rows of the codes of pair pairs[r] at shift
-    tau.  It is real for q <= 2 and complex otherwise, and for q in
-    EXACT_MODULI rounded to certified integers.  A pair below
-    _energy_limit(n, margin) is left out, and for q in EXACT_MODULI so is a
-    diagonal pair whose deviation from N * L * delta is; margin 0 keeps all.
+    Row r of block holds, at index tau mod n, the sum over rows of codes
+    first[r] <= second[r] at shift tau, less N * L at shift 0 when the two
+    are one code.  Each pair kept is yielded once, in the order of
+    np.triu_indices(M).  A block is real for q <= 2 and complex otherwise,
+    and for q in EXACT_MODULI rounded to certified integers.  A pair below
+    _energy_limit(n, margin) is left out; margin 0 keeps all.
 
     The engine's rows run code by code.  The partners are the codes'
     conjugate spectra, or, for q in EXACT_MODULI where _pack_base gives
@@ -393,8 +404,8 @@ def _blocks(code_set: CodeSet, margin: float = 0.0) -> Iterator[tuple[np.ndarray
     Row after row, the pairs come in pair order.  Packed rows are tested
     and rounded with the margin less B * b and the bound (1 + B) * b, and
     the halves (a, a - 1) and (a, M) are dropped.  Row 0 of code a holds
-    its diagonal pair and is tested on its deviation from N * L * delta,
-    or, for odd a packed, from B * N * L * delta.
+    its diagonal pair and has N * L * delta taken off, or, for odd a
+    packed, B * N * L * delta.
     """
     q, phases = code_set.q, code_set.phases
     set_size, code_size, length = phases.shape
@@ -426,8 +437,8 @@ def _blocks(code_set: CodeSet, margin: float = 0.0) -> Iterator[tuple[np.ndarray
     # A real block's bins f and n - f have one modulus and rfft keeps
     # f <= n / 2, so twice the energy of its bins bounds E.
     limit = _energy_limit(n, margin) / (2 if real else 1)
-    # Code a's rows are row_starts[a] <= r < row_starts[a + 1].
-    starts = _pair_starts(set_size)
+    peak = code_size * length
+    # Code a's rows are row_list[a] <= r < row_list[a + 1].
     row_list = list(accumulate((len(partners) - a // width for a in range(set_size)), initial=0))
     row_starts, total = np.array(row_list), row_list[-1]
     chunk = max(1, CHUNK_ENTRIES // spectra[0].size)
@@ -440,37 +451,28 @@ def _blocks(code_set: CodeSet, margin: float = 0.0) -> Iterator[tuple[np.ndarray
             s0, s1 = max(r0, row_list[a]) - r0, min(r1, row_list[a + 1]) - r0
             g0 = a // width + s0 + r0 - row_list[a]
             np.einsum("nf,gnf->gf", spectra[a].conj(), partners[g0 : g0 + s1 - s0], out=rows[s0:s1])
+            if row_list[a] >= r0:  # row 0, less the spectrum of c_aa's peak
+                rows[s0] -= peak * (base if a % width else 1)
         if limit > 0:
             parts = rows.view(np.float64)
-            energy = np.einsum("pf,pf->p", parts, parts)
-            if q in EXACT_MODULI:
-                # Row 0 of code a holds c_aa, alone, as c_aa + B * c_(a,a+1),
-                # or, for odd a packed, as c_(a,a-1) + B * c_aa: it is tested
-                # on its deviation from N * L * delta or B * N * L * delta,
-                # whose spectrum is that constant.
-                for a in range(bisect_left(row_list, r0), bisect_left(row_list, r1)):
-                    deviation = rows[row_list[a] - r0] - code_size * length * (base if a % width else 1)
-                    energy[row_list[a] - r0] = np.vdot(deviation, deviation).real
-            keep = energy >= limit
+            keep = np.einsum("pf,pf->p", parts, parts) >= limit
             if not keep.all():
                 rows, kept = rows[keep], kept[keep]
         if not kept.size:
             continue
         # Row r of code a is partner g = a // w + r - row_starts[a]: its halves
-        # are pairs (a, w * g .. w * g + w - 1), and a half is dropped unless
-        # its number lies in code a's range starts[a] <= p < starts[a + 1].
+        # are pairs (a, j), j = w * g .. w * g + w - 1, each kept if a <= j < M.
         code = np.searchsorted(row_starts, kept, "right") - 1
-        low = starts[code] - code + width * (code // width + kept - row_starts[code])
-        pairs = (low[:, None] + np.arange(width)).ravel()
-        code = np.repeat(code, width)
-        halves = (starts[code] <= pairs) & (pairs < starts[code + 1])
+        second = (width * (code // width + kept - row_starts[code])[:, None] + np.arange(width)).ravel()
+        first = np.repeat(code, width)
+        halves = (first <= second) & (second < set_size)
         block = inverse(rows, n)
         if q in EXACT_MODULI:
 
             def direct():
                 """The rows' sums, packed as the rows are; exact below 2^53."""
-                sums = np.zeros((pairs.size, n), block.dtype)
-                sums[halves] = _direct_block(unit_values(q, phases), *_pair_codes(starts, pairs[halves]))
+                sums = np.zeros((first.size, n), block.dtype)
+                sums[halves] = _direct_block(unit_values(q, phases), first[halves], second[halves])
                 return np.dot((1, base)[:width], sums.reshape(-1, width, n)).view(np.float64)
 
             # real and imaginary parts rounded alike, through a float64 view
@@ -482,10 +484,10 @@ def _blocks(code_set: CodeSet, margin: float = 0.0) -> Iterator[tuple[np.ndarray
                 parts = split
             block = parts.view(block.dtype).reshape(-1, n)
         if not halves.all():
-            pairs, block = pairs[halves], block[halves]
+            first, second, block = first[halves], second[halves], block[halves]
         # only the rows yielded stay alive while the caller reduces them
         rows = parts = split = None
-        yield pairs, block
+        yield first, second, block
 
 
 @lru_cache(maxsize=256)
@@ -548,32 +550,20 @@ def verify_zccs(code_set: CodeSet, z: int | None = None) -> CorrelationReport:
     listing = _LISTINGS[integer]
     tables, count, room = [np.empty(0, listing)], 0, MAX_LISTED_VIOLATIONS
     # A pair the engine leaves out has every exact sum below tolerance, so
-    # zero, and the rows below would have read it as zero throughout; a
-    # diagonal one has its exact peak and zero elsewhere.
-    peaks = [CorrelationValue(expected_peak, 0)] * set_size
-    for kept, block in _blocks(code_set, tolerance - bound):
+    # zero, and the rows below would have read it as zero throughout.
+    for first_code, second_code, block in _blocks(code_set, tolerance - bound):
         if integer:
             nonzero = block != 0
         else:
             parts = np.abs(block.view(np.float64)) > tolerance
             nonzero = parts[:, 0::2] | parts[:, 1::2]
-        first_code, second_code = _pair_codes(starts, kept)
-        diag = np.flatnonzero(first_code == second_code)
-        if diag.size:
-            # A peak counts as nonzero where it misses N * L, so shift 0 of
-            # a diagonal pair is a violation exactly when its peak is off.
-            peak = block[diag, 0]
-            for i, v in zip(first_code[diag].tolist(), peak.tolist()):
-                peaks[i] = CorrelationValue(cast(v.real), cast(v.imag))
-            miss = np.maximum(np.abs(peak.real - expected_peak), np.abs(peak.imag))
-            nonzero[diag, 0] = miss > tolerance
         ahead = nonzero[:, :length]
         near = np.where(ahead.any(axis=1), ahead.argmax(axis=1), length)
         if length > 1:
             # shifts -1, -2, ..., -(L - 1) at indices n - 1, n - 2, ...
             behind = nonzero[:, n - 1 : n - length : -1]
             near = np.minimum(near, np.where(behind.any(axis=1), behind.argmax(axis=1) + 1, length))
-        first_nonzero[kept] = near
+        first_nonzero[starts[first_code] + second_code - first_code] = near
         hit = np.flatnonzero(near < zone)
         if not hit.size:
             continue
@@ -602,7 +592,7 @@ def verify_zccs(code_set: CodeSet, z: int | None = None) -> CorrelationReport:
         exact=exact,
         tolerance=tolerance,
         expected_peak=expected_peak,
-        peaks=tuple(peaks),
+        peaks=(CorrelationValue(cast(expected_peak), cast(0)),) * set_size,
         measured_zcz=int(first_nonzero.min()),
         violation_count=count,
         listed=listed,

@@ -60,12 +60,13 @@ def random_set(rng, q, set_size, code_size, length):
 
 
 def assembled_profiles(code_set, blocks):
-    """Whole pair profiles from (pairs, block) items in the engine's layout.
+    """Whole pair profiles from (first, second, block) items in the engine's layout.
 
     One (M(M+1)/2, 2L-1, 2) array, one row per code pair (i, j), i <= j, in
     the order of np.triu_indices(M), int64 for q in (1, 2, 4) and float64
     otherwise: profiles[p, t] holds the real and imaginary parts of the
-    pair's sum at shift tau = t - (L - 1).
+    pair's sum at shift tau = t - (L - 1), less N * L at shift 0 of a
+    diagonal pair, as the engine gives it.
     """
     set_size, _, length = code_set.phases.shape
     n = _fft_length(length)
@@ -73,7 +74,10 @@ def assembled_profiles(code_set, blocks):
         (set_size * (set_size + 1) // 2, 2 * length - 1, 2),
         dtype=np.int64 if code_set.q in (1, 2, 4) else np.float64,
     )
-    for pairs, block in blocks:
+    number = np.full((set_size, set_size), -1)
+    number[np.triu_indices(set_size)] = np.arange(len(profiles))
+    for first, second, block in blocks:
+        pairs = number[first, second]
         for part, values in enumerate((block.real, block.imag)):
             profiles[pairs, : length - 1, part] = values[:, n - length + 1 :]
             profiles[pairs, length - 1 :, part] = values[:, :length]
@@ -91,7 +95,7 @@ def direct_profiles(code_set):
     against."""
     first, second = np.triu_indices(code_set.set_size)
     block = _direct_block(unit_values(code_set.q, code_set.phases), first, second)
-    return assembled_profiles(code_set, [(np.arange(len(first)), block)])
+    return assembled_profiles(code_set, [(first, second, block)])
 
 
 def profile_value(profiles, set_size, i, j, tau):
@@ -101,20 +105,17 @@ def profile_value(profiles, set_size, i, j, tau):
     return CorrelationValue(*profiles[pair, tau + profiles.shape[1] // 2].tolist())
 
 
-def reduce_profiles(profiles, set_size, expected_peak, tolerance, zone):
+def reduce_profiles(profiles, set_size, tolerance, zone):
     """first_nonzero and every in-zone violation, derived from whole profiles.
 
     The reduction verify_zccs made over the stored profile array before it
-    went block by block: a part beyond tolerance is nonzero, a diagonal
-    pair's shift 0 is nonzero where the peak misses, violations in
-    (pair, |tau|, tau) order.
+    went block by block: a part beyond tolerance is nonzero, violations in
+    (pair, |tau|, tau) order.  A diagonal pair's shift 0 holds its peak's
+    deviation from N * L, so it is nonzero where the peak misses.
     """
     center = profiles.shape[1] // 2
     first, second = np.triu_indices(set_size)
-    diag = np.flatnonzero(first == second)
     nonzero = (np.abs(profiles) > tolerance).any(axis=2)
-    missed = profiles[diag, center] - np.array([expected_peak, 0])
-    nonzero[diag, center] = (np.abs(missed) > tolerance).any(axis=1)
     taus = np.arange(-center, center + 1)
     first_nonzero = [int(np.abs(taus[row]).min(initial=center + 1)) for row in nonzero]
     pair, col = np.nonzero(nonzero[:, center - zone + 1 : center + zone])
@@ -258,6 +259,8 @@ class TestVerify:
             for tau in range(-length + 1, length):
                 got = profile_value(profiles, set_size, i, j, tau).as_complex()
                 want = brute_set_accs(4, quaternary_ccc.phases[i], quaternary_ccc.phases[j], tau)
+                if i == j and tau == 0:
+                    want -= quaternary_ccc.code_size * length
                 assert got == pytest.approx(want, abs=1e-9)
 
     def test_single_flip_is_caught(self, quaternary_ccc):
@@ -373,7 +376,7 @@ class TestDerivedZeroTest:
                 for tau in range(1 - length, length):
                     offset = peak if i == j and tau == 0 else 0
                     got = profile_value(profiles, 3, i, j, tau)
-                    nonzero = max(abs(got.real - offset), abs(got.imag)) > report.tolerance
+                    nonzero = max(abs(got.real), abs(got.imag)) > report.tolerance
                     assert nonzero == brute_nonzero(q, phases[i], phases[j], tau, offset)
 
     def test_beyond_certified_range_is_not_exact(self):
@@ -476,8 +479,11 @@ class TestEngineDifferential:
                 rows_i, rows_j = cs.phases[i], cs.phases[j]
                 for tau in range(1 - length, length):
                     got = CorrelationValue(*profiles[pair, tau + length - 1].tolist())
+                    # the engine gives a diagonal pair's peak less N * L
+                    peak = code_size * length if i == j and tau == 0 else 0
                     direct = set_accs(q, rows_i, rows_j, tau)
-                    brute = sum(brute_accs(u, v, tau) for u, v in zip(values[i], values[j]))
+                    direct = CorrelationValue(direct.real - peak, direct.imag)
+                    brute = sum(brute_accs(u, v, tau) for u, v in zip(values[i], values[j])) - peak
                     if exact:
                         assert got == direct
                         assert isinstance(got.real, int) and isinstance(got.imag, int)
@@ -526,8 +532,9 @@ class TestRoundingCertificate:
         assert block.shape == (4, 16)
         assert not block[:, 7:10].any()
         for row, tau in itertools.product(range(4), range(-6, 7)):
-            want = set_accs(4, cs.phases[first[row]], cs.phases[second[row]], tau)
-            assert block[row, tau % 16] == want.as_complex()
+            want = set_accs(4, cs.phases[first[row]], cs.phases[second[row]], tau).as_complex()
+            # rows 0, 2 and 3 are diagonal pairs, whose peak N * L = 14 is taken off
+            assert block[row, tau % 16] == want - (14 if first[row] == second[row] and tau == 0 else 0)
 
     @pytest.mark.parametrize("q", [2, 4])
     def test_forced_fallback_at_a_radix_5_length(self, monkeypatch, q):
@@ -538,8 +545,9 @@ class TestRoundingCertificate:
         assert block.shape == (2, 160)
         assert not block[:, 80:81].any()
         for j, tau in itertools.product(range(1, 3), range(-79, 80)):
-            want = set_accs(q, cs.phases[1], cs.phases[j], tau)
-            assert block[j - 1, tau % 160] == want.as_complex()
+            want = set_accs(q, cs.phases[1], cs.phases[j], tau).as_complex()
+            # pair (1, 1) has its peak N * L = 160 taken off
+            assert block[j - 1, tau % 160] == want - (160 if j == 1 and tau == 0 else 0)
         default = engine_profiles(cs)
         monkeypatch.setattr(correlation, "_rounding_bound", lambda code_size, length: 1.0)
         calls = counted_direct_block(monkeypatch)
@@ -637,9 +645,7 @@ class TestBlocks:
             split = verify_zccs(cs, z=zone)
             monkeypatch.undo()
             profiles = direct_profiles(cs)
-            first_nonzero, violations = reduce_profiles(
-                profiles, set_size, split.expected_peak, split.tolerance, zone
-            )
+            first_nonzero, violations = reduce_profiles(profiles, set_size, split.tolerance, zone)
             assert split.first_nonzero.tolist() == first_nonzero
             assert split.measured_zcz == min(first_nonzero)
             assert_same_violations(split.violations, violations, q)
@@ -709,9 +715,7 @@ class TestBlocks:
             monkeypatch.setattr(correlation, "CHUNK_ENTRIES", rows_per_chunk * 2 * bins)
         assert correlation._pack_base(2, 64)
         report = verify_zccs(cs, z=64)
-        first_nonzero, violations = reduce_profiles(
-            direct_profiles(cs), set_size, report.expected_peak, report.tolerance, 64
-        )
+        first_nonzero, violations = reduce_profiles(direct_profiles(cs), set_size, report.tolerance, 64)
         assert len(violations) > MAX_LISTED_VIOLATIONS
         assert report.violation_count == len(violations)
         assert report.listed.tolist() == [
@@ -767,11 +771,19 @@ def counted_inverse_rows(monkeypatch):
     return rows
 
 
+def kept_pairs(code_set, margin):
+    """The (i, j) code pairs _blocks yields at margin, in order."""
+    return [
+        pair
+        for first, second, _ in correlation._blocks(code_set, margin)
+        for pair in zip(first.tolist(), second.tolist())
+    ]
+
+
 class TestZeroPairCertificate:
-    """Pairs whose cross-spectrum energy certifies every sum zero, and for
-    q in (1, 2, 4) diagonal pairs whose autocorrelation it certifies to be
-    N * L * delta, are left out of the inverse transform; nothing a report
-    says may change."""
+    """Pairs whose cross-spectrum energy certifies every sum zero, diagonal
+    pairs taken less N * L * delta, are left out of the inverse transform;
+    nothing a report says may change."""
 
     @staticmethod
     def no_skip(monkeypatch):
@@ -814,17 +826,14 @@ class TestZeroPairCertificate:
         phases[1, 2::2, 0] = q // 2
         cs = CodeSet(q, 1, phases)
 
-        def kept():
-            return [pair for pairs, _ in correlation._blocks(cs, 0.25) for pair in pairs.tolist()]
-
         # Packed, pair (0, 0) shares code 0's row with pair (0, 1), which
         # keeps the row and yields both; code 1's row holds (1, 0), dropped,
         # and (1, 1), whose deviation from N * L * delta is (1, 0)'s sum.
-        assert kept() == [0, 1, 2]
+        assert kept_pairs(cs, 0.25) == [(0, 0), (0, 1), (1, 1)]
         # One pair per row: at L = 1 either code's autocorrelation is
         # N * L * delta, so pairs (0, 0) and (1, 1) are left out.
         monkeypatch.setattr(correlation, "_pack_base", lambda code_size, length: 0)
-        assert kept() == [1]
+        assert kept_pairs(cs, 0.25) == [(0, 1)]
         monkeypatch.undo()
         report = verify_zccs(cs)
         assert report.first_nonzero.tolist() == [1, 0, 1]
@@ -845,15 +854,35 @@ class TestZeroPairCertificate:
             assert report.first_nonzero.tolist() == [cs.length] * len(report.first_nonzero)
         assert rows == []
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 8, 12])
+    def test_every_peak_is_n_times_l(self, q):
+        # The premise of taking N * L * delta off every diagonal pair: unit
+        # values make sum_t |u_t|^2 = N * L, whatever the phases.
+        rng = np.random.default_rng(500 + q)
+        for code_size, length in ((1, 1), (2, 7), (3, 40), (4, 64)):
+            code = rng.integers(0, q, (code_size, length))
+            peak = set_accs(q, code, code, 0)
+            if q in (1, 2, 4):
+                assert peak == (code_size * length, 0)
+            else:
+                assert peak.as_complex() == pytest.approx(code_size * length, abs=1e-9)
+            # and the diagonal rows of _direct_block read 0 at shift 0
+            cs = random_set(rng, q, 3, code_size, length)
+            block = _direct_block(unit_values(q, cs.phases), *np.triu_indices(3))
+            centres = block[[0, 3, 5], 0]
+            assert not centres.any() if q in (1, 2, 4) else np.abs(centres).max() < 1e-9
+
     @pytest.mark.parametrize("q", [6, 8])
-    def test_other_moduli_keep_every_diagonal_pair(self, monkeypatch, q):
-        # a float peak need not read exactly N * L, so only the cross pairs
-        # are left out, and the peaks stay the transform's floats
+    def test_other_moduli_certify_diagonal_pairs_too(self, monkeypatch, q):
+        # float moduli take N * L * delta off alike, so a complete
+        # complementary code runs no inverse transform and its peaks are
+        # the exact N * L
         rows = counted_inverse_rows(monkeypatch)
         cs = lemma2_ccc(Lemma2Params(q, 4, path_quadratic(4, q), deleted=(0,), beta1=1))
         report = verify_zccs(cs)
         assert report.zccs_ok and report.exact
-        assert sum(rows) == cs.set_size
+        assert rows == []
+        assert report.peaks == (CorrelationValue(float(cs.code_size * cs.length), 0.0),) * cs.set_size
         assert all(type(part) is float for peak in report.peaks for part in peak)
 
     @pytest.mark.parametrize("q", [2, 4])
@@ -863,9 +892,8 @@ class TestZeroPairCertificate:
         cs = lemma2_ccc(Lemma2Params(q, 4, path_quadratic(4, q), deleted=(0,), beta1=1))
         bad = mutate_one_phase(cs, ci=2, ri=1, pos=5, delta=q // 2)
         margin = 0.25 - _rounding_bound(bad.code_size, bad.length)
-        kept = [pair for pairs, _ in correlation._blocks(bad, margin) for pair in pairs.tolist()]
+        assert (2, 2) in kept_pairs(bad, margin)
         diagonal = 2 * 4 - 2 * 1 // 2  # pair (2, 2) of 4 codes
-        assert diagonal in kept
         report = verify_zccs(bad)
         assert report.first_nonzero[diagonal] < bad.length
         assert report.peaks[2] == (64, 0)
@@ -893,8 +921,8 @@ class TestZeroPairCertificate:
         # two pairs per packed row: 24 rows carry the 40 correlated pairs
         assert sum(rows) == 24
         margin = report.tolerance - _rounding_bound(cs.code_size, cs.length)
-        kept = [pair for pairs, _ in correlation._blocks(cs, margin) for pair in pairs.tolist()]
-        assert kept == np.flatnonzero(correlated).tolist()
+        kept = kept_pairs(cs, margin)
+        assert kept == list(zip(first[correlated].tolist(), second[correlated].tolist()))
         assert len(kept) == 40
 
 
@@ -952,7 +980,8 @@ class TestPacking:
         profiles = engine_profiles(cs)
         assert np.array_equal(profiles, direct_profiles(cs))
         first, second = np.triu_indices(set_size)
-        assert np.array_equal(profiles[:, 9, 0], 30 * (-1) ** (second - first))
+        # diagonal pairs read 30 - N * L = 0
+        assert np.array_equal(profiles[:, 9, 0], np.where(first == second, 0, 30 * (-1) ** (second - first)))
         assert not profiles[:, 9, 1].any()
 
     @pytest.mark.parametrize("rows_per_chunk", [None, 1, 3])
@@ -960,24 +989,22 @@ class TestPacking:
     @pytest.mark.parametrize("set_size", [4, 5])
     def test_pairs_come_once_in_pair_order(self, monkeypatch, q, set_size, rows_per_chunk):
         # Packed for q in (1, 2, 4), one pair per row for q = 6.  A dropped
-        # half (a, a - 1) or (a, M) that leaked would be numbered as pair
-        # (a - 1, M - 1) or (a + 1, a + 1), or past the last pair: out of
-        # order, twice, or out of range, and its sums would not be theirs.
+        # half (a, a - 1) or (a, M) that leaked would come as i > j or
+        # j = M, out of order or out of range, or twice.
         cs = random_set(np.random.default_rng(37 + q), q, set_size, 2, 9)
         if rows_per_chunk:
             bins = _fft_length(9) // 2 + 1 if q <= 2 else _fft_length(9)
             monkeypatch.setattr(correlation, "CHUNK_ENTRIES", rows_per_chunk * 2 * bins)
         values = unit_values(q, cs.phases)
-        first, second = np.triu_indices(set_size)
         seen = []
-        for pairs, block in correlation._blocks(cs):
-            assert len(block) == len(pairs) > 0
-            assert pairs.min() >= 0 and pairs.max() < len(first)
-            want = _direct_block(values, first[pairs], second[pairs])
+        for first, second, block in correlation._blocks(cs):
+            assert len(block) == len(first) == len(second) > 0
+            assert ((first <= second) & (second < set_size)).all()
+            want = _direct_block(values, first, second)
             assert np.allclose(block, want, rtol=0, atol=1e-9)
-            seen += pairs.tolist()
-        # margin 0 keeps every pair: each once, strictly increasing
-        assert seen == list(range(len(first)))
+            seen += zip(first.tolist(), second.tolist())
+        # margin 0 keeps every pair: each once, in pair order
+        assert seen == list(zip(*(index.tolist() for index in np.triu_indices(set_size))))
 
     def test_refused_where_the_bound_would_fail(self):
         # (4, 4, 65536) has (1 + B) * b = 5.25 for B = 2^20: one code per row
