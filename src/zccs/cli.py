@@ -21,18 +21,16 @@ import sys
 
 from . import __version__
 from .constructions import (
-    GBF,
     ChainParams,
     Lemma1Params,
     Lemma2Params,
-    Term,
     chained_zccs,
     lemma1_ccc,
     lemma2_ccc,
     theorem3_zccs,
 )
 from .correlation import ProfileSizeError, is_optimal, verify_zccs
-from .gbf import BIT_ORDERS, z
+from .gbf import BIT_ORDERS, GBF, Term, z
 from .graphs import LabeledGraph, NotAPathError, enumerate_admissible_deletions
 from .io import (
     CodeSetFormatError,

@@ -5,7 +5,8 @@ variable, one edge per degree-2 term, weighted by the term's coefficient.
 The constructions in this package require that deleting a chosen set of
 vertices leaves a Hamiltonian path on the survivors, and (for moduli above
 2) that every surviving edge carries weight q/2.  Validation here is exact:
-connectivity plus degree counting, no heuristics.
+connectivity plus degree counting, no heuristics.  A PathCertificate is what
+validate_deletion_path returns; nothing else builds one or checks it again.
 """
 
 from __future__ import annotations
@@ -82,47 +83,15 @@ class LabeledGraph:
 class PathCertificate:
     """Witness that a deletion leaves a path: the order and its endpoints.
 
-    end_vertices has two entries for a path on two or more vertices and one
-    for the single-vertex path.  Either endpoint is a valid choice wherever
-    a construction asks for one.
+    It is the record validate_deletion_path returns, built nowhere else and
+    not checked again.  end_vertices has two entries for a path on two or
+    more vertices and one for the single-vertex path.  Either endpoint is a
+    valid choice wherever a construction asks for one.
     """
 
     deleted: tuple[int, ...]
     path_order: tuple[int, ...]
     end_vertices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if tuple(sorted(self.deleted)) != self.deleted:
-            raise ValueError("deleted vertices must be sorted")
-        if not self.path_order:
-            raise ValueError("path must be nonempty")
-        if len(set(self.path_order)) != len(self.path_order):
-            raise ValueError("path order repeats a vertex")
-        if set(self.deleted) & set(self.path_order):
-            raise ValueError("deleted vertices overlap the path")
-        expected_ends = tuple(sorted({self.path_order[0], self.path_order[-1]}))
-        if tuple(sorted(self.end_vertices)) != expected_ends:
-            raise ValueError(f"end vertices {self.end_vertices} do not match path {self.path_order}")
-
-    def verify_against(self, graph: LabeledGraph) -> None:
-        """Check this certificate against the graph it claims to describe.
-
-        Raises ValueError if the deleted set and path do not partition the
-        vertices or the path edges do not exactly match the residual graph.
-        """
-        residual = set(range(graph.vertex_count)) - set(self.deleted)
-        if set(self.path_order) != residual:
-            raise ValueError("path does not cover the residual vertex set")
-        adj = graph.adjacency(frozenset(residual))
-        path_edges = {
-            (min(a, b), max(a, b))
-            for a, b in zip(self.path_order, self.path_order[1:])
-        }
-        residual_edges = {
-            (min(v, u), max(v, u)) for v, nbrs in adj.items() for u in nbrs
-        }
-        if path_edges != residual_edges:
-            raise ValueError("path edges do not match the residual graph")
 
 
 def graph_of_quadratic(f: GBF) -> LabeledGraph:

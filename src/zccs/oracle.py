@@ -220,11 +220,16 @@ def _chain(q: int, fronts, backs, flips) -> np.ndarray:
     fronts, backs = np.array(fronts), np.array(backs)  # (2^k, N, seed length)
     shift = (q // 2) * np.array(flips)[:, None, :, None]  # (patterns, 1, blocks, 1)
     n, rows, width = fronts.shape
-    codes = np.empty((2, n, len(shift), rows, shift.shape[2], width), dtype=np.int64)
+    patterns, _, blocks, _ = shift.shape
+    # Written through a block view and handed over read-only, so CodeSet
+    # keeps this array instead of copying it.
+    phases = np.empty((2 * n * patterns, rows, blocks * width), dtype=np.int64)
+    codes = phases.reshape(2, n, patterns, rows, blocks, width)
     np.add(fronts[:, None, :, None, :], shift, out=codes[0])
     np.subtract(-shift, backs[:, None, :, None, :], out=codes[1])
-    codes %= q
-    return codes.reshape(-1, rows, shift.shape[2] * width)
+    phases %= q
+    phases.setflags(write=False)
+    return phases
 
 
 def oracle_regenerate(code_set: CodeSet) -> CodeSet:

@@ -1,10 +1,12 @@
 """Graph layer: quadratic-form graphs and the deletion-to-path test.
 
 enumerate_admissible_deletions is cross-checked against networkx over every
-graph on up to five vertices.
+graph on up to five vertices, and with required_weight over every graph on up
+to four vertices with random edge weights in {1, 2}.
 """
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -13,7 +15,6 @@ from zccs import (
     GBF,
     LabeledGraph,
     NotAPathError,
-    PathCertificate,
     Term,
     enumerate_admissible_deletions,
     graph_of_quadratic,
@@ -118,6 +119,11 @@ class TestValidateDeletionPath:
         cert = validate_deletion_path(g, (2,), required_weight=2)
         assert cert.path_order == (0, 1)
 
+    def test_deleted_vertices_come_back_sorted(self):
+        cert = validate_deletion_path(path_graph(4, 1, 2), (3, 0))
+        assert cert.deleted == (0, 3)
+        assert cert.path_order == (1, 2)
+
     def test_deleted_vertex_out_of_range(self):
         with pytest.raises(ValueError):
             validate_deletion_path(LabeledGraph(2, ((0, 1, 1),)), (5,))
@@ -125,26 +131,6 @@ class TestValidateDeletionPath:
     def test_duplicate_deletion_rejected(self):
         with pytest.raises(ValueError):
             validate_deletion_path(LabeledGraph(3, ((0, 1, 1),)), (2, 2))
-
-
-class TestPathCertificate:
-    def test_verify_against_accepts_its_graph(self):
-        g = path_graph(4, 0, 1, 2, 3)
-        cert = validate_deletion_path(g, ())
-        cert.verify_against(g)
-
-    def test_verify_against_rejects_other_graph(self):
-        g = path_graph(3, 0, 1, 2)
-        cert = validate_deletion_path(g, ())
-        other = LabeledGraph(3, ((0, 1, 1), (0, 2, 1)))
-        with pytest.raises(ValueError):
-            cert.verify_against(other)
-
-    def test_inconsistent_fields_rejected(self):
-        with pytest.raises(ValueError):
-            PathCertificate(deleted=(), path_order=(0, 1), end_vertices=(0,))
-        with pytest.raises(ValueError):
-            PathCertificate(deleted=(0,), path_order=(0, 1), end_vertices=(0, 1))
 
 
 def nx_residual(nvars, edges, deleted):
@@ -181,15 +167,33 @@ class TestEnumerationAgainstNetworkx:
                 }
                 assert {c.deleted for c in certs} == want, (nvars, edges, k)
                 for cert in certs:
-                    # path_order is a Hamiltonian path of the residual
+                    # path_order is a Hamiltonian path of the residual, which
+                    # is a path, so the residual has no edge off path_order
                     order, residual = cert.path_order, nx_residual(nvars, edges, cert.deleted)
                     assert sorted(order) == sorted(residual), (edges, cert)
                     assert all(residual.has_edge(a, b) for a, b in zip(order, order[1:])), cert
+                    # the record's own invariants, which nothing rechecks
+                    assert list(cert.deleted) == sorted(cert.deleted), cert
+                    assert len(set(order)) == len(order), cert
+                    assert not set(cert.deleted) & set(order), cert
+                    assert cert.end_vertices == tuple(sorted({order[0], order[-1]})), cert
 
-    def test_certificates_verify_against_source(self):
-        graph = LabeledGraph(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)))
-        for cert in enumerate_admissible_deletions(graph, 1):
-            cert.verify_against(graph)
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    def test_weighted_paths_match_reference(self, nvars):
+        # the q-ary condition: a path whose every residual edge weighs q/2
+        rng = random.Random(nvars)
+        for edges in all_graphs(nvars):
+            weighted = tuple((i, j, rng.choice((1, 2))) for i, j in edges)
+            graph = LabeledGraph(nvars, weighted)
+            for k in range(0, nvars):
+                certs = enumerate_admissible_deletions(graph, k, required_weight=2)
+                want = {
+                    d
+                    for d in itertools.combinations(range(nvars), k)
+                    if nx_residual_is_path(nvars, edges, d)
+                    and all(w == 2 for i, j, w in weighted if i not in d and j not in d)
+                }
+                assert {c.deleted for c in certs} == want, (nvars, weighted, k)
 
     def test_k_bounds(self):
         graph = LabeledGraph(3, ())

@@ -3,6 +3,7 @@
 import ast
 import copy
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,22 @@ def test_regeneration_is_bit_exact(label, build, order):
 def test_example_construction_regenerates(example_base):
     cs = theorem1_zccs(Theorem1Params(example_base, l=1, r=2))
     assert oracle_regenerate(cs) == cs
+
+
+def test_regeneration_peak_stays_near_one_set():
+    # the chained array becomes the set's phases without a copy; the row
+    # tables beside it are a sixteenth of the set
+    base = Lemma1Params(10, quadratic_gbf(6, [(i, i + 1) for i in range(5)]), (0,) * 6,
+                        deleted=(0,), beta1=1)
+    cs = theorem1_zccs(Theorem1Params(base, 2, 4))
+    tracemalloc.start()
+    try:
+        regen = oracle_regenerate(cs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert regen == cs and regen.dims == (16, 4, 2560, 640)
+    assert peak <= 1.3 * cs.phases.nbytes, peak / cs.phases.nbytes
 
 
 class TestMismatchReporting:
