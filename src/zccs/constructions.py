@@ -5,9 +5,13 @@ codes (every correlation sum vanishes at every nonzero shift): a binary
 family seeded by a quadratic form whose graph turns into a path after
 deleting k vertices, and a q-ary family with the same graph condition where
 every surviving edge must carry weight q/2.  The other three extend those
-seeds to longer codes with a guaranteed zero-correlation zone, either by
-chaining sign-modulated blocks (``thm1``, ``thm2``) or by the fixed
-three-block pattern (P, P, -P) (``thm3``).
+seeds to longer codes with a guaranteed zero-correlation zone.  All five
+are one routine over a K x R block pattern P over Z_4: block r of the code
+that pattern row x builds from seed code n is +A_n, +B_n, -A_n or -B_n as
+P[x, r] is 0, 1, 2 or 3, with A_n the row table of seed code n, B_n its
+negated partner table and "-" the phase q/2.  The seeds are P = [[0], [1]];
+``thm3`` is [[0, 0, 2], [1, 1, 3]] with a zone of two blocks; ``thm1`` and
+``thm2`` are [2S; 2S + 1], S the parities of the block labels.
 
 All of them hit the size bound M = N * floor(L / Z), so a clean
 verification implies optimality.
@@ -406,10 +410,11 @@ def _row_tables(base: SeedParams, order: str, rows: np.ndarray, partners: np.nda
         back[:, 0::2] += half - end
 
 
-def _check_size(base: SeedParams, codes: int, blocks: int) -> None:
-    """Reject a set of codes * 2^(k+1) codes of 2^(k+1) rows, each blocks seed
-    lengths long, whose M * N * L exceeds MAX_PHASES; nothing is built yet."""
-    count = codes * 4 ** (base.k + 1) * blocks * base.seed_length
+def _check_size(base: SeedParams, rows: int, blocks: int) -> None:
+    """Reject the set that a rows x blocks pattern chains over base: rows * 2^k
+    codes of 2^(k+1) rows, each blocks seed lengths long, whose M * N * L
+    exceeds MAX_PHASES; nothing is built yet."""
+    count = (rows << base.k) * (2 << base.k) * blocks * base.seed_length
     if count > MAX_PHASES:
         raise ValueError(f"set of M * N * L = {count} phases exceeds the limit {MAX_PHASES}")
 
@@ -417,36 +422,50 @@ def _check_size(base: SeedParams, codes: int, blocks: int) -> None:
 def _chained_code_set(
     base: SeedParams,
     order: str,
-    signs,
+    pattern,
     zone_blocks: int,
     construction: str,
     chain_doc: dict | None = None,
 ) -> CodeSet:
-    """Chain every row table over blocks and wrap the result as a CodeSet.
+    """Chain the seed codes block by block after a Z_4 pattern and wrap the result as a CodeSet.
 
-    signs[c][b] in {0, 1} flips block b of every code with label c by the
-    phase q/2.  The front half holds the row tables chained once per label,
-    code n-major then label; the back half holds the partner tables chained
-    the same way and conjugated.  The declared zone is zone_blocks seed
-    lengths.  chain_doc adds block parameters to the provenance record.
+    pattern is a K x R integer matrix read mod 4, K even.  A_n is the row
+    table of seed code n and B_n its negated partner table.  Block r of the
+    code that pattern row x builds from seed code n is +A_n, +B_n, -A_n or
+    -B_n as pattern[x, r] is 0, 1, 2 or 3, where "-" is the phase q/2.
+    Codes go in (pattern half, n, pattern row) order.  The declared zone is
+    zone_blocks seed lengths.  chain_doc adds block parameters to the
+    provenance record.
     """
-    labels, blocks = np.shape(signs)
-    _check_size(base, labels, blocks)
+    pattern = np.asarray(pattern, dtype=np.int64) % 4
+    rows, blocks = pattern.shape
+    _check_size(base, rows, blocks)
     q, codes, n_rows, cut = base.q, 1 << base.k, 2 << base.k, base.seed_length
-    offsets = q // 2 * np.asarray(signs, dtype=np.int64)[None, :, None, :, None]
-    # Filled through a block view and handed over read-only, so CodeSet
-    # keeps this array instead of copying it.  The row tables are written
-    # into the set itself when it has one label and one block, and beside
-    # it otherwise: a ufunc input that overlaps a larger output makes numpy
-    # buffer a copy of the whole output.
-    phases = np.empty((2 * codes * labels, n_rows, blocks * cut), dtype=np.int64)
-    halves = phases.reshape(2, codes, labels, n_rows, blocks, cut)
-    tables = halves if labels * blocks == 1 else np.empty((2, codes, 1, n_rows, 1, cut), np.int64)
-    _row_tables(base, order, tables[0, :, 0, :, 0], tables[1, :, 0, :, 0])
-    np.add(tables[0], offsets, out=halves[0])
-    np.subtract(-offsets, tables[1], out=halves[1])
-    del halves, tables
-    phases %= q
+    shape = (codes * rows, n_rows, blocks * cut)
+    # Handed over read-only, so CodeSet keeps this array without a copy.
+    # The pattern [[0], [1]] is the seed itself, whose tables are written
+    # straight into the set; any other pattern copies its blocks from them,
+    # built before the set so that their work memory is gone by then.
+    in_place = pattern.shape == (2, 1) and pattern.tolist() == [[0], [1]]
+    phases = np.empty(shape, np.int64) if in_place else None
+    seed_shape = (2, codes, n_rows, cut)
+    seed = phases.reshape(seed_shape) if in_place else np.empty(seed_shape, np.int64)
+    _row_tables(base, order, seed[0], seed[1])
+    np.negative(seed[1], out=seed[1])
+    seed %= q
+    if not in_place:
+        phases = np.empty(shape, np.int64)
+        # chained[h, x, r] is block r of the codes (pattern half h, n,
+        # pattern row x) for every n; once +A_n and +B_n are placed, the
+        # seed turns by q/2 into -A_n and -B_n
+        chained = phases.reshape(2, codes, rows // 2, n_rows, blocks, cut)
+        chained = chained.transpose(0, 2, 4, 1, 3, 5)
+        parts = pattern.reshape(2, rows // 2, blocks)
+        for part in range(4):
+            if part == 2:
+                seed += q // 2
+                seed %= q
+            chained[parts == part] = seed[part % 2]
     phases.setflags(write=False)
     parameters = {**_base_doc(base), **(chain_doc or {})}
     return CodeSet(
@@ -461,7 +480,10 @@ def _base_doc(p: Lemma1Params | Lemma2Params) -> dict:
     if isinstance(p, Lemma1Params):
         return {
             "m1": p.m1,
-            "quadratic": [[i, j, w] for i, j, w in graph_of_quadratic(p.quadratic).edges],
+            # validation left only plain degree-2 terms, sorted as the graph's edges
+            "quadratic": [
+                [*(l.var_index for l in t.literals), t.coefficient] for t in p.quadratic.terms
+            ],
             "d_vec": [int(v) for v in p.d_vec],
             "d": int(p.d),
             "deleted": [int(v) for v in p.deleted],
@@ -500,23 +522,25 @@ def lemma1_ccc(params: Lemma1Params, bit_order: str | None = None) -> CodeSet:
     conjugated suffix family for the same n range.
     """
     _check_family(params, Lemma1Params)
-    return _chained_code_set(params, resolve_bit_order(bit_order), [[0]], 1, "lemma1")
+    return _chained_code_set(params, resolve_bit_order(bit_order), [[0], [1]], 1, "lemma1")
 
 
 def lemma2_ccc(params: Lemma2Params, bit_order: str | None = None) -> CodeSet:
     """q-ary complete complementary code of 2^(k+1) codes, length 2^m2."""
     _check_family(params, Lemma2Params)
-    return _chained_code_set(params, resolve_bit_order(bit_order), [[0]], 1, "lemma2")
+    return _chained_code_set(params, resolve_bit_order(bit_order), [[0], [1]], 1, "lemma2")
 
 
 def theorem3_zccs(params: Lemma1Params, bit_order: str | None = None) -> CodeSet:
     """Binary (2^(k+1), 2^(k+1), 3 gamma, 2 gamma) zero-zone set.
 
-    Each row is the three-block pattern (P, P, -P) over a seed prefix, or
-    the conjugate of that pattern over a seed suffix.
+    Each code is (A_n, A_n, -A_n) or (B_n, B_n, -B_n): the block pattern
+    [[0, 0, 2], [1, 1, 3]] over the seed's row tables A_n and negated
+    partner tables B_n, with a zone of two blocks.
     """
     _check_family(params, Lemma1Params)
-    return _chained_code_set(params, resolve_bit_order(bit_order), [[0, 0, 1]], 2, "thm3")
+    order = resolve_bit_order(bit_order)
+    return _chained_code_set(params, order, [[0, 0, 2], [1, 1, 3]], 2, "thm3")
 
 
 def chained_zccs(params: ChainParams, bit_order: str | None = None) -> CodeSet:
@@ -528,15 +552,16 @@ def chained_zccs(params: ChainParams, bit_order: str | None = None) -> CodeSet:
     the same order.
     """
     order = resolve_bit_order(bit_order)
-    _check_size(params.base, params.r, params.r)
+    _check_size(params.base, 2 * params.r, params.r)
     if params.r * params.l > MAX_PHASES:
         raise ValueError(f"R * l = {params.r * params.l} label bits exceed the limit {MAX_PHASES}")
     s_r = params.resolved_s_r(order)
     blocks = np.array([index_to_bits(b, params.l, order) for b in range(params.r)], dtype=np.int64)
-    signs = np.array(s_r, dtype=np.int64) @ blocks.T % 2
+    parities = np.array(s_r, dtype=np.int64) @ blocks.T % 2
+    pattern = np.concatenate((2 * parities, 2 * parities + 1))
     doc = {"l": int(params.l), "R": int(params.r), "s_r": [[int(b) for b in c] for c in s_r]}
     construction = "thm1" if isinstance(params.base, Lemma1Params) else "thm2"
-    return _chained_code_set(params.base, order, signs, 1, construction, doc)
+    return _chained_code_set(params.base, order, pattern, 1, construction, doc)
 
 
 theorem1_zccs = theorem2_zccs = chained_zccs

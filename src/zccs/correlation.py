@@ -236,7 +236,7 @@ def accs(q: int, u, v, tau: int) -> CorrelationValue:
     """Aperiodic cross-correlation of two phase rows over Z_q at one shift.
 
     Computed by direct dot product, deliberately not sharing code with the
-    batched profile path so the two can check each other.  The parts are
+    FFT engine (_blocks) so the two can check each other.  The parts are
     ints for q in EXACT_MODULI, whose float partial sums are exact integers
     below 2^53, and floats otherwise.
     """

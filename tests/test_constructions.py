@@ -417,6 +417,64 @@ class TestBinaryGenerators:
             assert report.zccs_ok, (l, r)
 
 
+def pattern_bases():
+    """k = 1 seeds with their CCC generators: binary, and q-ary at q = 4, 6."""
+    binary = Lemma1Params(6, quadratic_gbf(2, [(0, 1)]), (1, 0), d=1, deleted=(0,))
+    yield binary, lemma1_ccc
+    for q in (4, 6):
+        yield Lemma2Params(q, 3, full_qary_seed(q), deleted=(0,)), lemma2_ccc
+
+
+def digit_rows(*rows):
+    return [[int(c) for c in row] for row in rows]
+
+
+class TestBlockPatterns:
+    """One chaining routine over a K x R pattern over Z_4: block r of code
+    (pattern half h, n, pattern row x) is +A_n, +B_n, -A_n or -B_n, the
+    seed CCC's code n or 2^k + n turned by q/2 when P[h K/2 + x, r] >= 2."""
+
+    @pytest.mark.parametrize("order", ["lsb", "msb"])
+    @pytest.mark.parametrize("rows, blocks", [(2, 1), (2, 3), (4, 1), (4, 3)])
+    def test_random_patterns_chain_the_ccc_block_by_block(self, rows, blocks, order):
+        rng = np.random.default_rng(10 * rows + blocks)
+        patterns = [rng.integers(0, 4, (rows, blocks)) for _ in range(3)]
+        if (rows, blocks) == (2, 1):
+            patterns += [np.array([[0], [1]]), np.array([[1], [0]])]
+        for base, generator in pattern_bases():
+            ccc, q, codes, cut = generator(base, order), base.q, 1 << base.k, base.seed_length
+            for pattern in patterns:
+                cs = constructions._chained_code_set(base, order, pattern, 1, "test")
+                assert cs.dims == (codes * rows, 2 * codes, blocks * cut, cut)
+                labels = itertools.product(range(2), range(codes), range(rows // 2))
+                for (h, n, x), code in zip(labels, cs.phases, strict=True):
+                    for r, p in enumerate(pattern[h * rows // 2 + x]):
+                        expected = (ccc.phases[p % 2 * codes + n] + q // 2 * (p // 2)) % q
+                        assert np.array_equal(code[:, r * cut : (r + 1) * cut], expected)
+
+    @pytest.mark.parametrize("pattern, zone, dims", [
+        (digit_rows("00130", "10211"), 3, (8, 8, 800, 480)),
+        (digit_rows("010123", "030321"), 4, (8, 8, 960, 640)),
+        (digit_rows("00110213", "02130011", "02310033", "22112013"), 3, (16, 8, 1280, 480)),
+        (digit_rows("000000", "200022", "113313", "120102", "212001", "233110",
+                    "201203", "310211", "103231", "111120", "220330", "131311"),
+         1, (48, 8, 960, 160)),
+    ])
+    def test_mixed_patterns_give_optimal_sets(self, example_base, pattern, zone, dims):
+        # A and B blocks within one code, which no sign matrix over fixed
+        # front and back halves can state
+        cs = constructions._chained_code_set(example_base, "lsb", pattern, zone, "test")
+        assert cs.dims == dims
+        report = verify_zccs(cs)
+        assert report.zccs_ok and report.optimal and report.exact
+
+    def test_repeated_blocks_break_a_two_block_zone(self):
+        base = Lemma1Params(6, quadratic_gbf(2, [(0, 1)]), (1, 0), deleted=(0,))
+        cs = constructions._chained_code_set(base, "lsb", [[0, 0, 0], [1, 1, 1]], 2, "test")
+        report = verify_zccs(cs)
+        assert report.exact and not report.zccs_ok
+
+
 class TestQaryParamsAndGenerators:
     def test_modulus_must_be_even(self):
         with pytest.raises(ValueError):
