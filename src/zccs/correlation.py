@@ -91,6 +91,7 @@ as nonzero, and the report says exact=False.  s = 1 for q in
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -516,9 +517,15 @@ def verify_zccs(code_set: CodeSet, z: int | None = None) -> CorrelationReport:
     MAX_SPECTRUM_ENTRIES, whose M(M+1)/2 * n inverse-transform work would
     exceed MAX_TRANSFORM_WORK or whose M(M+1)/2 code pairs would exceed
     MAX_PAIRS raises ProfileSizeError, a ValueError, before anything is
-    allocated.
+    allocated; so does a modulus beyond the float range, over which the
+    values omega_q^phase cannot be formed.
     """
     set_size, code_size, length, declared = code_set.dims
+    if code_set.q > sys.float_info.max:
+        raise ProfileSizeError(
+            f"modulus q of {code_set.q.bit_length()} bits is beyond the float range "
+            f"(q <= {sys.float_info.max:.6g}) in which its values are formed"
+        )
     n = _fft_length(length)
     spectrum = set_size * code_size * (n // 2 + 1 if code_set.q <= 2 else n)
     pairs = set_size * (set_size + 1) // 2

@@ -3,10 +3,10 @@
 The oracle works from the formulas alone: its own shifts take the bits of
 every point index, the seed and each row function are evaluated in nested
 arithmetic form over int64 point columns (one column per variable, so one
-evaluation covers every point), and its own broadcasting chains the rows
-into codes.  It uses no generator or `gbf` code: no truth tables, no
-symbolic term algebra, no label-matrix offsets, no shared chaining.  Exact
-agreement between this path and the generators' is a strong check on both.
+evaluation covers every point), and its own gather chains the rows into
+codes.  It uses no generator or `gbf` code: no truth tables, no symbolic
+term algebra, no label-matrix products, no shared chaining.  Exact agreement
+between this path and the generators' is a strong check on both.
 
 Within one call each distinct piece of work is done once.  Every row
 function is the seed plus linear terms on the deleted vertices and on the
@@ -14,9 +14,12 @@ pair end (beta1 for the q-ary family), so
 
 - the seed is evaluated once, over the front tables' points (g, f) and over
   the complements of the back tables' points (s, h);
-- the linear coefficients (q/2)(a[pos] + n[pos]) matter only mod q, so for
-  even q the 2^(2k+1) (n, row) pairs share 2^(k+1) distinct row functions,
-  each evaluated once and shared by every row with that function.
+- for even q the coefficient (q/2)(a[pos] + n[pos]) of row (n, a) on
+  deleted vertex pos takes its value through a[pos] xor n[pos] alone, so
+  the 2^(2k+1) (n, row) pairs of a side share 2^(k+1) distinct row
+  functions.  Each side's are built once, as one array beside a copy
+  shifted by q/2 for the chain's flipped blocks, and an xor index gathers
+  every row of the set from them straight into its blocks.
 
 Nothing is kept between calls.  Every integer of the record is reduced mod q
 before it meets an array, so huge forged coefficients act as their residues.
@@ -40,64 +43,43 @@ def _bits(value, width: int, order: str) -> list:
     return [(value >> (width - 1 - i)) & 1 for i in range(width)]
 
 
-def _row_label(index: int, width: int) -> list[int]:
-    # Row labels enumerate with the leftmost coordinate slowest.  This is a
-    # fixed ordering convention, not tied to the index bit convention.
-    return [(index >> (width - 1 - pos)) & 1 for pos in range(width)]
-
-
 # ---------------------------------------------------------------------------
 # row functions, both families
 
 
-def _row_phase(q: int, seed, columns: list, coeffs, end_column, end: int):
-    """A row function over a table's points: the seed's values plus c times
-    each deleted-vertex column and (q/2) * end times the pair-end column.
-    Backs (s, h) pass the complemented deleted-vertex columns and 1 - end."""
-    total = seed + (q // 2) * end * end_column  # a new array; seed is shared
-    for c, column in zip(coeffs, columns):
-        total += c * column
-    return total % q
-
-
 def _row_tables(doc: dict, order: str, q: int, m: int, seed_eval, end_vertex: int, front_at, back_at):
-    """Front tables over the index array front_at and back tables over
-    back_at, nested [n][row], one int64 array per table.
+    """The distinct row functions of both sides and the index of every row.
 
-    Row (n, a) adds (q/2)(a[pos] + n[pos]) times deleted vertex pos, and a
-    pair-end term picked by a[-1].  Those coefficients mod q and a[-1] key
-    the memo of (front, back) table pairs, so rows with the same function
-    share one pair of arrays.
+    tables[side, flip, c, e] is a row function over the index array front_at
+    (side 0, the fronts g or f) or back_at (side 1, the backs s or h over
+    the complemented point columns, negated as they stand in the set).  It
+    is the seed plus (q/2) times deleted vertex pos where bit k-1-pos of c
+    is 1, plus the pair-end term where e is 1 (fronts) or 0 (backs), plus
+    q/2 where flip is 1, all mod q.  Row (n, a), a's label leftmost slowest,
+    takes c's bit k-1-pos = a[pos] xor n[pos] and e = a[-1], so index[n, a],
+    its function in tables[side, flip].reshape(2^(k+1), -1), is a xor the
+    bits of n moved to the same places.
     """
-    half = q // 2
-    deleted = doc["deleted"]
+    half, deleted = q // 2, doc["deleted"]
     k = len(deleted)
-    front_point = _bits(front_at, m, order)
-    back_point = _bits(back_at, m, order)
-    front_seed = seed_eval(doc, front_point)
-    back_seed = seed_eval(doc, [1 - b for b in back_point])
-    front_columns = [front_point[v] for v in deleted]
-    back_columns = [1 - back_point[v] for v in deleted]
-    memo = {}
-    fronts, backs = [], []
-    for n in range(1 << k):
-        nb = _bits(n, k, order)
-        fn, bn = [], []
-        for row in range(1 << (k + 1)):
-            a = _row_label(row, k + 1)
-            key = (tuple(half * (a[pos] + nb[pos]) % q for pos in range(k)), a[-1])
-            if key not in memo:
-                coeffs, end = key
-                memo[key] = (
-                    _row_phase(q, front_seed, front_columns, coeffs, front_point[end_vertex], end),
-                    _row_phase(q, back_seed, back_columns, coeffs, back_point[end_vertex], 1 - end),
-                )
-            front, back = memo[key]
-            fn.append(front)
-            bn.append(back)
-        fronts.append(fn)
-        backs.append(bn)
-    return fronts, backs
+    complement = (1 << m) - 1
+    tables = np.empty((2, 2, 1 << k, 2, len(front_at)), dtype=np.int64)
+    for side, at in enumerate((front_at, complement ^ back_at)):
+        point = _bits(at, m, order)
+        table = tables[side, 0]
+        # A back is negated: its seed here, while the q/2 terms are their
+        # own negatives mod q.
+        table[...] = (1 - 2 * side) * seed_eval(doc, point)
+        by_bit = table.reshape((2,) * k + (2, -1))
+        for pos, v in enumerate(deleted):
+            by_bit[(slice(None),) * pos + (1,)] += half * point[v]
+        table[:, 1 - side] += half * (point[end_vertex] ^ side)
+        del point  # one side's columns at a time
+    np.add(tables[:, 0], half, out=tables[:, 1])
+    tables %= q
+    n = np.arange(1 << k)
+    n_label = sum((b << (k - pos) for pos, b in enumerate(_bits(n, k, order))), np.zeros_like(n))
+    return tables, np.arange(2 << k) ^ n_label[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +107,13 @@ def _seed_eval(doc: dict, point: list):
 
 
 def _binary_row_tables(doc: dict, order: str):
-    """Per (n, row): the prefix phases of g and suffix phases of s."""
+    """The row tables over the prefix points of g and suffix points of s."""
     m1 = doc["m1"]
     gamma = (1 << (m1 - 1)) + (1 << (m1 - 3))
     full = 1 << m1
-    fronts, backs = _row_tables(
+    return _row_tables(
         doc, order, 2, m1, _seed_eval, doc["pair_end"], np.arange(gamma), np.arange(full - gamma, full)
     )
-    return gamma, fronts, backs
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +131,9 @@ def _terms_eval(doc: dict, point: list):
 
 
 def _qary_row_tables(doc: dict, order: str):
-    """Per (n, row): the phases of f and of its partner h."""
-    length = 1 << doc["m2"]
-    points = np.arange(length)
-    fronts, backs = _row_tables(doc, order, doc["q"], doc["m2"], _terms_eval, doc["beta1"], points, points)
-    return length, fronts, backs
+    """The row tables of f and of its partner h over every point."""
+    points = np.arange(1 << doc["m2"])
+    return _row_tables(doc, order, doc["q"], doc["m2"], _terms_eval, doc["beta1"], points, points)
 
 
 # ---------------------------------------------------------------------------
@@ -213,21 +192,22 @@ def _flips(doc: dict, order: str) -> list:
     return [sum((ci % 2 * bi for ci, bi in zip(c, bits)), np.zeros_like(blocks)) % 2 for c in doc["s_r"]]
 
 
-def _chain(q: int, fronts, backs, flips) -> np.ndarray:
-    """Codes as one (M, N, L) array: for each n and flip pattern, the front
-    rows once per block, block b shifted by q/2 when the pattern's entry b
-    is 1; then the conjugates of the same patterns over the back rows."""
-    fronts, backs = np.array(fronts), np.array(backs)  # (2^k, N, seed length)
-    shift = (q // 2) * np.array(flips)[:, None, :, None]  # (patterns, 1, blocks, 1)
-    n, rows, width = fronts.shape
-    patterns, _, blocks, _ = shift.shape
-    # Written through a block view and handed over read-only, so CodeSet
+def _chain(tables, index, flips) -> np.ndarray:
+    """Codes as one (M, N, L) array: for each side, n and flip pattern, the
+    rows of code n once per block, from the tables of block b's flip."""
+    flips = np.array(flips)[:, None, :]  # (patterns, 1, blocks)
+    patterns, _, blocks = flips.shape
+    n, rows = index.shape
+    width = tables.shape[-1]
+    side = np.arange(2)[:, None, None, None, None]
+    # (side, n, pattern, row, block) -> row of the flattened tables
+    functions = (2 * side + flips) * rows + index[:, None, :, None]
+    # Gathered through a block view and handed over read-only, so CodeSet
     # keeps this array instead of copying it.
     phases = np.empty((2 * n * patterns, rows, blocks * width), dtype=np.int64)
     codes = phases.reshape(2, n, patterns, rows, blocks, width)
-    np.add(fronts[:, None, :, None, :], shift, out=codes[0])
-    np.subtract(-shift, backs[:, None, :, None, :], out=codes[1])
-    phases %= q
+    # every index is in range; a clipping take writes out unbuffered
+    np.take(tables.reshape(-1, width), functions, axis=0, out=codes, mode="clip")
     phases.setflags(write=False)
     return phases
 
@@ -240,9 +220,9 @@ def oracle_regenerate(code_set: CodeSet) -> CodeSet:
     has no provenance, names an unknown construction or bit order, or its
     parameters are not an object holding every field the construction needs,
     in the shapes its formulas read, and describing a set of the stored
-    (M, N, L) and, for the q-ary family, the stored q.  Those checks come
-    before any loop, so a forged record can neither size the work nor break
-    it midway.
+    (M, N, L) and, for the q-ary family, the stored q, which must be even.
+    Those checks come before any loop, so a forged record can neither size
+    the work nor break it midway.
     """
     prov = code_set.provenance
     if not prov:
@@ -285,19 +265,21 @@ def oracle_regenerate(code_set: CodeSet) -> CodeSet:
             raise ValueError(f"provenance record is incomplete: q = {q!r} is not the set's {code_set.q}")
         if (q * terms) >> 63:
             raise ValueError(f"provenance record is incomplete: q = {q} overflows int64")
-        seed_length, fronts, backs = _qary_row_tables(doc, order)
+        if q % 2:
+            raise ValueError(f"provenance record is incomplete: q = {q} is odd")
+        tables, index = _qary_row_tables(doc, order)
     else:
         q = 2
-        seed_length, fronts, backs = _binary_row_tables(doc, order)
-    zone = seed_length
+        tables, index = _binary_row_tables(doc, order)
+    zone = tables.shape[-1]
     if construction in ("thm1", "thm2"):
         flips = _flips(doc, order)
     elif construction == "thm3":
         flips = [[0, 0, 1]]
-        zone = 2 * seed_length
+        zone *= 2
     else:
         flips = [[0]]
-    codes = _chain(q, fronts, backs, flips)
+    codes = _chain(tables, index, flips)
     return CodeSet(q=q, zcz=zone, phases=codes, provenance=copy.deepcopy(prov))
 
 

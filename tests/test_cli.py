@@ -305,6 +305,25 @@ class TestVerify:
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
         assert "Traceback" not in stderr
 
+    @pytest.mark.parametrize("q", [2**1024, 10**400], ids=["2**1024", "10**400"])
+    def test_modulus_beyond_float_range_is_exit_3(self, capsys, tmp_path, q):
+        # omega_q^phase is formed in floats, which q must fit
+        doc = {"format_version": 1, "metadata": {"q": q, "M": 1, "N": 1, "L": 2, "Z": 1},
+               "codes": [[[0, 1]]]}
+        path = tmp_path / "huge-q.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, stdout, stderr = run(capsys, "verify", str(path))
+        assert code == 3
+        assert stdout == ""
+        assert stderr.startswith(f"error: modulus q of {q.bit_length()} bits is beyond the float range")
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
+
+    def test_modulus_at_the_float_range_verifies(self, capsys, tmp_path):
+        path = tmp_path / "q2-1023.json"
+        save_code_set(CodeSet(q=2**1023, zcz=1, phases=np.array([[[0, 1]]])), path)
+        code, _, stderr = run(capsys, "verify", str(path))
+        assert code == 0 and stderr == ""
+
     def test_q8_counterexample_fails_exactly(self, capsys, tmp_path):
         path = tmp_path / "q8.json"
         save_code_set(q8_counterexample(), path)

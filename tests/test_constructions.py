@@ -348,9 +348,11 @@ class TestBinaryGenerators:
 
     def test_row_order_is_lexicographic_in_labels(self):
         # every code of both seed families against the oracle's row tables,
-        # which take row a's label bits leftmost slowest: front code n, row a
-        # is g^{a,n} (prefix) or f^{a,n}; back code n, row a is the
-        # conjugate of s^{a,n} (suffix) or h^{a,n}
+        # whose index takes row a's label bits leftmost slowest: front code
+        # n, row a is g^{a,n} (prefix) or f^{a,n}; back code n, row a is the
+        # conjugate of s^{a,n} (suffix) or h^{a,n}.  Function (c, e) of a
+        # side adds the deleted vertex pos where bit k-1-pos of c is set, and
+        # row (n, a) is the one with c's bits a[pos] xor n[pos] and e = a[-1]
         path = quadratic_gbf(3, [(0, 1), (1, 2)])
         for (k, deleted), q, order in itertools.product(
             enumerate(((), (0,), (0, 1))), (4, 6), ("lsb", "msb")
@@ -361,17 +363,19 @@ class TestBinaryGenerators:
                            Term(q - 1, (z(0),)), Term(1, (z(2),)), Term(1)))
             qary = Lemma2Params(q, 3, f, deleted=deleted)
             families = [
-                (lemma1_ccc(binary, order), 2, oracle._binary_row_tables),
-                (lemma2_ccc(qary, order), q, oracle._qary_row_tables),
+                (lemma1_ccc(binary, order), oracle._binary_row_tables),
+                (lemma2_ccc(qary, order), oracle._qary_row_tables),
             ]
-            for cs, modulus, tables in families:
-                _, fronts, backs = tables(cs.provenance["parameters"], order)
+            for cs, tables in families:
+                distinct, index = tables(cs.provenance["parameters"], order)
                 for row, a_vec in enumerate(itertools.product((0, 1), repeat=k + 1)):
-                    assert oracle._row_label(row, k + 1) == list(a_vec)
                     for n in range(1 << k):
-                        back = cs.phases[(1 << k) + n, row]
-                        assert np.array_equal(cs.phases[n, row], fronts[n][row])
-                        assert np.array_equal(back, -backs[n][row] % modulus)
+                        c = [a ^ b for a, b in zip(a_vec, index_to_bits(n, k, order))]
+                        function = sum(bit << (k - pos) for pos, bit in enumerate(c)) + a_vec[-1]
+                        assert index[n, row] == function
+                        for side in (0, 1):
+                            table = distinct[side, 0].reshape(2 << k, -1)[function]
+                            assert np.array_equal(cs.phases[(side << k) + n, row], table)
 
     def test_all_zero_block_label_repeats_the_seed_code(self):
         base = Lemma1Params(6, quadratic_gbf(2, [(0, 1)]), (1, 1))

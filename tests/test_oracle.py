@@ -44,6 +44,14 @@ def qary_base(q=4, deleted=()):
     return Lemma2Params(q, 3, f, deleted=deleted)
 
 
+def path_k3(q):
+    """q-ary base on m2 = 6: a weight-q/2 path with vertices 0, 1, 2 deleted
+    (k = 3), so 16 distinct row functions stand behind 128 rows a side."""
+    terms = [Term(q // 2, (z(i), z(i + 1))) for i in range(5)]
+    terms += [Term(q - 1, (z(0),)), Term(1, (z(2),)), Term(1, (z(5),)), Term(1)]
+    return Lemma2Params(q, 6, GBF(6, q, tuple(terms)), deleted=(0, 1, 2))
+
+
 def builders():
     plain = Lemma1Params(5, GBF(1, 2, ()), (1,), d=1)
     one_del = Lemma1Params(7, quadratic_gbf(3, [(0, 2)]), (0, 1, 1), deleted=(1,))
@@ -62,6 +70,11 @@ def builders():
     yield "lemma2-quaternary", lambda order: lemma2_ccc(qary_base(deleted=(2,)), bit_order=order)
     yield "thm2", lambda order: theorem2_zccs(
         Theorem2Params(qary_base(), l=2, r=2), bit_order=order
+    )
+    for q in (2, 4, 6, 8, 12):
+        yield f"lemma2-k3-q{q}", lambda order, q=q: lemma2_ccc(path_k3(q), bit_order=order)
+    yield "thm2-k3-q6", lambda order: theorem2_zccs(
+        Theorem2Params(path_k3(6), l=2, r=4), bit_order=order
     )
 
 
@@ -239,12 +252,15 @@ def test_one_table_per_row_function(build, tables, order):
     """k = 2: 2^(2k+1) (n, row) pairs share 2^(k+1) distinct row functions."""
     cs = build(order)
     assert oracle_regenerate(cs) == cs
-    _, fronts, backs = tables(cs.provenance["parameters"], order)
+    distinct, index = tables(cs.provenance["parameters"], order)
     k = 2
-    for per_n in (fronts, backs):
-        per_row = [table for rows in per_n for table in rows]
+    # (side, flip, c, e, point): the flipped copy is the unflipped plus q/2
+    assert distinct.shape == (2, 2, 2**k, 2, cs.length)
+    assert np.array_equal(distinct[:, 1], (distinct[:, 0] + cs.q // 2) % cs.q)
+    assert index.shape == (2**k, 2 ** (k + 1))
+    for side in distinct[:, 0]:
+        per_row = [side.reshape(2 ** (k + 1), -1)[f] for f in index.ravel()]
         assert len(per_row) == 2 ** (2 * k + 1)
-        assert len({id(table) for table in per_row}) == 2 ** (k + 1)
         assert len({tuple(table) for table in per_row}) == 2 ** (k + 1)
 
 
@@ -323,6 +339,13 @@ class TestForgedIntegers:
         huge = dataclasses.replace(forge(cs, ("q",), lambda _: 2**70), q=2**70)
         with pytest.raises(ValueError, match=f"incomplete: q = {2**70} overflows int64"):
             oracle_regenerate(huge)
+
+    def test_odd_q_refused(self):
+        # (q/2)(a + n) is a function of a xor n only for even q
+        cs = lemma2_ccc(qary_base())
+        odd = dataclasses.replace(forge(cs, ("q",), lambda _: 5), q=5)
+        with pytest.raises(ValueError, match="incomplete: q = 5 is odd"):
+            oracle_regenerate(odd)
 
     def test_large_q_within_int64_regenerates(self):
         cs = theorem2_zccs(Theorem2Params(qary_base(2**40, deleted=(2,)), l=2, r=2))
