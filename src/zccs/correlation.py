@@ -223,6 +223,15 @@ def is_optimal(set_size: int, code_size: int, length: int, zone: int) -> bool:
     return set_size == code_size * (length // zone)
 
 
+def _check_float_range(q: int, error: type[ValueError] = ValueError) -> None:
+    """Refuse a modulus beyond the float range, over which omega_q^phase cannot be formed."""
+    if q > sys.float_info.max:
+        raise error(
+            f"modulus q of {q.bit_length()} bits is beyond the float range "
+            f"(q <= {sys.float_info.max:.6g}) in which its values are formed"
+        )
+
+
 def _phase_row(q: int, row) -> np.ndarray:
     """row as a 1-D int64 array of phases in [0, q); ValueError otherwise."""
     arr = np.asarray(row)
@@ -239,8 +248,10 @@ def accs(q: int, u, v, tau: int) -> CorrelationValue:
     Computed by direct dot product, deliberately not sharing code with the
     FFT engine (_blocks) so the two can check each other.  The parts are
     ints for q in EXACT_MODULI, whose float partial sums are exact integers
-    below 2^53, and floats otherwise.
+    below 2^53, and floats otherwise.  A modulus beyond the float range
+    raises ValueError before anything is allocated.
     """
+    _check_float_range(q)
     u, v = _phase_row(q, u), _phase_row(q, v)
     length = len(u)
     if len(v) != length:
@@ -521,11 +532,7 @@ def verify_zccs(code_set: CodeSet, z: int | None = None) -> CorrelationReport:
     values omega_q^phase cannot be formed.
     """
     set_size, code_size, length, declared = code_set.dims
-    if code_set.q > sys.float_info.max:
-        raise ProfileSizeError(
-            f"modulus q of {code_set.q.bit_length()} bits is beyond the float range "
-            f"(q <= {sys.float_info.max:.6g}) in which its values are formed"
-        )
+    _check_float_range(code_set.q, ProfileSizeError)
     n = _fft_length(length)
     spectrum = set_size * code_size * (n // 2 + 1 if code_set.q <= 2 else n)
     pairs = set_size * (set_size + 1) // 2

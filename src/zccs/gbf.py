@@ -2,9 +2,11 @@
 
 A generalized Boolean function (GBF) maps {0,1}^m into Z_q.  It is stored
 symbolically as a normalized sum of coefficient-weighted products of
-possibly complemented variables, and is evaluated only as a whole: its
-truth table, the length-2^m sequence of its phases, built array-wide.
-unit_values raises a primitive q-th root of unity to them.
+possibly complemented variables.  Literal and Term are plain named tuples
+that keep what they are given; GBF alone normalises its terms.  A GBF is
+evaluated only as a whole: its truth table, the length-2^m sequence of its
+phases, built array-wide.  unit_values raises a primitive q-th root of
+unity to them.
 
 The mapping between a sequence index r in [0, 2^m) and an evaluation point
 (r_0, ..., r_{m-1}) needs a bit-order convention.  The default is "lsb"
@@ -16,6 +18,7 @@ conventions can be tested side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,16 +36,11 @@ def resolve_bit_order(order: str | None) -> str:
     return order
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
+class Literal(NamedTuple):
     """One variable occurrence, plain z_i or complemented (1 - z_i)."""
 
     var_index: int
     complemented: bool = False
-
-    def __post_init__(self) -> None:
-        if self.var_index < 0:
-            raise ValueError(f"variable index must be nonnegative, got {self.var_index}")
 
 
 def z(i: int) -> Literal:
@@ -53,36 +51,27 @@ def zbar(i: int) -> Literal:
     return Literal(i, True)
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """coefficient * product of literals; an empty product is the constant 1."""
 
     coefficient: int
     literals: tuple[Literal, ...] = ()
 
-    def __post_init__(self) -> None:
-        # z_i * z_i == z_i, so duplicates collapse; order is canonical.
-        object.__setattr__(self, "literals", tuple(sorted(set(self.literals))))
-
     @property
     def degree(self) -> int:
         return len(self.literals)
-
-    def is_always_zero(self) -> bool:
-        """True when the product contains both z_i and its complement."""
-        plain = {l.var_index for l in self.literals if not l.complemented}
-        comp = {l.var_index for l in self.literals if l.complemented}
-        return bool(plain & comp)
 
 
 @dataclass(frozen=True)
 class GBF:
     """Function {0,1}^m -> Z_q as a normalized sum of terms.
 
-    Normalization: like terms combine, coefficients reduce mod q, zero
-    coefficients and always-zero products drop out, and terms sort by
-    (degree, literal tuple).  Two GBFs computing the same sum of products
-    therefore compare equal.
+    Normalization, done here and nowhere else: each term's literals are
+    deduped (z_i z_i = z_i) and sorted, a variable outside [0, m) is
+    refused, a product holding z_i and 1 - z_i drops out, like terms combine
+    mod q, zero coefficients drop out, and terms sort by (degree, literal
+    tuple).  Two GBFs computing the same sum of products therefore compare
+    equal.
     """
 
     m: int
@@ -95,21 +84,16 @@ class GBF:
         if self.q < 2:
             raise ValueError(f"modulus must be at least 2, got q={self.q}")
         combined: dict[tuple[Literal, ...], int] = {}
-        for t in self.terms:
-            if t.is_always_zero():
-                continue
-            for lit in t.literals:
-                if lit.var_index >= self.m:
-                    raise ValueError(
-                        f"literal z_{lit.var_index} out of range for m={self.m}"
-                    )
-            combined[t.literals] = (combined.get(t.literals, 0) + t.coefficient) % self.q
-        normalized = tuple(
-            Term(c, lits)
-            for lits, c in sorted(combined.items(), key=lambda kv: (len(kv[0]), kv[0]))
-            if c != 0
-        )
-        object.__setattr__(self, "terms", normalized)
+        for coefficient, literals in self.terms:
+            literals = tuple(sorted(set(literals)))
+            variables = [var for var, _ in literals]
+            if variables and not 0 <= variables[0] <= variables[-1] < self.m:
+                raise ValueError(f"variables {variables} of a term out of range for m={self.m}")
+            if len(set(variables)) < len(variables):
+                continue  # z_i (1 - z_i) = 0
+            combined[literals] = (combined.get(literals, 0) + coefficient) % self.q
+        ordered = sorted(combined.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        object.__setattr__(self, "terms", tuple(Term(c, lits) for lits, c in ordered if c))
 
     @property
     def degree(self) -> int:
@@ -146,20 +130,23 @@ def truth_table(f: GBF, order: str | None = None, index: np.ndarray | None = Non
     Returns an int64 array t with t[r] = f(index_to_bits(index[r], m,
     order)).  A term is nonzero at r exactly when r's bits under its
     literals read 1 for plain and 0 for complemented ones, one mask test, so
-    the work memory is three arrays of the index's length for any m.
+    the work memory is three arrays of the index's length for any m.  A q
+    whose sums could overflow int64 raises ValueError before any allocation.
     """
+    if f.q * max(1, len(f.terms)) >> 63:
+        raise ValueError(f"modulus q = {f.q} overflows int64 with {len(f.terms)} terms")
     order = resolve_bit_order(order)
     if index is None:
         index = np.arange(1 << f.m, dtype=np.int64)
     acc = np.zeros_like(index)
     masked, hit = np.empty_like(index), np.empty(index.shape, bool)
-    for t in f.terms:
+    for coefficient, literals in f.terms:
         mask = plain = 0
-        for l in t.literals:
-            bit = 1 << _bit_shift(l.var_index, f.m, order)
-            mask, plain = mask | bit, plain if l.complemented else plain | bit
+        for var, complemented in literals:
+            bit = 1 << _bit_shift(var, f.m, order)
+            mask, plain = mask | bit, plain if complemented else plain | bit
         np.equal(np.bitwise_and(index, mask, out=masked), plain, out=hit)
-        np.add(acc, t.coefficient, out=acc, where=hit)
+        np.add(acc, coefficient, out=acc, where=hit)
     acc %= f.q
     return acc
 

@@ -103,14 +103,14 @@ def graph_of_quadratic(f: GBF) -> LabeledGraph:
     literals, have no graph reading and are rejected.
     """
     edges = []
-    for t in f.terms:
-        if t.degree > 2:
-            raise ValueError(f"term of degree {t.degree} has no graph form")
-        if t.degree == 2:
-            if any(l.complemented for l in t.literals):
+    for coefficient, literals in f.terms:
+        if len(literals) > 2:
+            raise ValueError(f"term of degree {len(literals)} has no graph form")
+        if len(literals) == 2:
+            (i, i_complemented), (j, j_complemented) = literals
+            if i_complemented or j_complemented:
                 raise ValueError("quadratic terms must use plain literals")
-            i, j = (l.var_index for l in t.literals)
-            edges.append((i, j, t.coefficient))
+            edges.append((i, j, coefficient))
     return LabeledGraph(f.m, tuple(edges))
 
 

@@ -207,6 +207,20 @@ class TestAccs:
             with pytest.raises(ValueError):
                 accs(2, v, u, 0)
 
+    @pytest.mark.parametrize("q", [2**1024, 10**400], ids=["2**1024", "10**400"])
+    def test_modulus_beyond_float_range_is_refused(self, q):
+        # omega_q^phase is formed in floats, which q must fit, as in verify_zccs
+        match = f"modulus q of {q.bit_length()} bits is beyond the float range"
+        with pytest.raises(ValueError, match=match):
+            accs(q, [0, 1], [0, 1], 1)
+        with pytest.raises(ValueError, match=match):
+            set_accs(q, [[0, 1]], [[0, 1]], 0)
+
+    def test_modulus_at_the_float_range_is_formed(self):
+        # one product omega^1 * conj(omega^0), just off the real axis
+        value = accs(2**1023, [0, 1], [0, 1], 1)
+        assert value.real == 1.0 and 0 < value.imag < 1e-306
+
 
 class TestSetAccs:
     def test_is_sum_of_rows(self, small_ccc):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,17 +31,17 @@ class TestLiteralsAndTerms:
         assert zbar(3) == Literal(3, True)
 
     def test_literal_rejects_negative_index(self):
-        with pytest.raises(ValueError):
-            Literal(-1, False)
+        # a literal is a plain value; the GBF holding it checks its range
+        assert Literal(-1, False).var_index == -1
+        with pytest.raises(ValueError, match=r"variables \[-1, 1\] of a term out of range"):
+            GBF(2, 2, (Term(1, (z(1), Literal(-1, False))),))
 
     def test_term_sorts_and_dedupes_literals(self):
-        t = Term(1, (z(2), z(0), z(2)))
-        assert t.literals == (z(0), z(2))
-        assert t.degree == 2
-
-    def test_term_with_contradictory_literals_is_zero(self):
-        assert Term(1, (z(0), zbar(0))).is_always_zero()
-        assert not Term(1, (z(0), zbar(1))).is_always_zero()
+        # a bare Term keeps its literals as given; the GBF normalises them
+        assert Term(1, (z(2), z(0), z(2))).literals == (z(2), z(0), z(2))
+        t = GBF(3, 2, (Term(1, (z(2), zbar(1), z(0), z(2))),)).terms[0]
+        assert t.literals == (z(0), zbar(1), z(2))
+        assert t.degree == 3
 
 
 class TestGBFNormalization:
@@ -56,6 +57,9 @@ class TestGBFNormalization:
     def test_always_zero_products_vanish(self):
         f = GBF(1, 2, (Term(1, (z(0), zbar(0))),))
         assert f.terms == ()
+        # z_i and its complement cancel within a product, not across variables
+        f = GBF(2, 2, (Term(1, (z(0), zbar(0), z(1))), Term(1, (z(0), zbar(1)))))
+        assert f.terms == (Term(1, (z(0), zbar(1))),)
 
     def test_terms_sorted_by_degree_then_literals(self):
         f = GBF(3, 2, (Term(1, (z(1), z(2))), Term(1, (z(0),)), Term(1, ())))
@@ -71,6 +75,44 @@ class TestGBFNormalization:
             GBF(0, 2, ())
         with pytest.raises(ValueError):
             GBF(1, 1, ())  # modulus below 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_normalisation_does_not_depend_on_how_f_is_written(self, seed):
+        # shuffle the terms, shuffle and repeat literals inside a term, split
+        # each coefficient c into a and c - a mod q, and add products holding
+        # some z_i and its complement: the same function, so the same GBF,
+        # its terms in (degree, literals) order
+        rng = random.Random(seed)
+
+        def product(variables):
+            return [Literal(v, rng.random() < 0.5) for v in variables]
+
+        for _ in range(25):
+            m, q = rng.randrange(1, 7), rng.choice([2, 3, 4, 6, 8, 12, 2**40])
+            f = GBF(m, q, tuple(
+                Term(rng.randrange(q), tuple(product(rng.sample(range(m), rng.randrange(m + 1)))))
+                for _ in range(rng.randrange(8))
+            ))
+            rewritten = []
+            for c, literals in f.terms:
+                a = rng.randrange(q)
+                for part in (a, (c - a) % q):
+                    written = [*literals, *rng.choices(literals, k=rng.randrange(3) if literals else 0)]
+                    rng.shuffle(written)
+                    rewritten.append(Term(part, tuple(written)))
+            for v in rng.choices(range(m), k=rng.randrange(3)):
+                written = [z(v), zbar(v), *product(rng.sample(range(m), rng.randrange(m)))]
+                rng.shuffle(written)
+                rewritten.append(Term(rng.randrange(q), tuple(written)))
+            rng.shuffle(rewritten)
+            g = GBF(m, q, tuple(rewritten))
+            assert g == f
+            assert list(g.terms) == sorted(g.terms, key=lambda t: (t.degree, t.literals))
+            # brute_gbf sums the rewritten terms as written, unnormalised
+            raw = SimpleNamespace(q=q, terms=rewritten)
+            for order in BIT_ORDERS:
+                want = [brute_gbf(raw, index_to_bits(r, m, order)) for r in range(1 << m)]
+                assert truth_table(g, order).tolist() == truth_table(f, order).tolist() == want
 
     def test_degree(self):
         assert GBF(3, 2).degree == 0
@@ -167,6 +209,14 @@ class TestTruthTable:
             assert table.tolist() == want
             whole = [brute_gbf(f, index_to_bits(r, m, order)) for r in range(1 << m)]
             assert truth_table(f, order).tolist() == whole
+
+    @pytest.mark.parametrize("q, count", [(2**64, 1), (2**63, 0), (2**61, 4)],
+                             ids=["2**64", "2**63 no terms", "2**61 four terms"])
+    def test_modulus_that_overflows_int64_is_refused(self, q, count):
+        terms = [Term(q - 1, literals) for literals in ((z(0),), (), (z(1),), (z(0), z(1)))]
+        f = GBF(2, q, tuple(terms[:count]))
+        with pytest.raises(ValueError, match=f"modulus q = {q} overflows int64 with {count} terms"):
+            truth_table(f)
 
     def test_orders_differ_for_asymmetric_function(self):
         f = GBF(3, 2, (Term(1, (z(0),)),))

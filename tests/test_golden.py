@@ -1,31 +1,48 @@
-"""Golden hashes: sha256 of the canonical file bytes of pinned sets.
+"""Golden hashes: sha256 of the canonical file bytes of pinned sets, and of
+the verification reports of a fixed corpus.
 
-The values were computed before code sets became arrays, so they pin the
-generators' output and the file layout bit for bit across refactors.
+The set values were computed before code sets became arrays, so they pin
+the generators' output and the file layout bit for bit across refactors.
+The report digests pin what verify_zccs and dumps_report say about every
+set of the corpus, in every engine mode.
 """
 
 import hashlib
+import json
+import random
 
+import numpy as np
 import pytest
 
 from zccs import (
     GBF,
+    CodeSet,
     Lemma1Params,
     Lemma2Params,
     Term,
     Theorem1Params,
     Theorem2Params,
     dumps_code_set,
+    dumps_report,
     enumerate_admissible_deletions,
     graph_of_quadratic,
     lemma1_ccc,
+    lemma2_ccc,
     theorem1_zccs,
     theorem2_zccs,
     theorem3_zccs,
+    verify_zccs,
     z,
 )
+from zccs import correlation
 
-from conftest import all_graphs, quadratic_gbf
+from conftest import (
+    EXAMPLE_EDGES,
+    all_graphs,
+    mutate_one_phase,
+    q8_counterexample,
+    quadratic_gbf,
+)
 
 
 def digest(*code_sets):
@@ -94,3 +111,110 @@ def test_binary_seed_sweep():
                         counter += 1
     assert len(sets) == 661
     assert digest(*sets) == "197bd4762a785ba1b038ae69902bd3986dd871c0f29a540edb967b771adf1b13"
+
+
+# ---------------------------------------------------------------------------
+# report digests
+
+REPORT_MODULI = (1, 2, 3, 4, 5, 6, 8, 10, 12)
+REPORT_SHAPES = ((1, 1, 5), (3, 2, 16), (4, 3, 40), (5, 1, 7), (7, 2, 24), (6, 4, 64))
+
+# Computed before Literal and Term became named tuples.  A change that
+# moves a digest names the change and its reason in CHANGES.md.
+EXACT_REPORTS = "553025aa5e86b7535412d83bc5e278bfb3e5759859ac44eaa6a558cd492f5679"
+OTHER_REPORTS = "b907b79be7734a729e9879be36933b2d7123b1cdf6b5b7ef7f62939785c5b32a"
+
+
+def generated_sets():
+    """The sweep, long_chain and qary shapes at small sizes, in both bit
+    orders: lemma1 and thm3 on three path bases and the README's, thm1 with
+    (l, r) = (2, 4) on the paths and (1, 2) on the README's, and lemma2 and
+    thm2 on a q-ary path."""
+    bases = [
+        (Lemma1Params(5, quadratic_gbf(1, ()), (1,), d=0, deleted=(), beta1=0), 2, 4),
+        (Lemma1Params(6, quadratic_gbf(2, ((0, 1),)), (0, 1), d=1, deleted=(0,), beta1=1), 2, 4),
+        (Lemma1Params(7, quadratic_gbf(3, ((0, 1), (1, 2))), (1, 0, 1), deleted=(0,), beta1=1), 2, 4),
+        (Lemma1Params(8, quadratic_gbf(4, EXAMPLE_EDGES), (1, 1, 1, 1), deleted=(0, 1), beta1=2), 1, 2),
+    ]
+    for order in ("lsb", "msb"):
+        for base, l, r in bases:
+            yield lemma1_ccc(base, order)
+            yield theorem1_zccs(Theorem1Params(base, l, r), order)
+            yield theorem3_zccs(base, order)
+        for q in (2, 4, 6, 8):
+            yield lemma2_ccc(qary_base(q), order)
+            yield theorem2_zccs(Theorem2Params(qary_base(q), l=2, r=4), order)
+
+
+def random_sets():
+    """Seeded uniform phases in every shape and modulus, declared zone 1 and L."""
+    rng = np.random.default_rng(9)
+    for q in REPORT_MODULI:
+        for set_size, code_size, length in REPORT_SHAPES:
+            phases = rng.integers(0, q, size=(set_size, code_size, length))
+            for zone in (1, length):
+                yield CodeSet(q, zone, phases)
+
+
+def build_report_corpus():
+    """(code set, zone) for every set, generated or random, and three
+    one-phase mutants of each, at the declared zone and at zone 1; then the
+    q = 8 counterexample."""
+    rng = random.Random(17)
+    corpus = []
+    for cs in [*generated_sets(), *random_sets()]:
+        mutants = [
+            mutate_one_phase(
+                cs,
+                rng.randrange(cs.set_size),
+                rng.randrange(cs.code_size),
+                rng.randrange(cs.length),
+                1 + rng.randrange(max(1, cs.q - 1)),
+            )
+            for _ in range(3)
+        ]
+        corpus += [(each, zone) for each in (cs, *mutants) for zone in (cs.zcz, 1)]
+    corpus.append((q8_counterexample(), None))
+    return corpus
+
+
+@pytest.fixture(scope="module")
+def report_corpus():
+    return build_report_corpus()
+
+
+def report_digests(corpus, moduli=None):
+    """sha256 over the reports of the corpus sets whose q is in moduli (all
+    by default): the dumps_report texts for q in EXACT_MODULI, whose values
+    are integers, and for other q the summary, first_nonzero and the (i, j,
+    tau) keys of the listing.  Their listed values are floats that can move
+    in the last bit with the einsum's summation order, which differs
+    between machines, so they are left out."""
+    exact, other = hashlib.sha256(), hashlib.sha256()
+    for cs, zone in corpus:
+        if moduli is not None and cs.q not in moduli:
+            continue
+        report = verify_zccs(cs, zone)
+        text = dumps_report(report)
+        if cs.q in correlation.EXACT_MODULI:
+            exact.update(text.encode("utf-8"))
+        else:
+            keys = report.listed[["i", "j", "tau"]].tolist()
+            doc = [json.loads(text)["summary"], report.first_nonzero.tolist(), keys]
+            other.update(json.dumps(doc).encode("utf-8"))
+    return exact.hexdigest(), other.hexdigest()
+
+
+@pytest.mark.parametrize("chunk_entries", [None, 1, 390], ids=["default", "chunk 1", "chunk 390"])
+def test_report_digests(monkeypatch, report_corpus, chunk_entries):
+    if chunk_entries is not None:
+        monkeypatch.setattr(correlation, "CHUNK_ENTRIES", chunk_entries)
+    assert report_digests(report_corpus) == (EXACT_REPORTS, OTHER_REPORTS)
+
+
+def test_exact_report_digest_through_the_direct_fallback(monkeypatch, report_corpus):
+    # a rounding bound of 1 fails every certificate, so direct() computes
+    # every block; the other moduli's tolerance would change with it
+    monkeypatch.setattr(correlation, "_rounding_bound", lambda code_size, length: 1.0)
+    exact, _ = report_digests(report_corpus, correlation.EXACT_MODULI)
+    assert exact == EXACT_REPORTS
