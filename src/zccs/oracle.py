@@ -8,6 +8,10 @@ codes.  It uses no generator or `gbf` code: no truth tables, no symbolic
 term algebra, no label-matrix products, no shared chaining.  Exact agreement
 between this path and the generators' is a strong check on both.
 
+Each construction chains after a K x R pattern over Z_4 of its own, which
+gives the set's dims, zone and gather alike: block value 0, 1, 2 or 3 is
++A_n, +B_n, -A_n or -B_n, with A_n a front, B_n its negated back, "-" q/2.
+
 Within one call each distinct piece of work is done once.  Every row
 function is the seed plus linear terms on the deleted vertices and on the
 pair end (beta1 for the q-ary family), so
@@ -17,9 +21,9 @@ pair end (beta1 for the q-ary family), so
 - for even q the coefficient (q/2)(a[pos] + n[pos]) of row (n, a) on
   deleted vertex pos takes its value through a[pos] xor n[pos] alone, so
   the 2^(2k+1) (n, row) pairs of a side share 2^(k+1) distinct row
-  functions.  Each side's are built once, as one array beside a copy
-  shifted by q/2 for the chain's flipped blocks, and an xor index gathers
-  every row of the set from them straight into its blocks.
+  functions.  They are built once for each of the four block values, the
+  turned ones as a copy shifted by q/2, and an xor index gathers every row
+  of the set from them straight into its blocks.
 
 Nothing is kept between calls.  Every integer of the record is reduced mod q
 before it meets an array, so huge forged coefficients act as their residues.
@@ -48,25 +52,24 @@ def _bits(value, width: int, order: str) -> list:
 
 
 def _row_tables(doc: dict, order: str, q: int, m: int, seed_eval, end_vertex: int, front_at, back_at):
-    """The distinct row functions of both sides and the index of every row.
+    """The distinct row functions of each block value and the index of every row.
 
-    tables[side, flip, c, e] is a row function over the index array front_at
-    (side 0, the fronts g or f) or back_at (side 1, the backs s or h over
-    the complemented point columns, negated as they stand in the set).  It
-    is the seed plus (q/2) times deleted vertex pos where bit k-1-pos of c
-    is 1, plus the pair-end term where e is 1 (fronts) or 0 (backs), plus
-    q/2 where flip is 1, all mod q.  Row (n, a), a's label leftmost slowest,
-    takes c's bit k-1-pos = a[pos] xor n[pos] and e = a[-1], so index[n, a],
-    its function in tables[side, flip].reshape(2^(k+1), -1), is a xor the
-    bits of n moved to the same places.
+    tables[v, c, e], v = 2 turn + side, is a row function over front_at
+    (side 0, the fronts g or f) or back_at (side 1, the backs s or h over the
+    complemented point columns, negated as they stand in the set): the seed
+    plus (q/2) times deleted vertex pos where bit k-1-pos of c is 1, plus the
+    pair-end term where e is 1 (fronts) or 0 (backs), plus q/2 where turn is
+    1, all mod q.  Row (n, a), a's label leftmost slowest, takes c's bit
+    k-1-pos = a[pos] xor n[pos] and e = a[-1], so index[n, a], its function
+    in tables[v].reshape(2^(k+1), -1), is a xor n's bits moved likewise.
     """
     half, deleted = q // 2, doc["deleted"]
     k = len(deleted)
     complement = (1 << m) - 1
-    tables = np.empty((2, 2, 1 << k, 2, len(front_at)), dtype=np.int64)
+    tables = np.empty((4, 1 << k, 2, len(front_at)), dtype=np.int64)
     for side, at in enumerate((front_at, complement ^ back_at)):
         point = _bits(at, m, order)
-        table = tables[side, 0]
+        table = tables[side]
         # A back is negated: its seed here, while the q/2 terms are their
         # own negatives mod q.
         table[...] = (1 - 2 * side) * seed_eval(doc, point)
@@ -75,7 +78,7 @@ def _row_tables(doc: dict, order: str, q: int, m: int, seed_eval, end_vertex: in
             by_bit[(slice(None),) * pos + (1,)] += half * point[v]
         table[:, 1 - side] += half * (point[end_vertex] ^ side)
         del point  # one side's columns at a time
-    np.add(tables[:, 0], half, out=tables[:, 1])
+    np.add(tables[:2], half, out=tables[2:])
     tables %= q
     n = np.arange(1 << k)
     n_label = sum((b << (k - pos) for pos, b in enumerate(_bits(n, k, order))), np.zeros_like(n))
@@ -156,13 +159,28 @@ def _record_fields(doc: dict, qary: bool) -> tuple[list, list]:
     return vertices, numbers
 
 
-def _described_dims(construction: str, doc: dict, length: int) -> tuple[int, int, int] | None:
-    """(M, N, L) of the set the parameters describe, or None when they cannot
-    describe one of this length.  A seed length is at least 2^(m - 1), so m
-    is held to length's bit length before any power of two is formed, and l
-    to the length of every stored label.  Every vertex the record names must
-    be one of the seed's m variables and every other number an int, so that
-    no loop meets a field it cannot index or reduce."""
+def _pattern(construction: str, doc: dict, order: str) -> tuple[np.ndarray, int]:
+    """The K x R block pattern over Z_4 by which the construction chains the
+    seed codes, and its zone in blocks.  thm1 and thm2 chain P = [2F; 2F + 1]
+    with F[c, b] the parity of label c of s_r against the l bits of b."""
+    if construction == "thm3":
+        return np.array([[0, 0, 2], [1, 1, 3]]), 2
+    if construction not in ("thm1", "thm2"):
+        return np.array([[0], [1]]), 1
+    blocks = np.arange(doc["R"])
+    bits = _bits(blocks, doc["l"], order)
+    flips = np.array([sum((ci % 2 * bi for ci, bi in zip(c, bits)), 0 * blocks) for c in doc["s_r"]]) % 2
+    return np.concatenate((2 * flips, 2 * flips + 1)), 1
+
+
+def _described_dims(construction: str, doc: dict, order: str, dims: tuple[int, int, int]):
+    """((M, N, L), pattern, zone in blocks) of the set the parameters describe,
+    or None when they cannot describe one of the stored (M, L).  m is held to
+    L's bit length before any power of two is formed; R to R seed lengths = L,
+    l to every label's length and the label count to 1..M before the pattern
+    is.  Every vertex named must be one of the seed's m variables and every
+    other number an int, so no loop meets a field it cannot index or reduce."""
+    set_size, _, length = dims
     qary = construction in ("lemma2", "thm2")
     m = doc["m2"] if qary else doc["m1"]
     if type(m) is not int or not (1 if qary else 5) <= m <= length.bit_length():
@@ -170,42 +188,30 @@ def _described_dims(construction: str, doc: dict, length: int) -> tuple[int, int
     vertices, numbers = _record_fields(doc, qary)
     seed_length = 1 << m if qary else (1 << (m - 1)) + (1 << (m - 3))
     if construction in ("thm1", "thm2"):
-        if type(doc["R"]) is not int or type(doc["l"]) is not int:
+        labels, blocks, l = doc["s_r"], doc["R"], doc["l"]
+        if (type(blocks) is not int or type(l) is not int or blocks * seed_length != length
+                or not 0 < len(labels) <= set_size or any(len(c) != l for c in labels)):
             return None
-        if any(len(c) != doc["l"] for c in doc["s_r"]):
-            return None
-        numbers += [b for c in doc["s_r"] for b in c]
-        labels, blocks = len(doc["s_r"]), doc["R"]
-    else:
-        labels, blocks = 1, 3 if construction == "thm3" else 1
+        numbers += [b for c in labels for b in c]
     if any(type(v) is not int for v in vertices + numbers) or not all(0 <= v < m for v in vertices):
         return None
+    pattern, zone_blocks = _pattern(construction, doc, order)
     rows = 2 << len(doc["deleted"])
-    return rows * labels, rows, blocks * seed_length
+    return (len(pattern) * rows // 2, rows, pattern.shape[1] * seed_length), pattern, zone_blocks
 
 
-def _flips(doc: dict, order: str) -> list:
-    """Per label c of s_r, block b's flip: the parity of c against the l
-    bits of b."""
-    blocks = np.arange(doc["R"])
-    bits = _bits(blocks, doc["l"], order)
-    return [sum((ci % 2 * bi for ci, bi in zip(c, bits)), np.zeros_like(blocks)) % 2 for c in doc["s_r"]]
-
-
-def _chain(tables, index, flips) -> np.ndarray:
-    """Codes as one (M, N, L) array: for each side, n and flip pattern, the
-    rows of code n once per block, from the tables of block b's flip."""
-    flips = np.array(flips)[:, None, :]  # (patterns, 1, blocks)
-    patterns, _, blocks = flips.shape
+def _chain(tables, index, pattern) -> np.ndarray:
+    """Codes as one (M, N, L) array: code (pattern half h, n, pattern row x)
+    is, block by block, the rows of code n from tables[P[h K/2 + x, r]]."""
+    patterns, blocks = pattern.shape
     n, rows = index.shape
     width = tables.shape[-1]
-    side = np.arange(2)[:, None, None, None, None]
-    # (side, n, pattern, row, block) -> row of the flattened tables
-    functions = (2 * side + flips) * rows + index[:, None, :, None]
+    # (half, n, pattern row, row, block) -> row of the flattened tables
+    functions = pattern.reshape(2, 1, patterns // 2, 1, blocks) * rows + index[:, None, :, None]
     # Gathered through a block view and handed over read-only, so CodeSet
     # keeps this array instead of copying it.
-    phases = np.empty((2 * n * patterns, rows, blocks * width), dtype=np.int64)
-    codes = phases.reshape(2, n, patterns, rows, blocks, width)
+    phases = np.empty((n * patterns, rows, blocks * width), dtype=np.int64)
+    codes = phases.reshape(2, n, patterns // 2, rows, blocks, width)
     # every index is in range; a clipping take writes out unbuffered
     np.take(tables.reshape(-1, width), functions, axis=0, out=codes, mode="clip")
     phases.setflags(write=False)
@@ -248,10 +254,10 @@ def oracle_regenerate(code_set: CodeSet) -> CodeSet:
         raise ValueError(f"provenance record is incomplete: parameters lack {', '.join(missing)}")
     dims = code_set.dims[:3]
     try:
-        described = _described_dims(construction, doc, code_set.length)
+        described = _described_dims(construction, doc, order, dims)
     except (TypeError, KeyError, ValueError):
         described = None
-    if described != dims:
+    if described is None or described[0] != dims:
         raise ValueError(
             f"provenance record is incomplete: its parameters do not describe an "
             f"(M, N, L) = {dims} set"
@@ -259,7 +265,7 @@ def oracle_regenerate(code_set: CodeSet) -> CodeSet:
     if qary:
         q = doc["q"]
         # A phase adds fewer than q per f term, per deleted vertex, for the
-        # pair end and for the chain's flip, so this bound keeps int64 exact.
+        # pair end and for the block's turn, so this bound keeps int64 exact.
         terms = len(doc["f_terms"]) + len(doc["deleted"]) + 2
         if type(q) is not int or q != code_set.q:
             raise ValueError(f"provenance record is incomplete: q = {q!r} is not the set's {code_set.q}")
@@ -271,16 +277,9 @@ def oracle_regenerate(code_set: CodeSet) -> CodeSet:
     else:
         q = 2
         tables, index = _binary_row_tables(doc, order)
-    zone = tables.shape[-1]
-    if construction in ("thm1", "thm2"):
-        flips = _flips(doc, order)
-    elif construction == "thm3":
-        flips = [[0, 0, 1]]
-        zone *= 2
-    else:
-        flips = [[0]]
-    codes = _chain(tables, index, flips)
-    return CodeSet(q=q, zcz=zone, phases=codes, provenance=copy.deepcopy(prov))
+    _, pattern, zone_blocks = described
+    codes = _chain(tables, index, pattern)
+    return CodeSet(q=q, zcz=zone_blocks * tables.shape[-1], phases=codes, provenance=copy.deepcopy(prov))
 
 
 def phase_mismatches(first: CodeSet, second: CodeSet) -> list[tuple[int, int, int]]:

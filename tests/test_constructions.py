@@ -374,7 +374,7 @@ class TestBinaryGenerators:
                         function = sum(bit << (k - pos) for pos, bit in enumerate(c)) + a_vec[-1]
                         assert index[n, row] == function
                         for side in (0, 1):
-                            table = distinct[side, 0].reshape(2 << k, -1)[function]
+                            table = distinct[side].reshape(2 << k, -1)[function]
                             assert np.array_equal(cs.phases[(side << k) + n, row], table)
 
     def test_all_zero_block_label_repeats_the_seed_code(self):

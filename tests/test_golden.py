@@ -4,12 +4,14 @@ the verification reports of a fixed corpus.
 The set values were computed before code sets became arrays, so they pin
 the generators' output and the file layout bit for bit across refactors.
 The report digests pin what verify_zccs and dumps_report say about every
-set of the corpus, in every engine mode.
+set of the corpus, in every engine mode, and what zccs verify prints, exits
+with and writes for stored files.
 """
 
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from zccs import (
     verify_zccs,
     z,
 )
-from zccs import correlation
+from zccs import cli, correlation
 
 from conftest import (
     EXAMPLE_EDGES,
@@ -218,3 +220,87 @@ def test_exact_report_digest_through_the_direct_fallback(monkeypatch, report_cor
     monkeypatch.setattr(correlation, "_rounding_bound", lambda code_size, length: 1.0)
     exact, _ = report_digests(report_corpus, correlation.EXACT_MODULI)
     assert exact == EXACT_REPORTS
+
+
+def test_exact_report_digest_through_the_packed_fallback(monkeypatch, report_corpus):
+    # every inverse transform is off by 0.3 at one entry, so no chunk's
+    # rounding is certified and each chunk's pairs are recomputed one by one
+    for name in ("irfft", "ifft"):
+
+        def perturbed(spectra, n, inverse=getattr(np.fft, name)):
+            block = inverse(spectra, n)
+            block[0, 1] += 0.3
+            return block
+
+        monkeypatch.setattr(np.fft, name, perturbed)
+    exact, _ = report_digests(report_corpus, correlation.EXACT_MODULI)
+    assert exact == EXACT_REPORTS
+
+
+# ---------------------------------------------------------------------------
+# zccs verify on stored files
+
+# Computed before the oracle chained Z_4 block patterns.  A change that
+# moves it names the change and its reason in CHANGES.md.
+CLI_REPORTS = "860a9b1acdc9dd32ad7758a3b58624b2eb2cd1a8b17dcb9ceb33bab8b0abc5d2"
+
+
+def qary_path(q, m2):
+    """Weight-q/2 path on m2 vertices with a fixed linear part, vertex 0 deleted."""
+    terms = [Term(q // 2, (z(i), z(i + 1))) for i in range(m2 - 1)]
+    terms += [Term((3 * i + 1) % q, (z(i),)) for i in range(m2)] + [Term(q - 1)]
+    return Lemma2Params(q, m2, GBF(m2, q, tuple(terms)), deleted=(0,), beta1=1)
+
+
+def cli_sources():
+    """The mutants benchmark's sources at fixed parameters: thm1 on the
+    README base and on an m1 = 9 path base, lemma2 at q = 4 and thm2 at q = 8."""
+    readme = Lemma1Params(8, quadratic_gbf(4, EXAMPLE_EDGES), (1, 0, 1, 1), d=1, deleted=(0, 1), beta1=2)
+    path = Lemma1Params(9, quadratic_gbf(5, [(i, i + 1) for i in range(4)]), (0, 1, 1, 0, 1),
+                        deleted=(0,), beta1=1)
+    yield theorem1_zccs(Theorem1Params(readme, l=1, r=2))
+    yield theorem1_zccs(Theorem1Params(path, l=2, r=4))
+    yield lemma2_ccc(qary_path(4, 9))
+    yield theorem2_zccs(Theorem2Params(qary_path(8, 7), l=2, r=4))
+
+
+def test_cli_report_digest(monkeypatch, tmp_path, capsys):
+    """One sha256 over zccs verify --report, at the declared zone and at
+    --z 1, on each source, two seeded one-phase mutants of it, each written
+    canonically and as json.dumps text, and the q = 8 counterexample.  For
+    q in EXACT_MODULI it takes the exit code, stdout and report bytes; for
+    q = 8 the exit code, the report summary and the listing keys, since
+    listed floats can move in the last bit between machines."""
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(31)
+    files = []
+    for si, cs in enumerate(cli_sources()):
+        for mi in range(3):
+            each = cs if mi == 0 else mutate_one_phase(
+                cs,
+                rng.randrange(cs.set_size),
+                rng.randrange(cs.code_size),
+                rng.randrange(cs.length),
+                1 + rng.randrange(cs.q - 1),
+            )
+            text = dumps_code_set(each)
+            for kind, body in (("canonical", text), ("default", json.dumps(json.loads(text)))):
+                name = f"set{si}-{mi}-{kind}.json"
+                Path(name).write_text(body, encoding="utf-8")
+                files.append((name, cs.q, min(mi, 1)))
+    Path("q8.json").write_text(dumps_code_set(q8_counterexample()), encoding="utf-8")
+    files.append(("q8.json", 8, 1))
+    acc = hashlib.sha256()
+    for name, q, exit_code in files:
+        for zone in ([], ["--z", "1"]):
+            code = cli.main(["verify", name, *zone, "--report", "report.json"])
+            stdout = capsys.readouterr().out
+            text = Path("report.json").read_text(encoding="utf-8")
+            assert code == exit_code, (name, zone)
+            if q in correlation.EXACT_MODULI:
+                parts = [code, stdout, text]
+            else:
+                doc = json.loads(text)
+                parts = [code, doc["summary"], [[v["i"], v["j"], v["tau"]] for v in doc["violations"]]]
+            acc.update(json.dumps([name, zone, *parts]).encode("utf-8"))
+    assert acc.hexdigest() == CLI_REPORTS

@@ -25,9 +25,9 @@ from zccs import (
     theorem3_zccs,
     z,
 )
-from zccs import oracle
+from zccs import constructions, oracle
 
-from conftest import mutate_one_phase, quadratic_gbf
+from conftest import EXAMPLE_EDGES, mutate_one_phase, quadratic_gbf
 
 
 def qary_base(q=4, deleted=()):
@@ -254,11 +254,11 @@ def test_one_table_per_row_function(build, tables, order):
     assert oracle_regenerate(cs) == cs
     distinct, index = tables(cs.provenance["parameters"], order)
     k = 2
-    # (side, flip, c, e, point): the flipped copy is the unflipped plus q/2
-    assert distinct.shape == (2, 2, 2**k, 2, cs.length)
-    assert np.array_equal(distinct[:, 1], (distinct[:, 0] + cs.q // 2) % cs.q)
+    # (2 turn + side, c, e, point): the turned copies are the others plus q/2
+    assert distinct.shape == (4, 2**k, 2, cs.length)
+    assert np.array_equal(distinct[2:], (distinct[:2] + cs.q // 2) % cs.q)
     assert index.shape == (2**k, 2 ** (k + 1))
-    for side in distinct[:, 0]:
+    for side in distinct[:2]:
         per_row = [side.reshape(2 ** (k + 1), -1)[f] for f in index.ravel()]
         assert len(per_row) == 2 ** (2 * k + 1)
         assert len({tuple(table) for table in per_row}) == 2 ** (k + 1)
@@ -376,18 +376,73 @@ class TestForgedStructure:
             (lambda: lemma1_ccc(binary_k2()), ("d",), None),
             (lambda: theorem1_zccs(Theorem1Params(binary_k2(), l=2, r=2)), ("s_r", 1, 0), "1"),
             (lambda: theorem1_zccs(Theorem1Params(binary_k2(), l=2, r=2)), ("l",), 2.0),
+            (lambda: theorem1_zccs(Theorem1Params(binary_k2(), l=2, r=2)), ("s_r",), []),
+            (lambda: theorem1_zccs(Theorem1Params(binary_k2(), l=2, r=2)), ("R",), 2**40),
+            (lambda: theorem1_zccs(Theorem1Params(binary_k2(), l=2, r=2)), ("l",), -1),
+            (lambda: forge(theorem1_zccs(Theorem1Params(binary_k2(), l=2, r=2)), ("s_r",), lambda _: []),
+             ("l",), 2**40),
+            (lambda: theorem1_zccs(Theorem1Params(binary_k2(), l=2, r=2)), ("s_r",), [[0, 1]] * 10**4),
         ],
         ids=[
             "f_terms 5", "beta1 99", "beta1 -1", "deleted [99]", "literal variable 99",
             "literal without flag", "term as list", "coefficient str", "coefficient float",
             "quadratic vertex 99", "quadratic pair", "pair_end 99", "d_vec longer than m1",
-            "d null", "s_r entry str", "l float",
+            "d null", "s_r entry str", "l float", "s_r empty", "R 2**40", "l -1",
+            "l 2**40 without labels", "more labels than codes",
         ],
     )
     def test_refused_as_incomplete(self, build, path, value):
         cs = build()
         with pytest.raises(ValueError, match="provenance record is incomplete"):
             oracle_regenerate(forge(cs, path, lambda _: value))
+
+
+def digit_rows(*rows):
+    return np.array([[int(c) for c in row] for row in rows])
+
+
+def chain_patterns():
+    """Three seeded random K x R patterns over Z_4 for each (K, R), then
+    optimal patterns found by exact search: zones of several blocks, and a
+    12-row R = 6 pattern for a zone of one."""
+    rng = np.random.default_rng(29)
+    for shape in ((2, 1), (2, 3), (4, 1), (4, 3), (6, 5), (12, 6)):
+        yield from (rng.integers(0, 4, shape) for _ in range(3))
+    yield from (
+        digit_rows("002", "113"),
+        digit_rows("00130", "10211"),
+        digit_rows("010123", "030321"),
+        digit_rows("0002132", "1201333"),
+        digit_rows("000120132", "120310333"),
+        digit_rows("00110213", "02130011", "02310033", "22112013"),
+        digit_rows("000000", "200022", "113313", "120102", "212001", "233110",
+                   "201203", "310211", "103231", "111120", "220330", "131311"),
+    )
+
+
+def pattern_seeds():
+    """Binary k = 1 bases and the README base (k = 2), and q-ary k = 1 bases
+    at q = 4, 6 and 8, each with its CCC generator and the oracle's tables."""
+    binary = (
+        Lemma1Params(6, quadratic_gbf(2, [(0, 1)]), (1, 0), d=1, deleted=(0,)),
+        Lemma1Params(7, quadratic_gbf(3, [(0, 2)]), (0, 1, 1), deleted=(1,)),
+        Lemma1Params(8, quadratic_gbf(4, EXAMPLE_EDGES), (1, 1, 1, 1), deleted=(0, 1), beta1=2),
+    )
+    for base, label in zip(binary, ("m1=6", "m1=7", "README")):
+        yield pytest.param(base, lemma1_ccc, oracle._binary_row_tables, id=label)
+    for q in (4, 6, 8):
+        yield pytest.param(qary_base(q, deleted=(2,)), lemma2_ccc, oracle._qary_row_tables, id=f"q{q}")
+
+
+@pytest.mark.parametrize("order", ["lsb", "msb"])
+@pytest.mark.parametrize("base,generator,row_tables", list(pattern_seeds()))
+def test_oracle_and_generators_chain_any_pattern_alike(base, generator, row_tables, order):
+    # Mixed A and B blocks within one code too, which no construction name
+    # states yet: the oracle's gather against the generators' chaining
+    tables, index = row_tables(generator(base, order).provenance["parameters"], order)
+    for pattern in chain_patterns():
+        chained = constructions._chained_code_set(base, order, pattern, 1, "test")
+        assert np.array_equal(oracle._chain(tables, index, pattern), chained.phases), pattern.tolist()
 
 
 def test_oracle_imports_nothing_of_the_generators():
