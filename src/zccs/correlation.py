@@ -53,7 +53,7 @@ transform and the rounding all see c_ii - N * L * delta, and one zero test
 serves every pair.  A diagonal pair below the limit is N * L * delta
 exactly, as every code of a complete complementary code, and gets
 first_nonzero = L; a complete complementary code runs no inverse
-transform.  verify_zccs reports the peaks (N * L, 0) by the identity.
+transform.  The report states the peak once, as expected_peak = N * L.
 
 For q in EXACT_MODULI the values are the Gaussian integers +-1 and +-i.
 The engine rounds each block to integers and certifies the rounding:
@@ -181,9 +181,10 @@ class CorrelationReport:
     in the order of np.triu_indices(M), the smallest |tau| at which the
     pair's sum, less N * L at shift 0 of a diagonal pair, is nonzero: L
     when it never is.  measured_zcz is its minimum, the widest zone the
-    data actually support.  peaks are (N * L, 0) for every code, as
-    sum_t |u_t|^2 = N * L for unit values.  zccs_ok refers to the zone that
-    was checked, z_checked.
+    data actually support.  expected_peak is N * L, every code's
+    autocorrelation at shift 0, as sum_t |u_t|^2 = N * L for unit values; a
+    code off it would show as a violation (i, i, 0).  zccs_ok refers to the
+    zone that was checked, z_checked.
     """
 
     set_size: int
@@ -194,7 +195,6 @@ class CorrelationReport:
     exact: bool
     tolerance: float
     expected_peak: int
-    peaks: tuple[CorrelationValue, ...]
     measured_zcz: int
     violation_count: int
     listed: np.ndarray
@@ -552,7 +552,6 @@ def verify_zccs(code_set: CodeSet, z: int | None = None) -> CorrelationReport:
     roundoff = 0.0 if integer else bound
     tolerance, exact = max(quarter, roundoff), roundoff < quarter
     expected_peak = code_size * length
-    cast = int if integer else float
 
     # Zone columns in listing order, shifts 0, -1, 1, -2, 2, ...: position
     # p holds |tau| = (p + 1) // 2.
@@ -606,7 +605,6 @@ def verify_zccs(code_set: CodeSet, z: int | None = None) -> CorrelationReport:
         exact=exact,
         tolerance=tolerance,
         expected_peak=expected_peak,
-        peaks=(CorrelationValue(cast(expected_peak), cast(0)),) * set_size,
         measured_zcz=int(first_nonzero.min()),
         violation_count=count,
         listed=listed,

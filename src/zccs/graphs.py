@@ -135,32 +135,43 @@ def validate_deletion_path(
         if not 0 <= v < graph.vertex_count:
             raise ValueError(f"deleted vertex {v} out of range")
 
-    residual = [v for v in range(graph.vertex_count) if v not in dset]
-    if not residual:
+    survivors = graph.vertex_count - len(dset)
+    if not survivors:
         raise NotAPathError(NotAPathError.EMPTY, "no vertices survive the deletion")
 
-    keep = frozenset(residual)
-    adj = graph.adjacency(keep)
+    edges = [(i, j, w) for i, j, w in graph.edges if i not in dset and j not in dset]
     if required_weight is not None:
-        for i, j, w in graph.edges:
-            if i in keep and j in keep and w != required_weight:
+        for i, j, w in edges:
+            if w != required_weight:
                 raise NotAPathError(
                     NotAPathError.WEIGHT,
                     f"edge ({i}, {j}) has weight {w}, required {required_weight}",
                 )
 
-    for v in residual:
-        if len(adj[v]) >= 3:
+    # Neighbour lists of the edges' ends only, so no structure grows with V;
+    # a survivor missing from adj is isolated.
+    adj = graph.adjacency(frozenset(v for i, j, _ in edges for v in (i, j)))
+    for v, near in adj.items():
+        if len(near) >= 3:
             raise NotAPathError(
-                NotAPathError.BRANCH, f"vertex {v} has degree {len(adj[v])} after deletion"
+                NotAPathError.BRANCH, f"vertex {v} has degree {len(near)} after deletion"
             )
+
+    # A connected graph on r vertices has at least r - 1 edges, so only
+    # r <= E + 1 survivors are listed below.
+    if len(edges) < survivors - 1:
+        raise NotAPathError(
+            NotAPathError.DISCONNECTED,
+            f"residual graph splits: {survivors} vertices, {len(edges)} edges",
+        )
 
     # With every degree at most 2, each component is a path or a cycle: one
     # walk from an end (or from any vertex when none is an end) runs until it
     # stops at the far end or closes, and covers exactly its component.
-    ends = tuple(v for v in residual if len(adj[v]) <= 1)
+    residual = [v for v in range(graph.vertex_count) if v not in dset]
+    ends = tuple(v for v in residual if len(adj.get(v, ())) <= 1)
     start = ends[0] if ends else residual[0]
-    order, nxt = [start], adj[start][:1]
+    order, nxt = [start], adj.get(start, [])[:1]
     while nxt and nxt[0] != start:
         order.append(nxt[0])
         nxt = [u for u in adj[order[-1]] if u != order[-2]]
@@ -197,8 +208,9 @@ def enumerate_admissible_deletions(
             f"enumerating the C({vertices}, {k}) deletions of {vertices} vertices "
             f"exceeds the limit of {MAX_ENUMERATION_STEPS} path-test steps"
         )
+    # combinations() copies its pool, and only k = 0 admits a large V
     found = []
-    for combo in combinations(range(vertices), k):
+    for combo in combinations(range(vertices), k) if k else [()]:
         try:
             found.append(validate_deletion_path(graph, combo, required_weight))
         except NotAPathError:

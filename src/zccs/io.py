@@ -13,9 +13,9 @@ multi-digit phases leave NULs to squeeze out, so single-digit phases are
 written with no pass over the text.  Files contain integers only; phases
 are never converted to floating point.  Reports are compact JSON on one line,
 have their own REPORT_FORMAT_VERSION and carry no such guarantee.
-`dumps_report` alone defines their text: json.dumps writes the summary and
-peaks, and each listed violation is one %-template filled from the columns
-of the report's `listed` table, never through a dict per violation.
+`dumps_report` alone defines their text: json.dumps writes the summary,
+and each listed violation is one %-template filled from the columns of the
+report's `listed` table, never through a dict per violation.
 
 Reading tries two layouts first, the canonical one and json.dumps' default
 (`_default_text`), when every phase is one digit: json parses the header,
@@ -39,7 +39,7 @@ from .constructions import CodeSet
 from .correlation import CorrelationReport
 
 FORMAT_VERSION = 1
-REPORT_FORMAT_VERSION = 2
+REPORT_FORMAT_VERSION = 3
 
 # The metadata keys: the set's dims, then its provenance record's.
 _DIMS = ("q", "M", "N", "L", "Z")
@@ -279,10 +279,8 @@ def dumps_report(report: CorrelationReport) -> str:
         "violation_count": report.violation_count,
         "violations_listed": len(report.listed),
     }
-    peaks = [[v.real, v.imag] for v in report.peaks]
     head = json.dumps(
-        {"format_version": REPORT_FORMAT_VERSION, "summary": summary, "peaks": peaks},
-        separators=(",", ":"),
+        {"format_version": REPORT_FORMAT_VERSION, "summary": summary}, separators=(",", ":")
     )
     # %r of a finite float is its repr, which is what json writes
     part = "%d" if report.listed["real"].dtype.kind == "i" else "%r"

@@ -162,14 +162,19 @@ def _record_fields(doc: dict, qary: bool) -> tuple[list, list]:
 def _pattern(construction: str, doc: dict, order: str) -> tuple[np.ndarray, int]:
     """The K x R block pattern over Z_4 by which the construction chains the
     seed codes, and its zone in blocks.  thm1 and thm2 chain P = [2F; 2F + 1]
-    with F[c, b] the parity of label c of s_r against the l bits of b."""
+    with F[c, b] the parity of label c of s_r against the l bits of b.  Label
+    position i meets bit i of b (lsb) or bit l-1-i (msb), and only b's low
+    (R - 1).bit_length() bits can be 1, so each label is read as the integer
+    of those positions alone and F is the parity of its and with b."""
     if construction == "thm3":
         return np.array([[0, 0, 2], [1, 1, 3]]), 2
     if construction not in ("thm1", "thm2"):
         return np.array([[0], [1]]), 1
     blocks = np.arange(doc["R"])
-    bits = _bits(blocks, doc["l"], order)
-    flips = np.array([sum((ci % 2 * bi for ci, bi in zip(c, bits)), 0 * blocks) for c in doc["s_r"]]) % 2
+    width = (doc["R"] - 1).bit_length()
+    labels = [c if order == "lsb" else c[::-1] for c in doc["s_r"]]
+    masks = np.array([sum(ci % 2 << i for i, ci in enumerate(c[:width])) for c in labels])
+    flips = np.bitwise_count(masks[:, None] & blocks).astype(np.int64) % 2
     return np.concatenate((2 * flips, 2 * flips + 1)), 1
 
 

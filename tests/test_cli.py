@@ -362,7 +362,7 @@ class TestVerify:
         assert "  ... 4111478 more" in stdout
         assert report_path.stat().st_size < 1 << 20
         doc = json.loads(report_path.read_text(encoding="utf-8"))
-        assert doc["format_version"] == 2
+        assert doc["format_version"] == 3 and "peaks" not in doc
         assert doc["summary"]["violation_count"] == 4111488
         assert doc["summary"]["violations_listed"] == len(doc["violations"]) == 1000
         assert doc["summary"]["measured_zcz"] == 0
@@ -386,7 +386,7 @@ class TestReport:
         assert code == 0
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["summary"]["optimal"] is True
-        assert doc["format_version"] == 2
+        assert doc["format_version"] == 3 and "peaks" not in doc
         assert doc["summary"]["violation_count"] == 0
         assert f"wrote {out}" in stdout
 

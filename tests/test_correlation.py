@@ -262,7 +262,6 @@ class TestVerify:
         assert report.violations == ()
         assert report.measured_zcz == 4
         assert report.expected_peak == 8
-        assert report.peaks == (CorrelationValue(8, 0),) * 2
         assert report.tolerance == 0.25
 
     def test_profiles_match_brute_force(self, quaternary_ccc):
@@ -337,7 +336,7 @@ class TestFloatOnlyModuli:
         assert trivial.exact
         assert trivial.tolerance == 1 / (8 * cs.code_size * cs.length)
         assert trivial.zccs_ok  # zone 1 only demands the peak
-        assert trivial.peaks[0].as_complex() == pytest.approx(4 + 0j, abs=1e-9)
+        assert trivial.expected_peak == 4 and trivial.violation_count == 0
         wider = verify_zccs(cs, z=2)
         assert not wider.zccs_ok
         assert wider.violations[0].tau in (-1, 1)
@@ -508,13 +507,11 @@ class TestEngineDifferential:
     @pytest.mark.parametrize("q", [1, 2, 4])
     def test_exact_profiles_are_int64(self, q):
         # small sets too, whose sums would fit a narrower integer: verify
-        # keeps the engine's sums as int64 listings and int peaks
+        # keeps the engine's sums as int64 listings
         cs = random_set(np.random.default_rng(q), q, 2, 2, 3)
         report = verify_zccs(cs, z=3)
         assert report.listed.size
         assert report.listed["real"].dtype == report.listed["imag"].dtype == np.int64
-        assert report.peaks[0] == (6, 0)  # code 0 against itself at tau = 0
-        assert type(report.peaks[0].real) is int and type(report.peaks[0].imag) is int
 
 
 def counted_direct_block(monkeypatch):
@@ -617,18 +614,16 @@ def report_fields(report):
 
 
 def assert_same_report(got, want, q):
-    """Reports agree field for field; for q outside (1, 2, 4) the float
-    parts of peaks and listed values may differ by 1e-9, as float sums may
-    round differently in another batching; their types must agree."""
+    """Reports agree field for field, the listing's dtype too; for q outside
+    (1, 2, 4) the listed float values may differ by 1e-9, as float sums may
+    round differently in another batching."""
     got, want = report_fields(got), report_fields(want)
-    assert [tuple(map(type, v)) for v in got["peaks"]] == [tuple(map(type, v)) for v in want["peaks"]]
     if q not in (1, 2, 4):
         got_rows, want_rows = got.pop("listed"), want.pop("listed")
         assert [row[:3] for row in got_rows] == [row[:3] for row in want_rows]
-        got_parts = [row[3:] for row in got_rows] + list(got.pop("peaks"))
-        want_parts = [row[3:] for row in want_rows] + list(want.pop("peaks"))
         assert np.allclose(
-            [complex(*v) for v in got_parts], [complex(*v) for v in want_parts], rtol=0, atol=1e-9
+            [complex(*row[3:]) for row in got_rows], [complex(*row[3:]) for row in want_rows],
+            rtol=0, atol=1e-9,
         )
     assert got == want
 
@@ -864,7 +859,6 @@ class TestZeroPairCertificate:
         for cs in ccc_sets():
             report = verify_zccs(cs)
             assert report.zccs_ok and report.optimal and report.exact
-            assert report.peaks == (CorrelationValue(cs.code_size * cs.length, 0),) * cs.set_size
             assert report.first_nonzero.tolist() == [cs.length] * len(report.first_nonzero)
         assert rows == []
 
@@ -889,15 +883,14 @@ class TestZeroPairCertificate:
     @pytest.mark.parametrize("q", [6, 8])
     def test_other_moduli_certify_diagonal_pairs_too(self, monkeypatch, q):
         # float moduli take N * L * delta off alike, so a complete
-        # complementary code runs no inverse transform and its peaks are
-        # the exact N * L
+        # complementary code runs no inverse transform and every diagonal
+        # pair, the peak less N * L included, reads zero at every shift
         rows = counted_inverse_rows(monkeypatch)
         cs = lemma2_ccc(Lemma2Params(q, 4, path_quadratic(4, q), deleted=(0,), beta1=1))
         report = verify_zccs(cs)
         assert report.zccs_ok and report.exact
         assert rows == []
-        assert report.peaks == (CorrelationValue(float(cs.code_size * cs.length), 0.0),) * cs.set_size
-        assert all(type(part) is float for peak in report.peaks for part in peak)
+        assert report.first_nonzero.tolist() == [cs.length] * len(report.first_nonzero)
 
     @pytest.mark.parametrize("q", [2, 4])
     def test_a_broken_diagonal_pair_is_kept_and_listed(self, monkeypatch, q):
@@ -910,11 +903,31 @@ class TestZeroPairCertificate:
         diagonal = 2 * 4 - 2 * 1 // 2  # pair (2, 2) of 4 codes
         report = verify_zccs(bad)
         assert report.first_nonzero[diagonal] < bad.length
-        assert report.peaks[2] == (64, 0)
         own = [v.tau for v in report.violations if v.i == v.j == 2]
+        assert 0 not in own  # the peak stays N * L
         assert set(range(6, 11)) <= {abs(tau) for tau in own}
         self.no_skip(monkeypatch)
         assert_same_report(report, verify_zccs(bad), q)
+
+    def test_a_wrong_peak_is_listed_at_shift_0(self, monkeypatch):
+        # Unit values cannot move a peak, so code 0's values are doubled:
+        # its autocorrelation is 4 N L at shift 0 and zero elsewhere, and
+        # every block goes through _direct_block, none packed or left out.
+        cs = lemma1_ccc(Lemma1Params(6, path_quadratic(2), (0, 1), deleted=(0,), beta1=1))
+        assert cs.dims == (4, 4, 40, 40)
+
+        def doubled(q, phases):
+            values = unit_values(q, phases)
+            values[0] *= 2
+            return values
+
+        monkeypatch.setattr(correlation, "_rounding_bound", lambda code_size, length: 1.0)
+        monkeypatch.setattr(correlation, "unit_values", doubled)
+        report = verify_zccs(cs)
+        peak = cs.code_size * cs.length
+        assert report.expected_peak == peak
+        assert report.violations == (Violation(0, 0, 0, CorrelationValue(3 * peak, 0)),)
+        assert report.measured_zcz == 0 and not report.zccs_ok
 
     def test_kept_rows_are_the_correlated_pairs(self, monkeypatch):
         base = Lemma1Params(9, path_quadratic(5), (0,) * 5, deleted=(0,))

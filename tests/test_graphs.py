@@ -2,11 +2,15 @@
 
 enumerate_admissible_deletions is cross-checked against networkx over every
 graph on up to five vertices, and with required_weight over every graph on up
-to four vertices with random edge weights in {1, 2}.
+to four vertices with random edge weights in {1, 2}.  The reason a deletion
+fails, and for weight and branch failures its detail, are checked against
+networkx over every deletion of those weighted graphs, with and without
+required_weight.
 """
 
 import itertools
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -206,6 +210,63 @@ class TestEnumerationAgainstNetworkx:
         graph = LabeledGraph(3, ((0, 1, 2), (1, 2, 2)))
         assert enumerate_admissible_deletions(graph, 0, required_weight=2)
         assert not enumerate_admissible_deletions(graph, 0, required_weight=3)
+
+
+def nx_reason(nvars, weighted, deleted, required_weight):
+    """Reference reason and detail of the first failed check, in the order
+    empty, weight, branch, disconnected, cycle; None for a path."""
+    kept = [(i, j, w) for i, j, w in weighted if i not in deleted and j not in deleted]
+    g = nx_residual(nvars, [(i, j) for i, j, _ in weighted], deleted)
+    if g.number_of_nodes() == 0:
+        return NotAPathError.EMPTY, "no vertices survive the deletion"
+    wrong = [(i, j, w) for i, j, w in kept if required_weight is not None and w != required_weight]
+    if wrong:
+        i, j, w = wrong[0]
+        return NotAPathError.WEIGHT, f"edge ({i}, {j}) has weight {w}, required {required_weight}"
+    branches = sorted(v for v, d in g.degree() if d >= 3)
+    if branches:
+        v = branches[0]
+        return NotAPathError.BRANCH, f"vertex {v} has degree {g.degree(v)} after deletion"
+    if not nx.is_connected(g):
+        return NotAPathError.DISCONNECTED, None
+    if g.number_of_edges() == g.number_of_nodes():
+        return NotAPathError.CYCLE, None
+    return None
+
+
+class TestReasonsAgainstNetworkx:
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    def test_reasons_match_reference(self, nvars):
+        rng = random.Random(100 + nvars)
+        for edges in all_graphs(nvars):
+            weighted = tuple((i, j, rng.choice((1, 2))) for i, j in edges)
+            graph = LabeledGraph(nvars, weighted)
+            for k in range(nvars + 1):
+                for deleted in itertools.combinations(range(nvars), k):
+                    for required_weight in (None, 2):
+                        want = nx_reason(nvars, weighted, deleted, required_weight)
+                        try:
+                            validate_deletion_path(graph, deleted, required_weight)
+                            got = None
+                        except NotAPathError as exc:
+                            got = exc.reason, exc.detail if want[1] is not None else None
+                        assert got == want, (weighted, deleted, required_weight)
+
+    def test_isolated_vertices_stay_in_bounded_memory(self):
+        # 10^6 survivors and no edge: disconnected by the edge count alone,
+        # with no per-vertex structure and a short message
+        graph = LabeledGraph(10**6, ())
+        tracemalloc.start()
+        try:
+            assert enumerate_admissible_deletions(graph, 0) == []
+            with pytest.raises(NotAPathError) as info:
+                validate_deletion_path(graph, (5,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info.value.reason == NotAPathError.DISCONNECTED
+        assert len(str(info.value)) < 100
+        assert peak < 1 << 20, peak
 
 
 class TestQuadraticRoundTrip:

@@ -242,7 +242,7 @@ def reference_report_text(report):
     """The report text built as one dict per listed violation, from
     report.violations, through json.dumps: the writer's reference."""
     doc = {
-        "format_version": 2,
+        "format_version": 3,
         "summary": {
             "q": report.q,
             "M": report.set_size,
@@ -258,7 +258,6 @@ def reference_report_text(report):
             "violation_count": report.violation_count,
             "violations_listed": len(report.violations),
         },
-        "peaks": [[v.real, v.imag] for v in report.peaks],
         "violations": [
             {"i": v.i, "j": v.j, "tau": v.tau, "value": [v.value.real, v.value.imag]}
             for v in report.violations
@@ -280,10 +279,11 @@ class TestReports:
         assert doc["summary"]["zccs_ok"] is True
         assert doc["summary"]["optimal"] is True
         assert doc["summary"]["M"] == binary_set.set_size
-        assert doc["format_version"] == 2
+        assert doc["format_version"] == 3
+        assert list(doc) == ["format_version", "summary", "violations"]  # no peaks
+        assert doc["summary"]["expected_peak"] == 80
         assert doc["summary"]["violation_count"] == 0
         assert doc["summary"]["violations_listed"] == 0
-        assert doc["peaks"] == [[80, 0], [80, 0]]
         assert doc["violations"] == []
 
     def test_saved_report_is_json(self, tmp_path, binary_set):

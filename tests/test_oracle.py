@@ -11,6 +11,7 @@ import pytest
 
 from zccs import (
     GBF,
+    CodeSet,
     Lemma1Params,
     Lemma2Params,
     Term,
@@ -107,6 +108,29 @@ def test_regeneration_peak_stays_near_one_set():
         tracemalloc.stop()
     assert regen == cs and regen.dims == (16, 4, 2560, 640)
     assert peak <= 1.3 * cs.phases.nbytes, peak / cs.phases.nbytes
+
+
+@pytest.mark.parametrize("order", ["lsb", "msb"])
+def test_a_long_label_does_not_size_the_regeneration(order):
+    # A forged thm1 record over an all-zero (2, 2, 81920) set: R = 4096
+    # blocks and one label of l = 4000 zeros.  Only a block index's low 12
+    # bits can be 1, so the pattern reads 12 of the label's positions, not l
+    # columns of R entries.
+    base = Lemma1Params(5, quadratic_gbf(1, ()), (1,), deleted=(), beta1=0)
+    prov = copy.deepcopy(theorem1_zccs(Theorem1Params(base, l=1, r=2), bit_order=order).provenance)
+    prov["parameters"].update(l=4000, R=4096, s_r=[[0] * 4000])
+    cs = CodeSet(2, 20, np.zeros((2, 2, 81920), np.int64), prov)
+    tracemalloc.start()
+    try:
+        regen = oracle_regenerate(cs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * cs.phases.nbytes, peak / cs.phases.nbytes
+    # a zero label flips no block: each code is its seed code 4096 times
+    seed = lemma1_ccc(base, bit_order=order).phases
+    assert regen.dims == (2, 2, 81920, 20)
+    assert np.array_equal(regen.phases, np.tile(seed, 4096))
 
 
 class TestMismatchReporting:
