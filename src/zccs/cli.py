@@ -139,7 +139,7 @@ def _print_verification(report) -> None:
     print(f"zone checked: {report.z_checked} ({arithmetic})")
     print(f"expected peak {report.expected_peak}; measured zero zone {report.measured_zcz}")
     print(f"violations in zone: {report.violation_count}")
-    shown = min(10, len(report.listed))
+    shown = min(10, len(report.violations))
     for i, j, tau, real, imag in report.listed_rows(shown):
         print(f"  codes ({i}, {j}) shift {tau}: {complex(real, imag)}")
     if report.violation_count > shown:

@@ -26,10 +26,10 @@ circular block in which shift tau sits at index tau mod n.  Real value
 arrays (q <= 2) use rfft/irfft and give real blocks, complex ones
 fft/ifft.  Blocks reach verify_zccs one row per pair, in pair order, as
 the rows give them, with the codes (i, j) of each row; it reduces each
-as it comes and drops it, so it keeps one number per pair and no
-profile.  accs and set_accs compute one shift by direct dot products and
-share no code with the engine but unit_values, so the two check each
-other.
+as it comes and drops it, so it keeps one number per pair, one table of
+the violations it lists (the report's violations) and no profile.  accs
+and set_accs compute one shift by direct dot products and share no code
+with the engine but unit_values, so the two check each other.
 
 Most pairs of the paper's sets never correlate.  By Parseval a pair's
 circular sums have sum_tau |c(tau)|^2 = E / n, where E = sum_f |C(f)|^2
@@ -94,7 +94,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator, NamedTuple
 
@@ -151,20 +151,6 @@ class CorrelationValue(NamedTuple):
         return complex(self.real, self.imag)
 
 
-class Violation(NamedTuple):
-    """Nonzero correlation where the zone demands zero.
-
-    Its value is the pair's sum at tau.  An (i, i, 0) entry, which no set of
-    unit-modulus values produces, would carry the peak's deviation from
-    N * L.
-    """
-
-    i: int
-    j: int
-    tau: int
-    value: CorrelationValue
-
-
 @dataclass(frozen=True, eq=False)
 class CorrelationReport:
     """Everything verify_zccs measured about one code set.
@@ -172,16 +158,16 @@ class CorrelationReport:
     A real or imaginary part beyond tolerance counts as nonzero, and exact
     says the verdict is certified: every zero part reads within tolerance
     and every nonzero one beyond it.  violation_count is the number of
-    in-zone violations; listed holds the first MAX_LISTED_VIOLATIONS of
-    them in (i, j, |tau|, tau) order, as one read-only structured array
+    in-zone violations; violations holds the first MAX_LISTED_VIOLATIONS
+    of them in (i, j, |tau|, tau) order, as one read-only structured array
     with the columns i, j, tau (int64), real and imag (int64 for q in
-    EXACT_MODULI, float64 otherwise).  The listing is that table alone:
-    violations, the same rows as Violation tuples, is built from it on
-    first access.  first_nonzero holds, for each code pair (i, j), i <= j,
-    in the order of np.triu_indices(M), the smallest |tau| at which the
-    pair's sum, less N * L at shift 0 of a diagonal pair, is nonzero: L
-    when it never is.  measured_zcz is its minimum, the widest zone the
-    data actually support.  expected_peak is N * L, every code's
+    EXACT_MODULI, float64 otherwise), the pair's sum at tau.  Test it with
+    len() or violation_count: a structured array has no truth value, and
+    one all-zero record is falsy.  first_nonzero holds, for each code pair
+    (i, j), i <= j, in the order of np.triu_indices(M), the smallest |tau|
+    at which the pair's sum, less N * L at shift 0 of a diagonal pair, is
+    nonzero: L when it never is.  measured_zcz is its minimum, the widest
+    zone the data actually support.  expected_peak is N * L, every code's
     autocorrelation at shift 0, as sum_t |u_t|^2 = N * L for unit values; a
     code off it would show as a violation (i, i, 0).  zccs_ok refers to the
     zone that was checked, z_checked.
@@ -197,21 +183,15 @@ class CorrelationReport:
     expected_peak: int
     measured_zcz: int
     violation_count: int
-    listed: np.ndarray
+    violations: np.ndarray
     first_nonzero: np.ndarray
     zccs_ok: bool
     optimal: bool
 
     def listed_rows(self, stop: int | None = None) -> Iterator[tuple]:
-        """The first stop rows of listed (all by default) as tuples of Python scalars."""
-        return zip(*(self.listed[name][:stop].tolist() for name in self.listed.dtype.names))
-
-    @cached_property
-    def violations(self) -> tuple[Violation, ...]:
-        return tuple(
-            Violation(i, j, tau, CorrelationValue(real, imag))
-            for i, j, tau, real, imag in self.listed_rows()
-        )
+        """The first stop rows of violations (all by default) as tuples of Python scalars."""
+        table = self.violations
+        return zip(*(table[name][:stop].tolist() for name in table.dtype.names))
 
 
 def is_optimal(set_size: int, code_size: int, length: int, zone: int) -> bool:
@@ -592,8 +572,8 @@ def verify_zccs(code_set: CodeSet, z: int | None = None) -> CorrelationReport:
             found["real"], found["imag"] = values.real, values.imag
             tables.append(found)
             room -= row.size
-    listed = np.concatenate(tables)
-    listed.setflags(write=False)
+    violations = np.concatenate(tables)
+    violations.setflags(write=False)
     first_nonzero.setflags(write=False)
     ok = count == 0
     return CorrelationReport(
@@ -607,7 +587,7 @@ def verify_zccs(code_set: CodeSet, z: int | None = None) -> CorrelationReport:
         expected_peak=expected_peak,
         measured_zcz=int(first_nonzero.min()),
         violation_count=count,
-        listed=listed,
+        violations=violations,
         first_nonzero=first_nonzero,
         zccs_ok=ok,
         optimal=ok and is_optimal(set_size, code_size, length, zone),

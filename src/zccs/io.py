@@ -15,7 +15,7 @@ are never converted to floating point.  Reports are compact JSON on one line,
 have their own REPORT_FORMAT_VERSION and carry no such guarantee.
 `dumps_report` alone defines their text: json.dumps writes the summary,
 and each listed violation is one %-template filled from the columns of the
-report's `listed` table, never through a dict per violation.
+report's `violations` table, never through a dict per violation.
 
 Reading tries two layouts first, the canonical one and json.dumps' default
 (`_default_text`), when every phase is one digit: json parses the header,
@@ -263,7 +263,7 @@ def load_code_set(path) -> CodeSet:
 def dumps_report(report: CorrelationReport) -> str:
     """Compact one-line JSON plus a newline.  summary.violation_count counts
     every in-zone violation; violations lists the first
-    summary.violations_listed of them, one entry per row of report.listed."""
+    summary.violations_listed of them, one entry per row of report.violations."""
     summary = {
         "q": report.q,
         "M": report.set_size,
@@ -277,13 +277,13 @@ def dumps_report(report: CorrelationReport) -> str:
         "zccs_ok": report.zccs_ok,
         "optimal": report.optimal,
         "violation_count": report.violation_count,
-        "violations_listed": len(report.listed),
+        "violations_listed": len(report.violations),
     }
     head = json.dumps(
         {"format_version": REPORT_FORMAT_VERSION, "summary": summary}, separators=(",", ":")
     )
     # %r of a finite float is its repr, which is what json writes
-    part = "%d" if report.listed["real"].dtype.kind == "i" else "%r"
+    part = "%d" if report.violations["real"].dtype.kind == "i" else "%r"
     entry = f'{{"i":%d,"j":%d,"tau":%d,"value":[{part},{part}]}}'
     return f'{head[:-1]},"violations":[{",".join(map(entry.__mod__, report.listed_rows()))}]}}\n'
 

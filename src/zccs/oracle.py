@@ -3,8 +3,8 @@
 The oracle works from the formulas alone: its own shifts take the bits of
 every point index, the seed and each row function are evaluated in nested
 arithmetic form over int64 point columns (one column per variable, so one
-evaluation covers every point), and its own gather chains the rows into
-codes.  It uses no generator or `gbf` code: no truth tables, no symbolic
+evaluation covers a chunk of points), and its own gather chains the rows
+into codes.  It uses no generator or `gbf` code: no truth tables, no symbolic
 term algebra, no label-matrix products, no shared chaining.  Exact agreement
 between this path and the generators' is a strong check on both.
 
@@ -51,33 +51,38 @@ def _bits(value, width: int, order: str) -> list:
 # row functions, both families
 
 
-def _row_tables(doc: dict, order: str, q: int, m: int, seed_eval, end_vertex: int, front_at, back_at):
+def _row_tables(doc: dict, order: str, q: int, m: int, seed_eval, end_vertex: int, width: int, back_start: int):
     """The distinct row functions of each block value and the index of every row.
 
-    tables[v, c, e], v = 2 turn + side, is a row function over front_at
-    (side 0, the fronts g or f) or back_at (side 1, the backs s or h over the
-    complemented point columns, negated as they stand in the set): the seed
-    plus (q/2) times deleted vertex pos where bit k-1-pos of c is 1, plus the
-    pair-end term where e is 1 (fronts) or 0 (backs), plus q/2 where turn is
-    1, all mod q.  Row (n, a), a's label leftmost slowest, takes c's bit
-    k-1-pos = a[pos] xor n[pos] and e = a[-1], so index[n, a], its function
-    in tables[v].reshape(2^(k+1), -1), is a xor n's bits moved likewise.
+    tables[v, c, e], v = 2 turn + side, is a row function over the width
+    points from 0 (side 0, the fronts g or f) or from back_start (side 1, the
+    backs s or h over the complemented point columns, negated as they stand
+    in the set): the seed plus (q/2) times deleted vertex pos where bit
+    k-1-pos of c is 1, plus the pair-end term where e is 1 (fronts) or 0
+    (backs), plus q/2 where turn is 1, all mod q.  Row (n, a), a's label
+    leftmost slowest, takes c's bit k-1-pos = a[pos] xor n[pos] and e =
+    a[-1], so index[n, a], its function in tables[v].reshape(2^(k+1), -1),
+    is a xor n's bits moved likewise.
     """
     half, deleted = q // 2, doc["deleted"]
     k = len(deleted)
     complement = (1 << m) - 1
-    tables = np.empty((4, 1 << k, 2, len(front_at)), dtype=np.int64)
-    for side, at in enumerate((front_at, complement ^ back_at)):
-        point = _bits(at, m, order)
-        table = tables[side]
-        # A back is negated: its seed here, while the q/2 terms are their
-        # own negatives mod q.
-        table[...] = (1 - 2 * side) * seed_eval(doc, point)
-        by_bit = table.reshape((2,) * k + (2, -1))
-        for pos, v in enumerate(deleted):
-            by_bit[(slice(None),) * pos + (1,)] += half * point[v]
-        table[:, 1 - side] += half * (point[end_vertex] ^ side)
-        del point  # one side's columns at a time
+    tables = np.empty((4, 1 << k, 2, width), dtype=np.int64)
+    # The point columns and the seed's temporaries, about 30 int64 a point,
+    # cover one chunk of points at a time: below the tables' size at k = 0.
+    chunk = max(1024, -(-width // 8))
+    for side, first in enumerate((0, back_start)):
+        by_bit = tables[side].reshape((2,) * k + (2, width))
+        for start in range(0, width, chunk):
+            stop = min(start + chunk, width)
+            point = _bits(np.arange(first + start, first + stop) ^ side * complement, m, order)
+            table, bits = tables[side, ..., start:stop], by_bit[..., start:stop]
+            # A back is negated: its seed here, while the q/2 terms are
+            # their own negatives mod q.
+            table[...] = (1 - 2 * side) * seed_eval(doc, point)
+            for pos, v in enumerate(deleted):
+                bits[(slice(None),) * pos + (1,)] += half * point[v]
+            table[:, 1 - side] += half * (point[end_vertex] ^ side)
     np.add(tables[:2], half, out=tables[2:])
     tables %= q
     n = np.arange(1 << k)
@@ -113,10 +118,7 @@ def _binary_row_tables(doc: dict, order: str):
     """The row tables over the prefix points of g and suffix points of s."""
     m1 = doc["m1"]
     gamma = (1 << (m1 - 1)) + (1 << (m1 - 3))
-    full = 1 << m1
-    return _row_tables(
-        doc, order, 2, m1, _seed_eval, doc["pair_end"], np.arange(gamma), np.arange(full - gamma, full)
-    )
+    return _row_tables(doc, order, 2, m1, _seed_eval, doc["pair_end"], gamma, (1 << m1) - gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +137,7 @@ def _terms_eval(doc: dict, point: list):
 
 def _qary_row_tables(doc: dict, order: str):
     """The row tables of f and of its partner h over every point."""
-    points = np.arange(1 << doc["m2"])
-    return _row_tables(doc, order, doc["q"], doc["m2"], _terms_eval, doc["beta1"], points, points)
+    return _row_tables(doc, order, doc["q"], doc["m2"], _terms_eval, doc["beta1"], 1 << doc["m2"], 0)
 
 
 # ---------------------------------------------------------------------------

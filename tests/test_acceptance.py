@@ -13,7 +13,6 @@ import pytest
 
 from zccs import (
     DEFAULT_BIT_ORDER,
-    CorrelationValue,
     Lemma1Params,
     Lemma2Params,
     GBF,
@@ -21,7 +20,6 @@ from zccs import (
     Term,
     Theorem1Params,
     Theorem2Params,
-    Violation,
     accs,
     enumerate_admissible_deletions,
     graph_of_quadratic,
@@ -102,7 +100,7 @@ def test_criterion_1_reference_chained_set(example_base):
     elapsed = time.perf_counter() - t0
     assert code_set.dims == (16, 8, 320, 160)
     assert report.exact, "binary sets must be checked in integer arithmetic"
-    assert report.violations == (), "all in-zone sums must be exactly zero"
+    assert len(report.violations) == 0, "all in-zone sums must be exactly zero"
     assert report.zccs_ok
     assert report.measured_zcz >= 160
     assert report.expected_peak == 2560
@@ -117,7 +115,7 @@ def test_criterion_2_reference_three_block_set(example_base):
     elapsed = time.perf_counter() - t0
     assert code_set.dims == (8, 8, 480, 320)
     assert report.exact
-    assert report.violations == ()
+    assert len(report.violations) == 0
     assert report.zccs_ok
     assert report.measured_zcz >= 320
     assert report.expected_peak == 3840
@@ -180,11 +178,11 @@ def test_criterion_5_bit_order_adjudication(example_base):
     assert not reference.zccs_ok
     assert reference.measured_zcz == 0
     assert len(reference.violations) == 556
-    assert reference.violations[0] == Violation(0, 0, -1, CorrelationValue(48, 0))
+    assert next(reference.listed_rows(1)) == (0, 0, -1, 48, 0)
 
     chained = verify_zccs(theorem1_zccs(Theorem1Params(example_base, l=1, r=2), bit_order="msb"))
     assert not chained.zccs_ok
-    assert chained.violations[0] == Violation(0, 0, -1, CorrelationValue(96, 0))
+    assert next(chained.listed_rows(1)) == (0, 0, -1, 96, 0)
 
 
 def test_criterion_6_oracle_regeneration_bit_exact(example_base, lemma1_sweep, thm2_sweep):

@@ -260,8 +260,8 @@ class TestVerify:
         save_code_set(code_set, path)
         report = zccs.verify_zccs(code_set)
         want = [f"violations in zone: {report.violation_count}"] + [
-            f"  codes ({v.i}, {v.j}) shift {v.tau}: {v.value.as_complex()}"
-            for v in report.violations[:10]
+            f"  codes ({i}, {j}) shift {tau}: {complex(real, imag)}"
+            for i, j, tau, real, imag in report.violations[:10].tolist()
         ]
         if report.violation_count > 10:
             want.append(f"  ... {report.violation_count - 10} more")

@@ -412,7 +412,7 @@ class TestBinaryGenerators:
         t = Theorem1Params(base, l=2, r=2, s_r=((0, 0), (0, 1)))
         report = verify_zccs(theorem1_zccs(t, bit_order="lsb"))
         assert not report.zccs_ok
-        assert any(v.tau == 0 and v.i != v.j for v in report.violations)
+        assert any(tau == 0 and i != j for i, j, tau, _, _ in report.listed_rows())
 
     def test_default_labels_verify(self):
         base = Lemma1Params(6, quadratic_gbf(2, [(0, 1)]), (0, 0))

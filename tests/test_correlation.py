@@ -31,7 +31,6 @@ from zccs import correlation
 from zccs.correlation import (
     MAX_LISTED_VIOLATIONS,
     ProfileSizeError,
-    Violation,
     _direct_block,
     _fft_length,
     _round_certified,
@@ -110,8 +109,9 @@ def reduce_profiles(profiles, set_size, tolerance, zone):
 
     The reduction verify_zccs made over the stored profile array before it
     went block by block: a part beyond tolerance is nonzero, violations in
-    (pair, |tau|, tau) order.  A diagonal pair's shift 0 holds its peak's
-    deviation from N * L, so it is nonzero where the peak misses.
+    (pair, |tau|, tau) order, as (i, j, tau, real, imag) tuples of Python
+    scalars.  A diagonal pair's shift 0 holds its peak's deviation from
+    N * L, so it is nonzero where the peak misses.
     """
     center = profiles.shape[1] // 2
     first, second = np.triu_indices(set_size)
@@ -122,7 +122,7 @@ def reduce_profiles(profiles, set_size, tolerance, zone):
     tau = col - (zone - 1)
     order = np.lexsort((tau, np.abs(tau), pair))
     violations = [
-        Violation(int(first[p]), int(second[p]), int(t), CorrelationValue(*profiles[p, center + t]))
+        (int(first[p]), int(second[p]), int(t), *profiles[p, center + t].tolist())
         for p, t in zip(pair[order].tolist(), tau[order].tolist())
     ]
     return first_nonzero, violations
@@ -259,7 +259,7 @@ class TestVerify:
     def test_complete_set_passes(self, small_ccc):
         report = verify_zccs(small_ccc)
         assert report.zccs_ok and report.optimal and report.exact
-        assert report.violations == ()
+        assert len(report.violations) == 0
         assert report.measured_zcz == 4
         assert report.expected_peak == 8
         assert report.tolerance == 0.25
@@ -281,19 +281,19 @@ class TestVerify:
         report = verify_zccs(bad)
         assert not report.zccs_ok
         assert not report.optimal
-        assert report.violations
-        for v in report.violations:
-            assert v.i <= v.j
-            assert abs(v.tau) < bad.zcz
-            assert v.value != (0, 0)
+        table = report.violations
+        assert len(table) > 0
+        assert (table["i"] <= table["j"]).all()
+        assert (np.abs(table["tau"]) < bad.zcz).all()
+        assert ((table["real"] != 0) | (table["imag"] != 0)).all()
         assert report.measured_zcz < bad.length
 
     def test_violations_sorted_and_cross_at_zero(self, small_ccc):
         bad = mutate_one_phase(small_ccc, ci=0, ri=1, pos=0)
         report = verify_zccs(bad)
-        keys = [(v.i, v.j, abs(v.tau), v.tau) for v in report.violations]
+        keys = [(i, j, abs(tau), tau) for i, j, tau, _, _ in report.listed_rows()]
         assert keys == sorted(keys)
-        assert any(v.tau == 0 and v.i != v.j for v in report.violations)
+        assert any(tau == 0 and i != j for i, j, _, tau in keys)
 
     def test_zone_argument(self, small_ccc):
         narrow = verify_zccs(small_ccc, z=2)
@@ -310,18 +310,18 @@ class TestVerify:
         # u = (+1, +1), v = (+1, -1): sum_t u[t + tau] v[t] is +1 at tau = 1
         # and -1 at tau = -1.
         report = verify_zccs(CodeSet(2, 2, np.array([[[0, 0]], [[0, 1]]])))
-        cross = [(v.tau, v.value) for v in report.violations if (v.i, v.j) == (0, 1)]
-        assert cross == [(-1, CorrelationValue(-1, 0)), (1, CorrelationValue(1, 0))]
+        cross = [row[2:] for row in report.listed_rows() if row[:2] == (0, 1)]
+        assert cross == [(-1, -1, 0), (1, 1, 0)]
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 8, 12])
     def test_violation_parts_are_int_or_float(self, q):
         report = verify_zccs(random_set(np.random.default_rng(q), q, 3, 2, 16), z=8)
-        assert report.violations
+        assert len(report.violations) > 0
         part = int if q in (1, 2, 4) else float
-        assert report.listed["real"].dtype == (np.int64 if part is int else np.float64)
-        for v in report.violations:
-            assert type(v.value.real) is part and type(v.value.imag) is part
-            assert all(type(index) is int for index in v[:3])
+        assert report.violations["real"].dtype == (np.int64 if part is int else np.float64)
+        for row in report.listed_rows():
+            assert type(row[3]) is part and type(row[4]) is part
+            assert all(type(index) is int for index in row[:3])
 
     def test_measure_zcz(self, small_ccc):
         assert verify_zccs(small_ccc, z=1).measured_zcz == small_ccc.length
@@ -339,9 +339,10 @@ class TestFloatOnlyModuli:
         assert trivial.expected_peak == 4 and trivial.violation_count == 0
         wider = verify_zccs(cs, z=2)
         assert not wider.zccs_ok
-        assert wider.violations[0].tau in (-1, 1)
+        _, _, tau, real, imag = next(wider.listed_rows(1))
+        assert tau in (-1, 1)
         # linear phase ramp: shift-1 sum has magnitude 3
-        assert abs(wider.violations[0].value.as_complex()) == pytest.approx(3.0, abs=1e-9)
+        assert abs(complex(real, imag)) == pytest.approx(3.0, abs=1e-9)
 
 
 def near_cancelling_row(rng, q, length):
@@ -362,10 +363,10 @@ class TestDerivedZeroTest:
     def test_q8_counterexample_is_caught(self):
         report = verify_zccs(q8_counterexample())
         assert report.exact and not report.zccs_ok
-        assert [(v.i, v.j, v.tau) for v in report.violations] == [(0, 1, 0)]
-        value = report.violations[0].value
-        assert value.real == pytest.approx(1393 - 985 * math.sqrt(2), abs=1e-9)
-        assert value.real == pytest.approx(-3.6e-4, abs=1e-5)
+        assert report.violations[["i", "j", "tau"]].tolist() == [(0, 1, 0)]
+        real = report.violations["real"][0]
+        assert real == pytest.approx(1393 - 985 * math.sqrt(2), abs=1e-9)
+        assert real == pytest.approx(-3.6e-4, abs=1e-5)
 
     @pytest.mark.parametrize("q", [3, 5, 6, 8, 10, 12])
     def test_near_cancelling_profiles_match_embeddings(self, q):
@@ -510,8 +511,8 @@ class TestEngineDifferential:
         # keeps the engine's sums as int64 listings
         cs = random_set(np.random.default_rng(q), q, 2, 2, 3)
         report = verify_zccs(cs, z=3)
-        assert report.listed.size
-        assert report.listed["real"].dtype == report.listed["imag"].dtype == np.int64
+        assert report.violations.size
+        assert report.violations["real"].dtype == report.violations["imag"].dtype == np.int64
 
 
 def counted_direct_block(monkeypatch):
@@ -604,12 +605,12 @@ class TestRoundingCertificate:
 
 
 def report_fields(report):
-    """Every field of a report; first_nonzero as a list, the listed table as
-    its dtype and its rows."""
+    """Every field of a report; first_nonzero as a list, the violations table
+    as its dtype and its rows."""
     fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
     fields["first_nonzero"] = report.first_nonzero.tolist()
-    fields["listed"] = report.listed.tolist()
-    fields["listed_dtype"] = report.listed.dtype
+    fields["violations"] = report.violations.tolist()
+    fields["violations_dtype"] = report.violations.dtype
     return fields
 
 
@@ -619,7 +620,7 @@ def assert_same_report(got, want, q):
     round differently in another batching."""
     got, want = report_fields(got), report_fields(want)
     if q not in (1, 2, 4):
-        got_rows, want_rows = got.pop("listed"), want.pop("listed")
+        got_rows, want_rows = got.pop("violations"), want.pop("violations")
         assert [row[:3] for row in got_rows] == [row[:3] for row in want_rows]
         assert np.allclose(
             [complex(*row[3:]) for row in got_rows], [complex(*row[3:]) for row in want_rows],
@@ -629,14 +630,15 @@ def assert_same_report(got, want, q):
 
 
 def assert_same_violations(got, want, q):
-    """The same (i, j, tau) rows; their values equal for q in (1, 2, 4) and
-    within 1e-9 otherwise, as np.correlate and the FFT round float sums
-    differently."""
+    """A violations table with the same (i, j, tau) rows as the tuples want;
+    their values equal for q in (1, 2, 4) and within 1e-9 otherwise, as
+    np.correlate and the FFT round float sums differently."""
+    got = got.tolist()
     assert [v[:3] for v in got] == [v[:3] for v in want]
     if q in (1, 2, 4):
-        assert list(got) == want
+        assert got == want
     else:
-        values = [[v.value.as_complex() for v in rows] for rows in (got, want)]
+        values = [[complex(*v[3:]) for v in rows] for rows in (got, want)]
         assert np.allclose(*values, rtol=0, atol=1e-9)
 
 
@@ -727,10 +729,8 @@ class TestBlocks:
         first_nonzero, violations = reduce_profiles(direct_profiles(cs), set_size, report.tolerance, 64)
         assert len(violations) > MAX_LISTED_VIOLATIONS
         assert report.violation_count == len(violations)
-        assert report.listed.tolist() == [
-            (v.i, v.j, v.tau, *v.value) for v in violations[:MAX_LISTED_VIOLATIONS]
-        ]
-        assert list(report.violations) == violations[:MAX_LISTED_VIOLATIONS]
+        assert report.violations.tolist() == violations[:MAX_LISTED_VIOLATIONS]
+        assert list(report.listed_rows()) == violations[:MAX_LISTED_VIOLATIONS]
         assert report.first_nonzero.tolist() == first_nonzero
         assert not report.zccs_ok and not report.optimal
 
@@ -846,8 +846,8 @@ class TestZeroPairCertificate:
         monkeypatch.undo()
         report = verify_zccs(cs)
         assert report.first_nonzero.tolist() == [1, 0, 1]
-        unit = CorrelationValue(-1, 0) if q == 2 else CorrelationValue(0, -1)
-        assert report.violations == (Violation(0, 1, 0, unit),)
+        unit = (-1, 0) if q == 2 else (0, -1)
+        assert report.violations.tolist() == [(0, 1, 0, *unit)]
 
     @pytest.mark.parametrize("chunk_entries", [None, 1])
     def test_complete_complementary_codes_run_no_inverse_transform(self, monkeypatch, chunk_entries):
@@ -903,7 +903,7 @@ class TestZeroPairCertificate:
         diagonal = 2 * 4 - 2 * 1 // 2  # pair (2, 2) of 4 codes
         report = verify_zccs(bad)
         assert report.first_nonzero[diagonal] < bad.length
-        own = [v.tau for v in report.violations if v.i == v.j == 2]
+        own = [tau for i, j, tau, _, _ in report.listed_rows() if i == j == 2]
         assert 0 not in own  # the peak stays N * L
         assert set(range(6, 11)) <= {abs(tau) for tau in own}
         self.no_skip(monkeypatch)
@@ -926,7 +926,7 @@ class TestZeroPairCertificate:
         report = verify_zccs(cs)
         peak = cs.code_size * cs.length
         assert report.expected_peak == peak
-        assert report.violations == (Violation(0, 0, 0, CorrelationValue(3 * peak, 0)),)
+        assert report.violations.tolist() == [(0, 0, 0, 3 * peak, 0)]
         assert report.measured_zcz == 0 and not report.zccs_ok
 
     def test_kept_rows_are_the_correlated_pairs(self, monkeypatch):

@@ -203,7 +203,7 @@ def report_digests(corpus, moduli=None):
         if cs.q in correlation.EXACT_MODULI:
             exact.update(text.encode("utf-8"))
         else:
-            keys = report.listed[["i", "j", "tau"]].tolist()
+            keys = report.violations[["i", "j", "tau"]].tolist()
             doc = [json.loads(text)["summary"], report.first_nonzero.tolist(), keys]
             other.update(json.dumps(doc).encode("utf-8"))
     return exact.hexdigest(), other.hexdigest()

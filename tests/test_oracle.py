@@ -110,6 +110,30 @@ def test_regeneration_peak_stays_near_one_set():
     assert peak <= 1.3 * cs.phases.nbytes, peak / cs.phases.nbytes
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: lemma2_ccc(Lemma2Params(4, 16, quadratic_gbf(16, [(i, i + 1) for i in range(15)], 4, 2))),
+        lambda: lemma1_ccc(Lemma1Params(14, quadratic_gbf(10, [(i, i + 1) for i in range(9)]), (0,) * 10)),
+    ],
+    ids=["lemma2-q4-m2=16", "lemma1-m1=14"],
+)
+def test_k0_regeneration_peak_stays_near_the_tables(build):
+    # At k = 0 the row tables are two set sizes and the chained codes one;
+    # the m point columns, one per seed variable, cover a chunk of points
+    # at a time and stay below a set size.  Whole, they made 7.0 and 7.76.
+    cs = build()
+    assert cs.dims[:2] == (2, 2) and cs.length in (65536, 10240)
+    tracemalloc.start()
+    try:
+        regen = oracle_regenerate(cs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert regen == cs
+    assert peak <= 3.5 * cs.phases.nbytes, peak / cs.phases.nbytes
+
+
 @pytest.mark.parametrize("order", ["lsb", "msb"])
 def test_a_long_label_does_not_size_the_regeneration(order):
     # A forged thm1 record over an all-zero (2, 2, 81920) set: R = 4096
@@ -295,10 +319,12 @@ def path_qary_base(q):
     return Lemma2Params(q, 7, GBF(7, q, tuple(terms)), deleted=(0,), beta1=6)
 
 
-def path_binary_base():
-    """Binary base on m1 = 10: a path on six vertices with vertex 0 deleted (k = 1)."""
-    edges = [(i, i + 1) for i in range(5)]
-    return Lemma1Params(10, quadratic_gbf(6, edges), (1, 0, 1, 1, 0, 1), d=1, deleted=(0,), beta1=5)
+def path_binary_base(m1=10):
+    """Binary base on m1: a path on m1 - 4 vertices with vertex 0 deleted (k = 1)."""
+    nvars = m1 - 4
+    edges = [(i, i + 1) for i in range(nvars - 1)]
+    d_vec = (1, 0, 1, 1, 0, 1, 0, 1)[:nvars]
+    return Lemma1Params(m1, quadratic_gbf(nvars, edges), d_vec, d=1, deleted=(0,), beta1=nvars - 1)
 
 
 @pytest.mark.parametrize("order", ["lsb", "msb"])
@@ -312,8 +338,11 @@ def path_binary_base():
         (lambda order: theorem1_zccs(Theorem1Params(path_binary_base(), l=3, r=8), bit_order=order),
          (32, 4, 5120, 640)),
         (lambda order: theorem3_zccs(path_binary_base(), bit_order=order), (4, 4, 1920, 1280)),
+        # a k = 1 seed of 2560 points a side, filled in three chunks
+        (lambda order: theorem1_zccs(Theorem1Params(path_binary_base(12), l=2, r=4), bit_order=order),
+         (16, 4, 10240, 2560)),
     ],
-    ids=["thm2-q6", "thm2-q8", "thm1-m1=10", "thm3-m1=10"],
+    ids=["thm2-q6", "thm2-q8", "thm1-m1=10", "thm3-m1=10", "thm1-m1=12"],
 )
 def test_large_chained_sets_regenerate(build, dims, order):
     cs = build(order)
